@@ -39,14 +39,13 @@ from tapglass.fixed_point import BetaTooLargeError, FixedPoint
 class AmpState:
     """One iterate: t is the step count, y the current rotated cavity field.
 
-    x, s, m are the quantities produced while computing y and are None at
+    x and m are the quantities produced while computing y and are None at
     t = 0 (nothing has been denoised yet).
     """
 
     t: int
     y: np.ndarray
     x: np.ndarray | None
-    s: np.ndarray | None
     m: np.ndarray | None
     fp: FixedPoint
 
@@ -91,7 +90,7 @@ def init_amp(instance: ModelInstance, fp: FixedPoint, seed) -> AmpState:
     """y^0 ~ N(0, sigma*^2 I); exactly zero in the decoupled case."""
     rng = np.random.default_rng(seed)
     y0 = np.sqrt(fp.sigma_star_sq) * rng.standard_normal(instance.n)
-    return AmpState(t=0, y=y0, x=None, s=None, m=None, fp=fp)
+    return AmpState(t=0, y=y0, x=None, m=None, fp=fp)
 
 
 def amp_step(state: AmpState, instance: ModelInstance) -> AmpState:
@@ -99,9 +98,8 @@ def amp_step(state: AmpState, instance: ModelInstance) -> AmpState:
     inv_u = 1.0 / (1.0 - fp.q_star)
     m = np.tanh(instance.h + state.y)
     x = inv_u * m - state.y
-    s = instance.O @ x
-    y = instance.O.T @ (lambda_diag(fp, instance.d_bar) * s)
-    return AmpState(t=state.t + 1, y=y, x=x, s=s, m=m, fp=fp)
+    y = instance.O.T @ (lambda_diag(fp, instance.d_bar) * (instance.O @ x))
+    return AmpState(t=state.t + 1, y=y, x=x, m=m, fp=fp)
 
 
 def run_amp(instance: ModelInstance, fp: FixedPoint, t_max: int, seed) -> AmpTrajectory:

@@ -21,12 +21,8 @@ from tapglass import amp as amp_mod
 from tapglass import experiments as exp_mod
 from tapglass import gibbs as gibbs_mod
 from tapglass import tap as tap_mod
-from tapglass.ensemble import build_instance, load_instance, save_instance
-from tapglass.fixed_point import (
-    field_from_spec,
-    product_fixed_point,
-    solve_fixed_point,
-)
+from tapglass.ensemble import load_instance, save_instance
+from tapglass.fixed_point import field_from_spec
 from tapglass.spectral import law_from_spec
 
 
@@ -64,16 +60,10 @@ def _write_or_print(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _fp_for(beta: float, law, field):
-    if beta == 0.0:
-        return product_fixed_point(field)
-    return solve_fixed_point(beta, law, field)
-
-
 def _cmd_fixed_point(args) -> int:
     law = parse_law_argument(args.law)
     field = parse_field_argument(args.field)
-    fp = _fp_for(args.beta, law, field)
+    fp = exp_mod.fixed_point_for(args.beta, law, field)
     _write_or_print(json.dumps(fp.to_dict(), indent=2) + "\n", args.out)
     return 0
 
@@ -81,12 +71,8 @@ def _cmd_fixed_point(args) -> int:
 def _cmd_amp_run(args) -> int:
     law = parse_law_argument(args.law)
     field = parse_field_argument(args.field)
-    fp = _fp_for(args.beta, law, field)
-    inst = build_instance(
-        args.n, args.beta, law, field,
-        seed=exp_mod.stream_seed(args.seed, args.n, args.beta, exp_mod.STREAM_INSTANCE),
-        field_mode=args.field_mode,
-    )
+    fp = exp_mod.fixed_point_for(args.beta, law, field)
+    inst = exp_mod.instance_for(args.n, args.beta, law, field, args.seed, args.field_mode)
     traj = amp_mod.run_amp(
         inst, fp, args.t_max,
         exp_mod.stream_seed(args.seed, args.n, args.beta, exp_mod.STREAM_AMP),
@@ -104,11 +90,7 @@ def _cmd_amp_run(args) -> int:
 def _instance_from_args(args, law, field):
     if args.load_instance:
         return load_instance(args.load_instance)
-    inst = build_instance(
-        args.n, args.beta, law, field,
-        seed=exp_mod.stream_seed(args.seed, args.n, args.beta, exp_mod.STREAM_INSTANCE),
-        field_mode=args.field_mode,
-    )
+    inst = exp_mod.instance_for(args.n, args.beta, law, field, args.seed, args.field_mode)
     if args.save_instance:
         save_instance(inst, args.save_instance)
     return inst
@@ -118,7 +100,7 @@ def _cmd_gibbs_exact(args) -> int:
     law = parse_law_argument(args.law)
     field = parse_field_argument(args.field)
     inst = _instance_from_args(args, law, field)
-    fp = _fp_for(inst.beta, law, field)
+    fp = exp_mod.fixed_point_for(inst.beta, law, field)
     res = gibbs_mod.exact_gibbs(inst)
     payload = {
         "n": inst.n,
@@ -153,12 +135,8 @@ def _cmd_gibbs_mcmc(args) -> int:
 def _cmd_tap_residual(args) -> int:
     law = parse_law_argument(args.law)
     field = parse_field_argument(args.field)
-    fp = _fp_for(args.beta, law, field)
-    inst = build_instance(
-        args.n, args.beta, law, field,
-        seed=exp_mod.stream_seed(args.seed, args.n, args.beta, exp_mod.STREAM_INSTANCE),
-        field_mode=args.field_mode,
-    )
+    fp = exp_mod.fixed_point_for(args.beta, law, field)
+    inst = exp_mod.instance_for(args.n, args.beta, law, field, args.seed, args.field_mode)
     if args.source == "amp":
         traj = amp_mod.run_amp(
             inst, fp, args.t_max,

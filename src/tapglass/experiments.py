@@ -133,9 +133,18 @@ def _as_tuple(value, caster, name):
         raise ConfigError(f"{name} has a non-{caster.__name__} entry: {exc}") from exc
 
 
+_CONFIG_KEYS = frozenset((
+    "kind", "n", "beta", "seeds", "law", "field", "field_mode", "t_max", "n_replicas",
+    "sweeps", "burn_in", "thin", "delta", "eta", "mc_samples", "threads", "out",
+))
+
+
 def config_from_dict(obj: dict) -> ExperimentConfig:
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
+    unknown = sorted(str(key) for key in obj if key not in _CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     kind = obj.get("kind")
     if kind not in EXPERIMENT_KINDS:
         raise ConfigError(
@@ -210,24 +219,28 @@ class ResultRow:
     error: str = ""
 
 
-def _solve(cfg: ExperimentConfig, beta: float):
+def fixed_point_for(beta: float, law: SpectralLaw, field: FieldLaw):
+    """The fixed point at beta; beta = 0 is the analytic product limit."""
     if beta == 0.0:
-        return product_fixed_point(cfg.field)
-    return solve_fixed_point(beta, cfg.law, cfg.field)
+        return product_fixed_point(field)
+    return solve_fixed_point(beta, law, field)
 
 
-def _build(cfg: ExperimentConfig, n: int, beta: float, seed: int):
+def instance_for(
+    n: int, beta: float, law: SpectralLaw, field: FieldLaw, seed: int, field_mode: str
+):
+    """The instance of grid cell (n, beta, seed), drawn from its instance stream."""
     if beta == 0.0:
         raise ValueError("instances need beta > 0; the beta = 0 limit is analytic")
     return build_instance(
-        n, beta, cfg.law, cfg.field,
+        n, beta, law, field,
         seed=stream_seed(seed, n, beta, STREAM_INSTANCE),
-        field_mode=cfg.field_mode,
+        field_mode=field_mode,
     )
 
 
 def _cell_fixed_point(cfg, n, beta, seed):
-    fp = _solve(cfg, beta)
+    fp = fixed_point_for(beta, cfg.law, cfg.field)
     out = fp.to_dict()
     out["converged"] = int(out["converged"])
     del out["beta"]
@@ -235,8 +248,8 @@ def _cell_fixed_point(cfg, n, beta, seed):
 
 
 def _cell_amp(cfg, n, beta, seed):
-    fp = _solve(cfg, beta)
-    inst = _build(cfg, n, beta, seed)
+    fp = fixed_point_for(beta, cfg.law, cfg.field)
+    inst = instance_for(n, beta, cfg.law, cfg.field, seed, cfg.field_mode)
     traj = amp_mod.run_amp(inst, fp, cfg.t_max, stream_seed(seed, n, beta, STREAM_AMP))
     return {
         "q_star": fp.q_star,
@@ -248,8 +261,8 @@ def _cell_amp(cfg, n, beta, seed):
 
 
 def _cell_gibbs_exact(cfg, n, beta, seed):
-    fp = _solve(cfg, beta)
-    inst = _build(cfg, n, beta, seed)
+    fp = fixed_point_for(beta, cfg.law, cfg.field)
+    inst = instance_for(n, beta, cfg.law, cfg.field, seed, cfg.field_mode)
     res = gibbs_mod.exact_gibbs(inst)
     per_site = res.log_z / n
     return {
@@ -260,7 +273,7 @@ def _cell_gibbs_exact(cfg, n, beta, seed):
 
 
 def _cell_gibbs_mcmc(cfg, n, beta, seed):
-    inst = _build(cfg, n, beta, seed)
+    inst = instance_for(n, beta, cfg.law, cfg.field, seed, cfg.field_mode)
     reps = gibbs_mod.glauber_sample(
         inst, sweeps=cfg.sweeps, burn_in=cfg.burn_in, thin=cfg.thin,
         n_chains=cfg.replica_counts[0],
@@ -283,8 +296,8 @@ def _cell_gibbs_mcmc(cfg, n, beta, seed):
 
 
 def _cell_tap_verify(cfg, n, beta, seed):
-    fp = _solve(cfg, beta)
-    inst = _build(cfg, n, beta, seed)
+    fp = fixed_point_for(beta, cfg.law, cfg.field)
+    inst = instance_for(n, beta, cfg.law, cfg.field, seed, cfg.field_mode)
     mag = gibbs_mod.exact_gibbs(inst).magnetization
     traj = amp_mod.run_amp(inst, fp, cfg.t_max, stream_seed(seed, n, beta, STREAM_AMP))
     d = tap_mod.magnetization_vs_amp(mag, traj)
@@ -302,7 +315,7 @@ def _cell_tap_verify(cfg, n, beta, seed):
 
 
 def _cell_concentration(cfg, n, beta, seed, n_replicas):
-    inst = _build(cfg, n, beta, seed)
+    inst = instance_for(n, beta, cfg.law, cfg.field, seed, cfg.field_mode)
     mag = gibbs_mod.exact_gibbs(inst).magnetization
     reps = gibbs_mod.glauber_sample(
         inst, sweeps=cfg.sweeps, burn_in=cfg.burn_in, thin=cfg.thin,
@@ -313,12 +326,12 @@ def _cell_concentration(cfg, n, beta, seed, n_replicas):
 
 
 def _cell_band(cfg, n, beta, seed):
-    fp = _solve(cfg, beta)
-    inst = _build(cfg, n, beta, seed)
+    fp = fixed_point_for(beta, cfg.law, cfg.field)
+    inst = instance_for(n, beta, cfg.law, cfg.field, seed, cfg.field_mode)
     traj = amp_mod.run_amp(inst, fp, max(cfg.t_max, 50), stream_seed(seed, n, beta, STREAM_AMP))
     band = gibbs_mod.BandSpec(traj.final.m, cfg.delta, cfg.eta)
-    log_z = gibbs_mod.exact_gibbs(inst).log_z
-    log_zb = gibbs_mod.restricted_logZ_band(inst, band)
+    exact = gibbs_mod.exact_gibbs(inst, band=band)
+    log_z, log_zb = exact.log_z, exact.log_z_band
     reps = gibbs_mod.glauber_sample(
         inst, sweeps=cfg.sweeps, burn_in=cfg.burn_in, thin=cfg.thin,
         n_chains=cfg.replica_counts[0],
@@ -342,8 +355,8 @@ def _cell_band(cfg, n, beta, seed):
 
 
 def _cell_se_check(cfg, n, beta, seed):
-    fp = _solve(cfg, beta)
-    inst = _build(cfg, n, beta, seed)
+    fp = fixed_point_for(beta, cfg.law, cfg.field)
+    inst = instance_for(n, beta, cfg.law, cfg.field, seed, cfg.field_mode)
     traj = amp_mod.run_amp(inst, fp, cfg.t_max, stream_seed(seed, n, beta, STREAM_AMP))
     est = theoretical_delta(
         fp, cfg.field, cfg.t_max, mc_samples=cfg.mc_samples,

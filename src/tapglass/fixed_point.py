@@ -320,6 +320,27 @@ class DeltaEstimate:
     samples: int
 
 
+def _semidefinite_cholesky(a: np.ndarray) -> np.ndarray:
+    """Lower-triangular L with L L^T = a for a symmetric positive semidefinite a.
+
+    A pivot whose conditional variance is at rounding level (at most
+    size * eps * max diag) is kept as a zero column instead of failing
+    (Higham 1990).  As the iterates converge, Delta tends to the rank-one
+    delta* 11^T and such pivots are the rule.  The leading s x s block of L
+    depends only on the leading s x s block of a, so factors of nested
+    blocks are nested.
+    """
+    size = a.shape[0]
+    low = np.zeros_like(a)
+    tol = size * np.finfo(float).eps * max(float(np.max(np.diag(a))), 0.0)
+    for j in range(size):
+        pivot = a[j, j] - low[j, :j] @ low[j, :j]
+        if pivot > tol:
+            low[j, j] = np.sqrt(pivot)
+            low[j + 1 :, j] = (a[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / low[j, j]
+    return low
+
+
 def theoretical_delta(
     fp: FixedPoint,
     field: FieldLaw,
@@ -333,9 +354,9 @@ def theoretical_delta(
     with Y_0 ~ N(0, sigma*^2) and (Y_1, ..., Y_{t-1}) ~ N(0, kappa* Delta_t),
     Delta_s = E[X X^T] over the first s columns.  Common random numbers: H,
     Y_0, and the Gaussian innovations behind Y_s are drawn once, and Y_s is
-    produced from the Cholesky factor of the current kappa* Delta estimate, so
-    successive columns are maximally correlated and the empirical Grams of a
-    matched AMP run have a stable target.
+    produced from the semidefinite Cholesky factor of the current kappa* Delta
+    estimate, so successive columns are maximally correlated and the empirical
+    Grams of a matched AMP run have a stable target.
 
     sigma*^2 = 0 collapses everything to the zero matrix (returned exactly).
     """
@@ -362,13 +383,7 @@ def theoretical_delta(
             break
         block = x_cols[:, :s]
         delta_s = block.T @ block / mc_samples
-        try:
-            chol = np.linalg.cholesky(fp.kappa_star * delta_s)
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError(
-                "state-evolution covariance lost positive definiteness; "
-                "increase mc_samples or reduce t_max"
-            ) from exc
+        chol = _semidefinite_cholesky(fp.kappa_star * delta_s)
         y_prev = chol[s - 1, :] @ xi[:s]
 
     delta = x_cols.T @ x_cols / mc_samples

@@ -6,14 +6,14 @@ in H (a constant shift of log Z, since sigma_i^2 = 1) but never enters the
 single-site conditionals, which depend on the off-diagonal field
 l = (Jbar - diag Jbar) sigma + h only.
 
-Exact enumeration walks a Gray code so each state costs O(n) incremental
-work.  The 2^n states split into 2^(n-12) aligned segments of 2^12; within a
-segment the flip position at local step j is the same for every segment
-(the lowest set bit of j), so all segments advance in lockstep as numpy
-vectors, each carrying its own running-max-rescaled accumulators for the
-partition function, the magnetization, and the band-restricted mass.
-Segments are merged in fixed ascending order, so results are bit-stable and
-independent of any thread or chunk setting.
+Exact enumeration lists the 2^n states in blocks of fixed size: the full
+listing of the low min(n, 12) sites crossed with a few high-site
+configurations.  Energies split as E = E_low + s_low . (J_lh s_high) + E_high,
+so a block costs one small matrix product and no per-state Python step.  Each
+block is reduced against its own maximum energy (log-sum-exp) to the
+partition function, the magnetization, the band-restricted mass and, when
+asked, the pair moments; block results are merged in fixed order, so results
+are bit-stable and independent of any thread or chunk setting.
 
 Band machinery: for a profile m and delta > 0,
 
@@ -38,7 +38,8 @@ MAX_ENUMERATION_N = 24
 MAX_PAIR_ENUMERATION_N = 12
 MAX_MCMC_DENSE_N = 512
 
-_SEGMENT_BITS = 12
+_LOW_BITS = 12
+_BLOCK_STATES = 1 << 13
 _SWEEP_BLOCK_ELEMENTS = 1 << 16
 _CHAIN_CHUNK = 256
 _PAIR_CHUNK_ROWS = 512
@@ -100,152 +101,119 @@ def b_n_membership(samples: np.ndarray, band: BandSpec) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class GibbsExact:
-    """Exact log partition function and moments from full enumeration."""
+    """Exact log partition function and moments from full enumeration;
+    log_z_band is the band-restricted log Z when a band was given."""
 
     log_z: float
     magnetization: np.ndarray
     pair_correlations: np.ndarray | None
+    log_z_band: float | None = None
 
 
-def _flip_positions(bits: int) -> np.ndarray:
-    """Gray-walk flip position for local steps 1..2^bits - 1: lowest set bit of j."""
-    j = np.arange(1, 1 << bits, dtype=np.int64)
-    return np.log2(j & -j).astype(np.int64)
+def _state_blocks(j_mat: np.ndarray, h: np.ndarray):
+    """Yield (states, energies) over all 2^n states in ascending code order
+    (bit i of the code is site i), one block at a time.
 
-
-def _enumeration_core(
-    j_mat: np.ndarray,
-    h: np.ndarray,
-    center: np.ndarray,
-    delta: float,
-) -> tuple[float, np.ndarray, float]:
-    """Lockstep Gray-code sweep; returns (log_z, magnetization, log_z_band)."""
+    A block is the full listing of the low k = min(n, _LOW_BITS) sites
+    crossed with a run of high-site configurations, and its energies come
+    from E = E_low + s_low . (J_lh s_high) + E_high.
+    """
     n = h.size
-    seg_bits = min(n, _SEGMENT_BITS)
-    n_seg = 1 << (n - seg_bits)
-
-    base = np.arange(n_seg, dtype=np.int64) << seg_bits
-    gray0 = base ^ (base >> 1)
-    sigma = (((gray0[:, None] >> np.arange(n)[None, :]) & 1) * 2.0 - 1.0)
-    v = sigma @ j_mat
-    energy = 0.5 * np.einsum("ij,ij->i", sigma, v) + sigma @ h
-    proj = sigma @ center
-    center_sq = float(center @ center)
-
-    shift = energy.copy()
-    z_acc = np.ones(n_seg)
-    mag_acc = sigma.copy()
-    band_acc = (np.abs(proj - center_sq) < n * delta).astype(float)
-
-    for b in _flip_positions(seg_bits):
-        s_b = sigma[:, b].copy()
-        energy += -2.0 * s_b * v[:, b] + 2.0 * j_mat[b, b] - 2.0 * h[b] * s_b
-        v -= (2.0 * s_b)[:, None] * j_mat[b][None, :]
-        proj -= 2.0 * s_b * center[b]
-        sigma[:, b] = -s_b
-
-        grew = energy > shift
-        if grew.any():
-            f = np.exp(shift[grew] - energy[grew])
-            z_acc[grew] *= f
-            band_acc[grew] *= f
-            mag_acc[grew] *= f[:, None]
-            shift[grew] = energy[grew]
-        w = np.exp(energy - shift)
-        z_acc += w
-        mag_acc += sigma * w[:, None]
-        band_acc += np.where(np.abs(proj - center_sq) < n * delta, w, 0.0)
-
-    log_z = float(logsumexp(shift + np.log(z_acc)))
-    seg_scale = np.exp(shift - shift.max())
-    magnetization = (seg_scale @ mag_acc) / (seg_scale @ z_acc)
-    with np.errstate(divide="ignore"):
-        band_terms = shift + np.log(band_acc)
-    log_z_band = float(logsumexp(band_terms)) if np.any(band_acc > 0) else -np.inf
-    return log_z, magnetization, log_z_band
+    k = min(n, _LOW_BITS)
+    low = ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1) * 2.0 - 1.0
+    e_low = 0.5 * np.einsum("ij,ij->i", low @ j_mat[:k, :k], low) + low @ h[:k]
+    j_cross = 0.5 * (j_mat[:k, k:] + j_mat[k:, :k].T)
+    n_high = 1 << (n - k)
+    per_block = max(1, _BLOCK_STATES >> k)
+    for start in range(0, n_high, per_block):
+        codes = np.arange(start, min(start + per_block, n_high))
+        high = ((codes[:, None] >> np.arange(n - k)) & 1) * 2.0 - 1.0
+        e_high = 0.5 * np.einsum("ij,ij->i", high @ j_mat[k:, k:], high) + high @ h[k:]
+        energies = e_high[:, None] + (high @ j_cross.T) @ low.T + e_low[None, :]
+        states = np.empty((codes.size, low.shape[0], n))
+        states[:, :, :k] = low
+        states[:, :, k:] = high[:, None, :]
+        yield states.reshape(-1, n), energies.ravel()
 
 
-def exact_gibbs(instance: ModelInstance, pair_correlations: bool = False) -> GibbsExact:
-    """Full enumeration of the 2^n states (n <= 24; pair moments need n <= 12)."""
+def _check_enumerable(instance: ModelInstance, band: BandSpec | None, cap: int, what: str):
+    if instance.n > cap:
+        raise ValueError(f"{what} is capped at n = {cap}, got {instance.n}")
+    if band is not None and band.center.size != instance.n:
+        raise ValueError("band center length must match the instance size")
+
+
+def _enumerate(
+    instance: ModelInstance, band: BandSpec | None = None, pairs: bool = False
+) -> GibbsExact:
+    """One pass over the state blocks.  Each block is weighted by
+    exp(E - block max) and reduced to one row [Z, magnetization mass, band
+    mass, pair mass]; the rows are merged in block order against the global
+    max, so results are bit-stable."""
+    _check_enumerable(instance, band, MAX_ENUMERATION_N, "exact enumeration")
+    if pairs:
+        _check_enumerable(instance, None, MAX_PAIR_ENUMERATION_N, "pair correlations")
     n = instance.n
-    if n > MAX_ENUMERATION_N:
-        raise ValueError(
-            f"exact enumeration is capped at n = {MAX_ENUMERATION_N}, got {n}"
-        )
-    j_mat = instance.dense_coupling()
-    log_z, magnetization, _ = _enumeration_core(
-        j_mat, instance.h, np.zeros(n), np.inf
+    tops, rows = [], []
+    for states, energies in _state_blocks(instance.dense_coupling(), instance.h):
+        top = energies.max()
+        w = np.exp(energies - top)
+        row = [[w.sum()], w @ states]
+        if band is not None:
+            row.append([w[in_band(states, band)].sum()])
+        if pairs:
+            row.append(((states * w[:, None]).T @ states).ravel())
+        tops.append(top)
+        rows.append(np.concatenate(row))
+    top = max(tops)
+    total = np.exp(np.array(tops) - top) @ np.array(rows)
+    z = total[0]
+    log_z_band = None
+    if band is not None:
+        with np.errstate(divide="ignore"):
+            log_z_band = float(top + np.log(total[n + 1]))
+    return GibbsExact(
+        log_z=float(top + np.log(z)),
+        magnetization=total[1 : n + 1] / z,
+        pair_correlations=total[-n * n :].reshape(n, n) / z if pairs else None,
+        log_z_band=log_z_band,
     )
-    pair = None
-    if pair_correlations:
-        if n > MAX_PAIR_ENUMERATION_N:
-            raise ValueError(
-                f"pair correlations are capped at n = {MAX_PAIR_ENUMERATION_N}, got {n}"
-            )
-        states, energies = _all_states_energies(j_mat, instance.h)
-        w = np.exp(energies - logsumexp(energies))
-        pair = (states * w[:, None]).T @ states
-    return GibbsExact(log_z=log_z, magnetization=magnetization, pair_correlations=pair)
+
+
+def exact_gibbs(
+    instance: ModelInstance, pair_correlations: bool = False, band: BandSpec | None = None
+) -> GibbsExact:
+    """Full enumeration of the 2^n states (n <= 24; pair moments need n <= 12).
+    With a band, log_z_band comes from the same pass."""
+    return _enumerate(instance, band, pair_correlations)
 
 
 def restricted_logZ_band(instance: ModelInstance, band: BandSpec) -> float:
     """log of the Gibbs sum over Band(m, delta); -inf when the band is empty."""
-    if instance.n > MAX_ENUMERATION_N:
-        raise ValueError(
-            f"exact enumeration is capped at n = {MAX_ENUMERATION_N}, got {instance.n}"
-        )
-    if band.center.size != instance.n:
-        raise ValueError("band center length must match the instance size")
-    j_mat = instance.dense_coupling()
-    _, _, log_z_band = _enumeration_core(j_mat, instance.h, band.center, band.delta)
-    return log_z_band
-
-
-def _all_states_energies(j_mat: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n = h.size
-    codes = np.arange(1 << n, dtype=np.int64)
-    states = (((codes[:, None] >> np.arange(n)[None, :]) & 1) * 2.0 - 1.0)
-    a = states @ j_mat
-    energies = 0.5 * np.einsum("ij,ij->i", a, states) + states @ h
-    return states, energies
+    return _enumerate(instance, band).log_z_band
 
 
 def restricted_logZ_nonorth_pairs(instance: ModelInstance, band: BandSpec) -> float:
     """log Z_c: exact sum of exp(H(s) + H(t)) over ordered band pairs with
     centered overlap above eta (diagonal pairs included when they qualify).
     Returns -inf when no pair qualifies, so Z_c <= Z_B^2 still holds."""
+    _check_enumerable(instance, band, MAX_PAIR_ENUMERATION_N, "exact pair enumeration")
     n = instance.n
-    if n > MAX_PAIR_ENUMERATION_N:
-        raise ValueError(
-            f"exact pair enumeration is capped at n = {MAX_PAIR_ENUMERATION_N}, got {n}"
-        )
-    if band.center.size != n:
-        raise ValueError("band center length must match the instance size")
-    states, energies = _all_states_energies(instance.dense_coupling(), instance.h)
+    states, energies = (
+        np.concatenate(part)
+        for part in zip(*_state_blocks(instance.dense_coupling(), instance.h))
+    )
     keep = in_band(states, band)
     centered = states[keep] - band.center
     e_band = energies[keep]
-    if e_band.size == 0:
-        return -np.inf
-
-    total_max = -np.inf
-    total_sum = 0.0
+    chunk_logs = []
     for start in range(0, e_band.size, _PAIR_CHUNK_ROWS):
-        stop = min(start + _PAIR_CHUNK_ROWS, e_band.size)
-        overlaps = centered[start:stop] @ centered.T / n
-        mask = np.abs(overlaps) > band.eta
-        if not mask.any():
-            continue
-        vals = (e_band[start:stop, None] + e_band[None, :])[mask]
-        chunk_max = float(vals.max())
-        if chunk_max > total_max:
-            if np.isfinite(total_max):
-                total_sum *= np.exp(total_max - chunk_max)
-            total_max = chunk_max
-        total_sum += float(np.exp(vals - total_max).sum())
-    if total_sum == 0.0:
-        return -np.inf
-    return total_max + float(np.log(total_sum))
+        rows = slice(start, start + _PAIR_CHUNK_ROWS)
+        mask = np.abs(centered[rows] @ centered.T / n) > band.eta
+        vals = (e_band[rows, None] + e_band[None, :])[mask]
+        if vals.size:
+            chunk_logs.append(logsumexp(vals))
+    return float(logsumexp(chunk_logs)) if chunk_logs else -np.inf
 
 
 @dataclass(frozen=True)

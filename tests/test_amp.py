@@ -46,7 +46,7 @@ def test_scalar_step_oracle():
         n=1, beta=0.1, d_bar=np.array([0.0]), O=np.array([[1.0]]),
         h=np.array([0.2]), seed=0,
     )
-    state = AmpState(t=0, y=np.array([0.1]), x=None, s=None, m=None, fp=_toy_fixed_point())
+    state = AmpState(t=0, y=np.array([0.1]), x=None, m=None, fp=_toy_fixed_point())
     out = amp_step(state, inst)
     assert out.m[0] == pytest.approx(np.tanh(0.3), abs=1e-15)
     assert out.x[0] == pytest.approx(2.0 * np.tanh(0.3) - 0.1, abs=1e-15)

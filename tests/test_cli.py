@@ -9,6 +9,7 @@ import pytest
 
 from tapglass.cli import main, parse_field_argument, parse_law_argument
 from tapglass.ensemble import load_instance
+from tapglass.experiments import default_config, run_experiment
 from tapglass.fixed_point import constant_field, solve_fixed_point
 from tapglass.spectral import semicircle
 
@@ -88,6 +89,14 @@ def test_gibbs_exact_roundtrip_through_saved_instance(capsys, tmp_path):
         direct["log_z_per_site"], abs=1e-14
     )
     assert reloaded["magnetization"] == direct["magnetization"]
+
+
+def test_gibbs_exact_matches_runner_row(capsys):
+    rc, out = _run(capsys, ["gibbs-exact", "--n", "12", "--seed", "1"])
+    assert rc == 0
+    rows = run_experiment(default_config("gibbs_exact"))
+    row = next(r for r in rows if r.seed == 1)
+    assert json.loads(out)["log_z_per_site"] == row.metrics["log_z_per_site"]
 
 
 def test_gibbs_mcmc_csv_contract(capsys):

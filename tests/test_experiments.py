@@ -87,6 +87,19 @@ def test_default_config_parses_for_every_kind():
         assert cfg.n_values == (12,)
 
 
+@pytest.mark.parametrize("kind", exp.EXPERIMENT_KINDS)
+def test_default_config_runs_without_error_rows(kind):
+    rows = run_experiment(default_config(kind))
+    assert rows
+    assert [row.error for row in rows] == [""] * len(rows)
+
+
+@pytest.mark.parametrize("typo", ["n_replica", "sweps"])
+def test_config_rejects_unknown_keys(typo):
+    with pytest.raises(ConfigError, match=typo):
+        config_from_dict(_minimal(**{typo: 4}))
+
+
 # ---------------------------------------------------------------- seeds
 
 

@@ -78,7 +78,7 @@ def test_enumeration_matches_naive_listing():
 
 
 def test_enumeration_matches_listing_across_segments():
-    # n = 14 exercises the multi-segment lockstep path (4 segments of 2^12)
+    # n = 14 spans two blocks of the state listing (each 2^12 low states x 2 high)
     inst = build_instance(14, 0.15, semicircle(), constant_field(1.0), seed=3)
     _, _, log_z, mag = _naive_listing(inst)
     res = exact_gibbs(inst)
@@ -96,7 +96,7 @@ def test_decoupled_instance_is_exact_product():
 
 def test_uniform_diagonal_shift_moves_log_z_only():
     # Adding c to every eigenvalue adds c n / 2 to log Z and nothing else,
-    # which exercises the running-max rescale discipline end to end.
+    # which exercises the max-shifted block reduction end to end.
     base = build_instance(9, 0.2, semicircle(), constant_field(0.5), seed=21)
     c = 7.5
     shifted = ModelInstance(
@@ -109,14 +109,18 @@ def test_uniform_diagonal_shift_moves_log_z_only():
 
 
 def test_pair_correlations():
-    inst = build_instance(4, 0.25, semicircle(), constant_field(0.3), seed=2)
-    res = exact_gibbs(inst, pair_correlations=True)
-    states, energies, log_z, mag = _naive_listing(inst)
-    w = np.exp(energies - log_z)
-    ref = (states * w[:, None]).T @ states
-    assert np.abs(res.pair_correlations - ref).max() < 1e-12
-    assert np.allclose(np.diag(res.pair_correlations), 1.0, atol=1e-12)
-    assert np.abs(res.pair_correlations - res.pair_correlations.T).max() < 1e-14
+    # n = 12 is the pair cap: the whole state listing is one block
+    for inst in (
+        build_instance(4, 0.25, semicircle(), constant_field(0.3), seed=2),
+        build_instance(12, 0.2, semicircle(), gaussian_field(0.2, 0.6), seed=8),
+    ):
+        res = exact_gibbs(inst, pair_correlations=True)
+        states, energies, log_z, mag = _naive_listing(inst)
+        w = np.exp(energies - log_z)
+        ref = (states * w[:, None]).T @ states
+        assert np.abs(res.pair_correlations - ref).max() < 1e-12
+        assert np.allclose(np.diag(res.pair_correlations), 1.0, atol=1e-12)
+        assert np.abs(res.pair_correlations - res.pair_correlations.T).max() < 1e-14
 
 
 def test_enumeration_size_guards():
@@ -146,13 +150,17 @@ def test_band_mass_monotone_and_saturating():
     assert values[0] < log_z
 
 
-def test_band_restriction_matches_listing():
-    inst = build_instance(8, 0.2, semicircle(), constant_field(0.8), seed=4)
+@pytest.mark.parametrize("n", [8, 14])
+def test_band_restriction_matches_listing(n):
+    # n = 14 sums the band across block boundaries of the state listing
+    inst = build_instance(n, 0.2, semicircle(), constant_field(0.8), seed=4)
     states, energies, _, mag = _naive_listing(inst)
     band = BandSpec(mag, 0.25, 1.0)
-    keep = np.abs((states - mag) @ mag) / 8 < 0.25
+    keep = np.abs((states - mag) @ mag) / n < 0.25
     expected = float(logsumexp(energies[keep]))
-    assert restricted_logZ_band(inst, band) == pytest.approx(expected, abs=1e-12)
+    log_zb = restricted_logZ_band(inst, band)
+    assert log_zb == pytest.approx(expected, abs=1e-12)
+    assert exact_gibbs(inst, band=band).log_z_band == log_zb
 
 
 def test_empty_band_gives_minus_inf():

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -194,6 +195,14 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
         raise ConfigError("all n must be >= 1")
     if any(b < 0 for b in cfg.beta_values):
         raise ConfigError("all beta must be >= 0")
+    if any(s < 0 for s in cfg.seeds):
+        raise ConfigError("all seeds must be >= 0")
+    if cfg.sweeps < 1 or cfg.burn_in < 0 or cfg.thin < 1:
+        raise ConfigError("need sweeps >= 1, burn_in >= 0 and thin >= 1")
+    if not (cfg.delta > 0 and cfg.eta > 0):
+        raise ConfigError("delta and eta must be > 0")
+    if cfg.mc_samples < 2:
+        raise ConfigError("mc_samples must be >= 2")
     return cfg
 
 
@@ -308,15 +317,21 @@ def _cell_tap_verify(cfg, n, beta, seed):
         "tap_residual_gibbs": tap_mod.tap_residual(inst, fp, mag),
         "tap_residual_amp": tap_mod.tap_residual(inst, fp, traj.final.m),
         "solver_residual": sol.residual,
+        "solver_converged": int(sol.converged),
+        "solver_iterations": sol.iterations,
         "solver_amp_rms_gap": float(
             np.sqrt(np.sum((sol.m - traj.final.m) ** 2) / n)
         ),
     }
 
 
-def _cell_concentration(cfg, n, beta, seed, n_replicas):
+def _concentration_instance(cfg, n, beta, seed):
+    """The instance and exact magnetization shared by every replica count."""
     inst = instance_for(n, beta, cfg.law, cfg.field, seed, cfg.field_mode)
-    mag = gibbs_mod.exact_gibbs(inst).magnetization
+    return inst, gibbs_mod.exact_gibbs(inst).magnetization
+
+
+def _cell_concentration(cfg, n, beta, seed, n_replicas, inst, mag):
     reps = gibbs_mod.glauber_sample(
         inst, sweeps=cfg.sweeps, burn_in=cfg.burn_in, thin=cfg.thin,
         n_chains=n_replicas, seed=stream_seed(seed, n, beta, STREAM_MCMC),
@@ -382,50 +397,52 @@ _CELL_FUNCTIONS = {
 }
 
 
-def _cells(cfg: ExperimentConfig):
-    for n in cfg.n_values:
-        for beta in cfg.beta_values:
-            for seed in cfg.seeds:
-                if cfg.kind == KIND_CONCENTRATION:
-                    for n_rep in cfg.replica_counts:
-                        yield (n, beta, seed, n_rep)
-                else:
-                    yield (n, beta, seed, cfg.replica_counts[0])
-
-
-def _run_cell(cfg: ExperimentConfig, cell) -> ResultRow:
-    n, beta, seed, n_rep = cell
+def _isolated(fn, *args):
+    """(result, error text, seconds) of fn(*args), with any failure caught."""
     start = time.perf_counter()
     try:
-        if cfg.kind == KIND_CONCENTRATION:
-            metrics = _cell_concentration(cfg, n, beta, seed, n_rep)
-        else:
-            metrics = _CELL_FUNCTIONS[cfg.kind](cfg, n, beta, seed)
-        error = ""
+        result, error = fn(*args), ""
     except Exception as exc:  # noqa: BLE001  (cell isolation is the contract)
-        metrics = {}
-        error = f"{type(exc).__name__}: {exc}"
-    return ResultRow(
-        schema_version=SCHEMA_VERSION,
-        kind=cfg.kind,
-        n=n,
-        beta=beta,
-        seed=seed,
-        n_replicas=n_rep,
-        metrics=metrics,
-        wall_time=time.perf_counter() - start,
-        error=error,
-    )
+        result, error = {}, f"{type(exc).__name__}: {exc}"
+    return result, error, time.perf_counter() - start
+
+
+def _run_cell(cfg: ExperimentConfig, cell) -> list[ResultRow]:
+    """The rows of grid point (n, beta, seed): one row, or for concentration
+    one row per replica count, all sharing one instance and its enumeration.
+    The shared set-up time is charged to the first count's row."""
+    n, beta, seed = cell
+
+    def row(n_rep, metrics, error, wall_time):
+        return ResultRow(
+            schema_version=SCHEMA_VERSION, kind=cfg.kind, n=n, beta=beta, seed=seed,
+            n_replicas=n_rep, metrics=metrics, wall_time=wall_time, error=error,
+        )
+
+    if cfg.kind != KIND_CONCENTRATION:
+        return [row(cfg.replica_counts[0],
+                    *_isolated(_CELL_FUNCTIONS[cfg.kind], cfg, n, beta, seed))]
+    shared, shared_error, setup_time = _isolated(_concentration_instance, cfg, n, beta, seed)
+    rows = []
+    for n_rep in cfg.replica_counts:
+        metrics, error, wall_time = (
+            ({}, shared_error, 0.0) if shared_error
+            else _isolated(_cell_concentration, cfg, n, beta, seed, n_rep, *shared)
+        )
+        rows.append(row(n_rep, metrics, error, setup_time + wall_time))
+        setup_time = 0.0
+    return rows
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     """Run every grid cell, isolating failures, and return rows in sorted order."""
-    cells = list(_cells(cfg))
+    cells = list(itertools.product(cfg.n_values, cfg.beta_values, cfg.seeds))
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            rows = list(pool.map(lambda c: _run_cell(cfg, c), cells))
+            groups = list(pool.map(lambda c: _run_cell(cfg, c), cells))
     else:
-        rows = [_run_cell(cfg, c) for c in cells]
+        groups = [_run_cell(cfg, c) for c in cells]
+    rows = [r for group in groups for r in group]
     rows.sort(key=lambda r: (r.n, r.beta, r.seed, r.n_replicas))
     return rows
 

@@ -15,6 +15,18 @@ partition function, the magnetization, the band-restricted mass and, when
 asked, the pair moments; block results are merged in fixed order, so results
 are bit-stable and independent of any thread or chunk setting.
 
+Glauber chains run in lockstep, one chunk of chains at a time.  Within a
+chunk the states and fields are stored site-major (Fortran order), so one
+site's values across chains are contiguous, and a site-step is a fixed
+handful of whole-vector numpy calls: the logistic into a preallocated buffer,
+the comparison with that step's uniforms, the spin change d in {-2, 0, 2},
+and one BLAS rank-1 update (dger) of the fields by d times row i of the
+couplings, issued in column blocks that keep each call on one thread.
+The update is exact, so every chain is bit-for-bit the same as with a
+masked update of the moved chains only: d * J[i, k] is an exact product,
+the addition rounds once as before, and adding a zero product changes at
+most the sign of a zero field, which exp(-2 l) cannot see.
+
 Band machinery: for a profile m and delta > 0,
 
     Band(m, delta) = { sigma : |m . (sigma - m)| / n < delta },
@@ -30,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dger
 from scipy.special import logsumexp
 
 from tapglass.ensemble import ModelInstance
@@ -42,6 +55,11 @@ _LOW_BITS = 12
 _BLOCK_STATES = 1 << 13
 _SWEEP_BLOCK_ELEMENTS = 1 << 16
 _CHAIN_CHUNK = 256
+# OpenBLAS runs dger on several threads above 8192 entries; at Glauber sizes
+# that buys no speed, and its spinning workers take cores from numpy's own
+# BLAS threads, so the Glauber field update is issued in column blocks of at
+# most this many entries.
+_GER_BLOCK_ELEMENTS = 1 << 13
 _PAIR_CHUNK_ROWS = 512
 
 
@@ -286,6 +304,20 @@ def glauber_sample(
     Chains draw from per-chain child streams of the seed, so results do not
     depend on how chains are chunked.  After burn_in, every thin-th sweep's
     state enters the per-chain time average.
+
+    Inside a chunk of at most _CHAIN_CHUNK chains, sigma and the fields l
+    are (chains, n) Fortran-ordered arrays, so column i (site i across
+    chains) is contiguous, and the uniforms of a block of sweeps are laid
+    out (sweep, site, chain).  A site-step computes the logistic in place,
+    the new spins, their change d in {-2, 0, 2}, and then the fields with
+    one BLAS rank-1 update l += d J_off[i] over all chains, moved or not,
+    issued as one dger call per column block of at most
+    _GER_BLOCK_ELEMENTS fields (one call when chains * n is at most that).
+    That update is exact: d * J_off[i, k] is an exact product and the sum
+    rounds once, as a masked update of the moved chains would; a zero
+    product leaves a field unchanged up to the sign of a zero, which
+    exp(-2 l) does not see.  Outputs are therefore bit-for-bit those of a
+    chain-by-chain masked loop on the same seed.
     """
     if sweeps < 1 or burn_in < 0 or thin < 1 or n_chains < 1:
         raise ValueError("need sweeps >= 1, burn_in >= 0, thin >= 1, n_chains >= 1")
@@ -306,21 +338,35 @@ def glauber_sample(
         rngs = [np.random.default_rng(c) for c in children[chunk]]
         n_c = len(rngs)
         sigma = np.array([rng.integers(0, 2, n) * 2 - 1 for rng in rngs], dtype=float)
-        field = sigma @ j_off + h[None, :]
-        mag_acc = np.zeros((n_c, n))
+        field = np.asfortranarray(sigma @ j_off + h[None, :])
+        sigma = np.asfortranarray(sigma)
+        mag_acc = np.zeros((n_c, n), order="F")
+        prob_up = np.empty(n_c)
+        up = np.empty(n_c, dtype=bool)
+        delta_s = np.zeros(n_c)
+        width = max(1, _GER_BLOCK_ELEMENTS // n_c)
+        blocks = [(field[:, c:c + width], j_off[:, c:c + width]) for c in range(0, n, width)]
+        # the column blocks are views, so dger must update them in place
+        field_0, j_0 = blocks[0]
+        if dger(0.0, delta_s, j_0[0], a=field_0, overwrite_a=1) is not field_0:
+            raise RuntimeError("dger did not update the Glauber fields in place")
         done = 0
         while done < total:
             block = min(block_sweeps, total - done)
-            uniforms = np.stack([rng.random((block, n)) for rng in rngs])
+            # (block, n, n_c): the uniforms of one site-step are one contiguous row
+            uniforms = np.stack([rng.random((block, n)) for rng in rngs], axis=2)
             for t in range(block):
                 for i in range(n):
-                    prob_up = 1.0 / (1.0 + np.exp(-2.0 * field[:, i]))
-                    new = np.where(uniforms[:, t, i] < prob_up, 1.0, -1.0)
-                    delta_s = new - sigma[:, i]
-                    moved = delta_s != 0.0
-                    if moved.any():
-                        field[moved] += delta_s[moved, None] * j_off[i][None, :]
-                        sigma[moved, i] = new[moved]
+                    np.multiply(field[:, i], -2.0, out=prob_up)
+                    np.exp(prob_up, out=prob_up)
+                    np.add(prob_up, 1.0, out=prob_up)
+                    np.divide(1.0, prob_up, out=prob_up)
+                    np.less(uniforms[t, i], prob_up, out=up)
+                    sigma_i = sigma[:, i]
+                    np.subtract(np.where(up, 1.0, -1.0), sigma_i, out=delta_s)
+                    sigma_i += delta_s
+                    for field_block, j_block in blocks:
+                        dger(1.0, delta_s, j_block[i], a=field_block, overwrite_a=1)
                 sweep_index = done + t
                 if sweep_index >= burn_in and (sweep_index - burn_in) % thin == 0:
                     mag_acc += sigma

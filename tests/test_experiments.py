@@ -100,6 +100,23 @@ def test_config_rejects_unknown_keys(typo):
         config_from_dict(_minimal(**{typo: 4}))
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("seeds", [0, -1]),
+        ("sweeps", 0),
+        ("burn_in", -1),
+        ("thin", 0),
+        ("delta", 0.0),
+        ("eta", -0.5),
+        ("mc_samples", 1),
+    ],
+)
+def test_config_rejects_bad_numeric_values(key, value):
+    with pytest.raises(ConfigError, match=key):
+        config_from_dict(_minimal(**{key: value}))
+
+
 # ---------------------------------------------------------------- seeds
 
 
@@ -162,6 +179,50 @@ def test_rows_sorted_regardless_of_thread_count():
     assert [key(r) for r in serial] == sorted(key(r) for r in serial)
     assert exp._stable_text(serial) == exp._stable_text(threaded)
     assert content_hash(serial) == content_hash(threaded)
+
+
+def test_concentration_enumerates_each_instance_once(monkeypatch):
+    calls = []
+    exact_gibbs = exp.gibbs_mod.exact_gibbs
+
+    def counted(instance, *args, **kwargs):
+        calls.append(instance.seed)
+        return exact_gibbs(instance, *args, **kwargs)
+
+    monkeypatch.setattr(exp.gibbs_mod, "exact_gibbs", counted)
+    obj = _minimal(kind="concentration", n=[8], seeds=[3, 1], n_replicas=[16, 4, 64],
+                   sweeps=20, burn_in=5)
+    serial = run_experiment(config_from_dict(obj))
+    assert len(calls) == 2 and len(set(calls)) == 2
+    assert [(r.seed, r.n_replicas) for r in serial] == [
+        (1, 4), (1, 16), (1, 64), (3, 4), (3, 16), (3, 64)]
+    assert all(r.error == "" and r.metrics["distance"] >= 0 for r in serial)
+    threaded = run_experiment(config_from_dict({**obj, "threads": 2}))
+    assert exp._stable_text(serial) == exp._stable_text(threaded)
+
+
+def test_concentration_errors_stay_per_row():
+    # n_replicas = 0 fails its own row only; n = 25 fails the shared
+    # enumeration, so every row of that instance carries the error
+    rows = run_experiment(config_from_dict(
+        _minimal(kind="concentration", n=[6, 25], n_replicas=[0, 4], sweeps=10, burn_in=2)
+    ))
+    errors = {(r.n, r.n_replicas): r.error for r in rows}
+    assert errors[(6, 4)] == ""
+    assert errors[(6, 0)].startswith("ValueError")
+    assert errors[(25, 0)] == errors[(25, 4)] != ""
+    assert all(r.metrics == {} for r in rows if r.error)
+
+
+def test_tap_verify_reports_solver_convergence():
+    rows = run_experiment(default_config("tap_verify"))
+    for row in rows:
+        assert row.error == ""
+        assert row.metrics["solver_converged"] in (0, 1)
+        assert isinstance(row.metrics["solver_iterations"], int)
+        assert row.metrics["solver_iterations"] >= 1
+    header = csv_text(rows).splitlines()[0].split(",")
+    assert {"solver_converged", "solver_iterations"} <= set(header)
 
 
 def test_repeat_runs_identical_modulo_wall_time():

@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from tapglass import gibbs
 from tapglass.ensemble import ModelInstance, build_instance, haar_so
 from tapglass.fixed_point import constant_field, gaussian_field
 from tapglass.gibbs import (
+    _CHAIN_CHUNK,
+    _SWEEP_BLOCK_ELEMENTS,
+    MAX_MCMC_DENSE_N,
     BandSpec,
     ReplicaSet,
     b_n_membership,
@@ -284,6 +288,72 @@ def test_glauber_deterministic_and_seed_sensitive():
     c = glauber_sample(inst, sweeps=40, burn_in=10, thin=4, n_chains=6, seed=4)
     assert not np.array_equal(a.samples, c.samples)
     assert a.recorded_sweeps == len(range(10, 50, 4))
+
+
+def _reference_glauber(instance, sweeps, burn_in, thin, n_chains, seed):
+    """The chain-major Glauber loop with a masked field update of the moved
+    chains only, transcribed as the reference for bit-for-bit checks."""
+    n = instance.n
+    j_off = instance.dense_coupling(max_n=MAX_MCMC_DENSE_N).copy()
+    np.fill_diagonal(j_off, 0.0)
+    h = instance.h
+    children = np.random.SeedSequence(seed).spawn(n_chains)
+    samples = np.empty((n_chains, n))
+    chain_mag = np.zeros((n_chains, n))
+    total = burn_in + sweeps
+    recorded = len(range(burn_in, total, thin))
+    block_sweeps = max(1, _SWEEP_BLOCK_ELEMENTS // n)
+    for chunk_start in range(0, n_chains, _CHAIN_CHUNK):
+        chunk = slice(chunk_start, min(chunk_start + _CHAIN_CHUNK, n_chains))
+        rngs = [np.random.default_rng(c) for c in children[chunk]]
+        n_c = len(rngs)
+        sigma = np.array([rng.integers(0, 2, n) * 2 - 1 for rng in rngs], dtype=float)
+        field = sigma @ j_off + h[None, :]
+        mag_acc = np.zeros((n_c, n))
+        done = 0
+        while done < total:
+            block = min(block_sweeps, total - done)
+            uniforms = np.stack([rng.random((block, n)) for rng in rngs])
+            for t in range(block):
+                for i in range(n):
+                    prob_up = 1.0 / (1.0 + np.exp(-2.0 * field[:, i]))
+                    new = np.where(uniforms[:, t, i] < prob_up, 1.0, -1.0)
+                    delta_s = new - sigma[:, i]
+                    moved = delta_s != 0.0
+                    if moved.any():
+                        field[moved] += delta_s[moved, None] * j_off[i][None, :]
+                        sigma[moved, i] = new[moved]
+                sweep_index = done + t
+                if sweep_index >= burn_in and (sweep_index - burn_in) % thin == 0:
+                    mag_acc += sigma
+            done += block
+        samples[chunk] = sigma
+        chain_mag[chunk] = mag_acc / recorded
+    return samples, chain_mag
+
+
+@pytest.mark.parametrize(
+    "n, n_chains, sweeps, burn_in, thin, block_elements",
+    [
+        (1, 5, 20, 3, 2, None),            # a single site
+        (6, 1, 30, 4, 1, None),            # a single chain
+        (40, _CHAIN_CHUNK + 44, 6, 2, 1, None),  # two chain chunks, the first
+                                                 # updated in two column blocks
+        (9, 4, 40, 10, 3, None),           # thinning after burn-in
+        (16, 3, 30, 5, 2, 64),             # 9 uniform blocks; the reference draws 1
+    ],
+)
+def test_glauber_matches_masked_reference_bit_for_bit(
+    monkeypatch, n, n_chains, sweeps, burn_in, thin, block_elements
+):
+    inst = build_instance(n, 0.4, semicircle(), gaussian_field(0.3, 0.8), seed=20 + n)
+    if block_elements is not None:
+        monkeypatch.setattr(gibbs, "_SWEEP_BLOCK_ELEMENTS", block_elements)
+    reps = glauber_sample(inst, sweeps=sweeps, burn_in=burn_in, thin=thin,
+                          n_chains=n_chains, seed=40 + n)
+    samples, chain_mag = _reference_glauber(inst, sweeps, burn_in, thin, n_chains, 40 + n)
+    assert np.array_equal(reps.samples, samples)
+    assert np.array_equal(reps.chain_mag, chain_mag)
 
 
 def test_glauber_validation():

@@ -93,12 +93,13 @@ def init_amp(instance: ModelInstance, fp: FixedPoint, seed) -> AmpState:
     return AmpState(t=0, y=y0, x=None, m=None, fp=fp)
 
 
-def amp_step(state: AmpState, instance: ModelInstance) -> AmpState:
+def amp_step(state: AmpState, instance: ModelInstance, lam: np.ndarray) -> AmpState:
+    """One iteration; lam is the reweighting lambda_diag(state.fp, instance.d_bar)."""
     fp = state.fp
     inv_u = 1.0 / (1.0 - fp.q_star)
     m = np.tanh(instance.h + state.y)
     x = inv_u * m - state.y
-    y = instance.O.T @ (lambda_diag(fp, instance.d_bar) * (instance.O @ x))
+    y = instance.apply_rotated(lam, x)
     return AmpState(t=state.t + 1, y=y, x=x, m=m, fp=fp)
 
 
@@ -107,6 +108,7 @@ def run_amp(instance: ModelInstance, fp: FixedPoint, t_max: int, seed) -> AmpTra
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
     n = instance.n
+    lam = lambda_diag(fp, instance.d_bar)
     state = init_amp(instance, fp, seed)
     X = np.empty((n, t_max))
     Y = np.empty((n, t_max))
@@ -115,7 +117,7 @@ def run_amp(instance: ModelInstance, fp: FixedPoint, t_max: int, seed) -> AmpTra
     m_norm_sq = np.empty(t_max)
     for t in range(t_max):
         prev_y = state.y
-        state = amp_step(state, instance)
+        state = amp_step(state, instance, lam)
         X[:, t] = state.x
         Y[:, t] = state.y
         M[:, t] = state.m

@@ -4,7 +4,8 @@ An instance of size n consists of Jbar = O^T Dbar O with O uniform on SO(n),
 Dbar = beta * diag(quantiles of the spectral law), plus an external field h
 (deterministic quantiles of the field law by default, iid draws on request).
 Jbar is never materialized at scale; `ModelInstance.apply_jbar` applies it in
-O(n^2) through the factors.
+O(n^2) through the factors, and `ModelInstance.apply_rotated` applies any
+other diagonal in the same rotated basis, so no other module reads O.
 
 `conditional_haar_so` samples O uniformly from {O in SO(n): O B = A} for
 n x k matrices with A^T A = B^T B, via
@@ -97,14 +98,19 @@ class ModelInstance:
         if sign <= 0 or abs(logdet) > _DET_TOL:
             raise ValueError("O must have determinant +1")
 
-    def apply_jbar(self, v: np.ndarray) -> np.ndarray:
-        """Jbar v = O^T (d_bar * (O v)), for a vector or a stack of columns."""
+    def apply_rotated(self, weights: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """O^T (weights * (O v)), for a vector or a stack of columns; callers
+        never see how O is stored."""
         w = self.O @ v
         if w.ndim == 1:
-            w = self.d_bar * w
+            w = weights * w
         else:
-            w = self.d_bar[:, None] * w
+            w = weights[:, None] * w
         return self.O.T @ w
+
+    def apply_jbar(self, v: np.ndarray) -> np.ndarray:
+        """Jbar v = O^T (d_bar * (O v)), for a vector or a stack of columns."""
+        return self.apply_rotated(self.d_bar, v)
 
     def dense_coupling(self, max_n: int = 512) -> np.ndarray:
         """Materialize Jbar as a dense symmetric matrix (small n only)."""

@@ -19,7 +19,7 @@ import itertools
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,17 +89,17 @@ class ExperimentConfig:
     law: SpectralLaw
     law_spec: dict
     field: FieldLaw
-    field_mode: str = "quantile"
-    t_max: int = 8
-    replica_counts: tuple[int, ...] = (8,)
-    sweeps: int = 200
-    burn_in: int = 50
-    thin: int = 2
-    delta: float = 0.2
-    eta: float = 0.8
-    mc_samples: int = 200_000
-    threads: int = 1
-    out: str | None = None
+    field_mode: str
+    t_max: int
+    replica_counts: tuple[int, ...]
+    sweeps: int
+    burn_in: int
+    thin: int
+    delta: float
+    eta: float
+    mc_samples: int
+    threads: int
+    out: str | None
 
     def echo(self) -> dict:
         """The config as a dict using the same keys the parser accepts, so the
@@ -197,6 +197,10 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
         raise ConfigError("all beta must be >= 0")
     if any(s < 0 for s in cfg.seeds):
         raise ConfigError("all seeds must be >= 0")
+    if any(r < 1 for r in cfg.replica_counts):
+        raise ConfigError("all n_replicas must be >= 1")
+    if len(cfg.replica_counts) > 1 and kind != KIND_CONCENTRATION:
+        raise ConfigError(f"only concentration takes more than one n_replicas entry, not {kind}")
     if cfg.sweeps < 1 or cfg.burn_in < 0 or cfg.thin < 1:
         raise ConfigError("need sweeps >= 1, burn_in >= 0 and thin >= 1")
     if not (cfg.delta > 0 and cfg.eta > 0):
@@ -356,7 +360,7 @@ def _cell_band(cfg, n, beta, seed):
     if n <= gibbs_mod.MAX_PAIR_ENUMERATION_N:
         log_zc = gibbs_mod.restricted_logZ_nonorth_pairs(inst, band)
     else:
-        log_zc = gibbs_mod.sampled_logZ_nonorth_pairs(reps, band, log_zb).value
+        log_zc = gibbs_mod.sampled_logZ_nonorth_pairs(geometry, log_zb).value
     return {
         "log_z_per_site": log_z / n,
         "log_zb_per_site": log_zb / n,

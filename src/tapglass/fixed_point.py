@@ -33,6 +33,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from tapglass.spectral import DomainError, RescaledLaw, SpectralLaw
+from tapglass.spectral import _as_atoms, _quantile_grid, _spec_kind
 
 GH_NODES = 61
 _gh_x, _gh_w = hermgauss(GH_NODES)
@@ -76,18 +77,14 @@ class FieldLaw:
 
     def quantiles(self, n: int) -> np.ndarray:
         """Deterministic grid F^{-1}((i - 1/2)/n), ascending."""
-        if n < 1:
-            raise ValueError("quantiles needs n >= 1")
-        p = (np.arange(1, n + 1) - 0.5) / n
+        if self.kind == FIELD_EMPIRICAL:
+            return _quantile_grid(n, self.atoms)
+        p = _quantile_grid(n)
         if self.kind == FIELD_CONSTANT:
             return np.full(n, self.value)
-        if self.kind == FIELD_GAUSSIAN:
-            from scipy.stats import norm
+        from scipy.stats import norm
 
-            return self.value + self.sd * norm.ppf(p)
-        x, w = self.atoms[:, 0], self.atoms[:, 1]
-        idx = np.minimum(np.searchsorted(np.cumsum(w), p, side="left"), x.size - 1)
-        return x[idx]
+        return self.value + self.sd * norm.ppf(p)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.kind == FIELD_CONSTANT:
@@ -123,20 +120,20 @@ def gaussian_field(mean: float, sd: float) -> FieldLaw:
 
 
 def empirical_field(values, weights) -> FieldLaw:
-    from tapglass.spectral import _as_atoms
-
     return FieldLaw(FIELD_EMPIRICAL, atoms=_as_atoms(values, weights))
 
 
 def field_from_spec(obj: dict) -> FieldLaw:
-    kind = obj.get("kind")
+    kind = _spec_kind(obj, {
+        FIELD_CONSTANT: ("value",),
+        FIELD_GAUSSIAN: ("mean", "sd"),
+        FIELD_EMPIRICAL: ("locations", "weights"),
+    }, "field law")
     if kind == FIELD_CONSTANT:
         return constant_field(obj["value"])
     if kind == FIELD_GAUSSIAN:
         return gaussian_field(obj.get("mean", 0.0), obj["sd"])
-    if kind == FIELD_EMPIRICAL:
-        return empirical_field(obj["locations"], obj["weights"])
-    raise ValueError(f"unknown field law kind {kind!r}")
+    return empirical_field(obj["locations"], obj["weights"])
 
 
 def gauss_field_expectation(integrand, field: FieldLaw, sigma: float) -> float:

@@ -93,23 +93,20 @@ def in_band(sigma: np.ndarray, band: BandSpec):
     return np.abs(proj) < band.delta
 
 
-def pair_nonorthogonal(sigma: np.ndarray, tau: np.ndarray, band: BandSpec) -> bool:
-    """|<sigma - m, tau - m>| / n > eta."""
-    n = band.center.size
-    return bool(
-        abs((sigma - band.center) @ (tau - band.center)) / n > band.eta
-    )
+def _band_overlaps(samples: np.ndarray, band: BandSpec):
+    """The in-band mask of a stack of states, the mask of their ordered pairs
+    with centered overlap |<s - m, t - m>| / n above eta, and the mask of
+    distinct ordered pairs."""
+    samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    centered = samples - band.center
+    above = np.abs(centered @ centered.T / band.center.size) > band.eta
+    return in_band(samples, band), above, ~np.eye(samples.shape[0], dtype=bool)
 
 
 def b_n_membership(samples: np.ndarray, band: BandSpec) -> bool:
     """All states in the band and every distinct ordered pair below the overlap cut."""
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    if not np.all(in_band(samples, band)):
-        return False
-    centered = samples - band.center
-    overlaps = centered @ centered.T / band.center.size
-    off = overlaps[~np.eye(samples.shape[0], dtype=bool)]
-    return bool(np.all(np.abs(off) <= band.eta))
+    inside, above, distinct = _band_overlaps(samples, band)
+    return bool(inside.all() and not above[distinct].any())
 
 
 # ----------------------------------------------------------------------
@@ -234,41 +231,6 @@ def restricted_logZ_nonorth_pairs(instance: ModelInstance, band: BandSpec) -> fl
     return float(logsumexp(chunk_logs)) if chunk_logs else -np.inf
 
 
-@dataclass(frozen=True)
-class SampledLogZc:
-    """Sampled estimate of log Z_c from replica pairs, with a delta-method SE."""
-
-    value: float
-    se: float
-    pairs_in_band: int
-    pairs_violating: int
-
-
-def sampled_logZ_nonorth_pairs(
-    replicas: "ReplicaSet", band: BandSpec, log_z_band: float
-) -> SampledLogZc:
-    """Estimate log Z_c ~ 2 log Z_B + log g where g is the violating fraction
-    among ordered pairs of in-band replicas (the product band-Gibbs measure is
-    the proposal).  The SE treats pairs as a binomial count, which understates
-    correlation between pairs sharing a replica; it is a scale indicator."""
-    samples = replicas.samples
-    inside = samples[in_band(samples, band)]
-    nb = inside.shape[0]
-    if nb < 2:
-        return SampledLogZc(value=-np.inf, se=np.nan, pairs_in_band=0, pairs_violating=0)
-    centered = inside - band.center
-    overlaps = centered @ centered.T / band.center.size
-    off = ~np.eye(nb, dtype=bool)
-    total = int(off.sum())
-    violating = int((np.abs(overlaps[off]) > band.eta).sum())
-    if violating == 0:
-        return SampledLogZc(value=-np.inf, se=np.nan, pairs_in_band=total, pairs_violating=0)
-    g = violating / total
-    value = 2.0 * log_z_band + float(np.log(g))
-    se = float(np.sqrt((1.0 - g) / (g * total)))
-    return SampledLogZc(value=value, se=se, pairs_in_band=total, pairs_violating=violating)
-
-
 # ----------------------------------------------------------------------
 # Glauber dynamics
 # ----------------------------------------------------------------------
@@ -281,12 +243,7 @@ class ReplicaSet:
     samples: np.ndarray      # (n_chains, n), final state of each chain
     chain_mag: np.ndarray    # (n_chains, n), time average over recorded sweeps
     recorded_sweeps: int     # sweeps entering each time average
-    sweeps: int
-    burn_in: int
-    thin: int
-    seed: int
     n: int
-    beta: float
 
 
 def glauber_sample(
@@ -378,12 +335,7 @@ def glauber_sample(
         samples=samples,
         chain_mag=chain_mag,
         recorded_sweeps=recorded,
-        sweeps=sweeps,
-        burn_in=burn_in,
-        thin=thin,
-        seed=seed,
         n=n,
-        beta=instance.beta,
     )
 
 
@@ -419,27 +371,56 @@ def estimate_magnetization(
 
 @dataclass(frozen=True)
 class ReplicaGeometryReport:
-    """How a replica cloud sits relative to a band."""
+    """How a replica cloud sits relative to a band.  pairs_in_band counts the
+    ordered pairs of distinct in-band replicas, pairs_violating those among
+    them with centered overlap above eta."""
 
     band_fraction: float
     pair_violation_fraction: float
     in_b_n: bool
     distance: float
+    pairs_in_band: int
+    pairs_violating: int
 
 
 def replica_geometry_report(replicas: ReplicaSet, band: BandSpec) -> ReplicaGeometryReport:
+    """One pass over the replica overlaps.  pair_violation_fraction is taken
+    over all distinct ordered pairs (0 for a single replica); in_b_n asks every
+    replica to be in the band and every such pair below the cut."""
     samples = replicas.samples
-    n_chains = samples.shape[0]
-    inside = in_band(samples, band)
-    centered = samples - band.center
-    overlaps = centered @ centered.T / band.center.size
-    off = ~np.eye(n_chains, dtype=bool)
-    violation_fraction = float((np.abs(overlaps[off]) > band.eta).mean()) if n_chains > 1 else 0.0
+    inside, above, distinct = _band_overlaps(samples, band)
+    both_inside = distinct & inside[:, None] & inside[None, :]
     mean = samples.mean(axis=0)
-    distance = float(np.sum((mean - band.center) ** 2) / band.center.size)
     return ReplicaGeometryReport(
         band_fraction=float(inside.mean()),
-        pair_violation_fraction=violation_fraction,
-        in_b_n=b_n_membership(samples, band),
-        distance=distance,
+        pair_violation_fraction=float(above[distinct].mean()) if inside.size > 1 else 0.0,
+        in_b_n=bool(inside.all() and not above[distinct].any()),
+        distance=float(np.sum((mean - band.center) ** 2) / band.center.size),
+        pairs_in_band=int(both_inside.sum()),
+        pairs_violating=int((both_inside & above).sum()),
     )
+
+
+@dataclass(frozen=True)
+class SampledLogZc:
+    """Sampled estimate of log Z_c from replica pairs, with a delta-method SE."""
+
+    value: float
+    se: float
+
+
+def sampled_logZ_nonorth_pairs(
+    report: ReplicaGeometryReport, log_z_band: float
+) -> SampledLogZc:
+    """Estimate log Z_c ~ 2 log Z_B + log g where g is the violating fraction
+    among ordered pairs of in-band replicas (the product band-Gibbs measure is
+    the proposal), read from the replicas' geometry report.  The SE treats
+    pairs as a binomial count, which understates correlation between pairs
+    sharing a replica; it is a scale indicator."""
+    total, violating = report.pairs_in_band, report.pairs_violating
+    if violating == 0:
+        return SampledLogZc(value=-np.inf, se=np.nan)
+    g = violating / total
+    value = 2.0 * log_z_band + float(np.log(g))
+    se = float(np.sqrt((1.0 - g) / (g * total)))
+    return SampledLogZc(value=value, se=se)

@@ -181,16 +181,9 @@ class SpectralLaw:
 
     def quantiles(self, n: int) -> np.ndarray:
         """Deterministic quantile grid F^{-1}((i - 1/2)/n), i = 1..n, ascending."""
-        if n < 1:
-            raise ValueError("quantiles needs n >= 1")
-        p = (np.arange(1, n + 1) - 0.5) / n
         if self.kind == SEMICIRCLE:
-            return np.array([_semicircle_quantile(pi) for pi in p])
-        x, w = self.atoms[:, 0], self.atoms[:, 1]
-        cum = np.cumsum(w)
-        idx = np.searchsorted(cum, p, side="left")
-        idx = np.minimum(idx, x.size - 1)
-        return x[idx]
+            return np.array([_semicircle_quantile(pi) for pi in _quantile_grid(n)])
+        return _quantile_grid(n, self.atoms)
 
     # ----- (de)serialization ------------------------------------------
 
@@ -229,14 +222,38 @@ def empirical_atoms(values, weights) -> SpectralLaw:
 def law_from_spec(obj: dict) -> SpectralLaw:
     """Build a law from its JSON form.  Empirical laws are standardized on load,
     since every consumer (instances, fixed points) requires mean 0, variance 1."""
-    kind = obj.get("kind")
+    kind = _spec_kind(
+        obj, {SEMICIRCLE: (), TWO_POINT: (), EMPIRICAL: ("locations", "weights")}, "spectral law"
+    )
     if kind == SEMICIRCLE:
         return semicircle()
     if kind == TWO_POINT:
         return two_point()
-    if kind == EMPIRICAL:
-        return empirical_atoms(obj["locations"], obj["weights"]).standardize()
-    raise ValueError(f"unknown spectral law kind {kind!r}")
+    return empirical_atoms(obj["locations"], obj["weights"]).standardize()
+
+
+def _spec_kind(obj: dict, keys_by_kind: dict, what: str) -> str:
+    """The kind of a law or field spec; an unknown kind, or any key besides
+    kind that to_spec does not write for that kind (keys_by_kind), is rejected."""
+    kind = obj.get("kind")
+    if kind not in keys_by_kind:
+        raise ValueError(f"unknown {what} kind {kind!r}")
+    unknown = sorted(str(key) for key in obj if key != "kind" and key not in keys_by_kind[kind])
+    if unknown:
+        raise ValueError(f"unknown {kind} {what} spec keys: {', '.join(unknown)}")
+    return kind
+
+
+def _quantile_grid(n: int, atoms: np.ndarray | None = None) -> np.ndarray:
+    """The levels (i - 1/2)/n, i = 1..n; given (location, weight) atoms, the
+    atomic law's quantiles at those levels."""
+    if n < 1:
+        raise ValueError("quantiles needs n >= 1")
+    p = (np.arange(1, n + 1) - 0.5) / n
+    if atoms is None:
+        return p
+    idx = np.searchsorted(np.cumsum(atoms[:, 1]), p, side="left")
+    return atoms[np.minimum(idx, len(atoms) - 1), 0]
 
 
 def _semicircle_cdf(x: float) -> float:

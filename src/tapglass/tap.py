@@ -98,21 +98,3 @@ def magnetization_vs_amp(reference: np.ndarray, trajectory: AmpTrajectory) -> np
     diffs = trajectory.M - reference[:, None]
     return np.sum(diffs**2, axis=0) / n
 
-
-@dataclass(frozen=True)
-class TapReport:
-    """Residual of a profile together with the coefficient it was checked under."""
-
-    residual: float
-    onsager_coefficient: float
-    source: str
-
-
-def tap_report(
-    instance: ModelInstance, fp: FixedPoint, m: np.ndarray, source: str
-) -> TapReport:
-    return TapReport(
-        residual=tap_residual(instance, fp, m),
-        onsager_coefficient=fp.a_star,
-        source=source,
-    )

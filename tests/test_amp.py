@@ -47,7 +47,7 @@ def test_scalar_step_oracle():
         h=np.array([0.2]), seed=0,
     )
     state = AmpState(t=0, y=np.array([0.1]), x=None, m=None, fp=_toy_fixed_point())
-    out = amp_step(state, inst)
+    out = amp_step(state, inst, lambda_diag(state.fp, inst.d_bar))
     assert out.m[0] == pytest.approx(np.tanh(0.3), abs=1e-15)
     assert out.x[0] == pytest.approx(2.0 * np.tanh(0.3) - 0.1, abs=1e-15)
     assert out.x[0] == pytest.approx(0.4826252249, abs=1e-10)
@@ -93,6 +93,13 @@ def test_lambda_diag_requires_spectral_gap():
     fp = _toy_fixed_point(lambda_star=0.5)
     with pytest.raises(BetaTooLargeError):
         lambda_diag(fp, np.array([0.0, 0.6]))
+    # run_amp computes the reweighting once, before any iterate
+    inst = ModelInstance(
+        n=2, beta=0.1, d_bar=np.array([0.0, 0.6]), O=haar_so(2, 4),
+        h=np.zeros(2), seed=0,
+    )
+    with pytest.raises(BetaTooLargeError):
+        run_amp(inst, fp, t_max=3, seed=1)
 
 
 def test_decoupled_case_runs_with_zero_reweighting():

@@ -38,8 +38,14 @@ def test_parse_field_argument_forms():
     f = parse_field_argument('{"kind": "constant", "value": 0.7}')
     assert f.kind == "constant"
     assert f.value == 0.7
-    g = parse_field_argument('{"kind": "gaussian", "value": 0.0, "sd": 1.0}')
+    g = parse_field_argument('{"kind": "gaussian", "mean": 0.5, "sd": 1.0}')
     assert g.kind == "gaussian"
+    assert g.value == 0.5 and g.sd == 1.0
+    # "value" is the constant field's key; a gaussian spec must say "mean"
+    with pytest.raises(ValueError, match="value"):
+        parse_field_argument('{"kind": "gaussian", "value": 0.5, "sd": 1.0}')
+    with pytest.raises(ValueError, match="atoms"):
+        parse_field_argument('{"kind": "empirical", "atoms": [[0.5, 0.6], [1.5, 0.4]]}')
 
 
 # ---------------------------------------------------------------- commands

@@ -1,9 +1,13 @@
 """Ensemble layer: Haar draws, conditioned draws, instance assembly, persistence."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+import tapglass
 from tapglass.ensemble import (
     ModelInstance,
     build_instance,
@@ -164,6 +168,23 @@ def test_apply_jbar_matches_dense():
     assert np.allclose(inst.apply_jbar(v), dense @ v, atol=1e-12)
     block = rng.standard_normal((16, 3))
     assert np.allclose(inst.apply_jbar(block), dense @ block, atol=1e-12)
+    # any other diagonal in the same rotated basis
+    weights = rng.standard_normal(16)
+    rotated = inst.O.T @ np.diag(weights) @ inst.O
+    assert np.allclose(inst.apply_rotated(weights, v), rotated @ v, atol=1e-12)
+    assert np.allclose(inst.apply_rotated(weights, block), rotated @ block, atol=1e-12)
+
+
+def test_only_ensemble_reads_the_rotation():
+    # other modules go through apply_jbar / apply_rotated / dense_coupling,
+    # so how O is stored stays a decision of ensemble.py alone
+    readers = sorted(
+        path.name
+        for path in Path(tapglass.__file__).parent.glob("*.py")
+        if any(isinstance(node, ast.Attribute) and node.attr == "O"
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+    )
+    assert readers == ["ensemble.py"]
 
 
 def test_instance_validation():

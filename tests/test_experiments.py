@@ -110,6 +110,9 @@ def test_config_rejects_unknown_keys(typo):
         ("delta", 0.0),
         ("eta", -0.5),
         ("mc_samples", 1),
+        pytest.param("n_replicas", [0], id="n_replicas-below-1"),
+        # only concentration runs one row per replica count
+        pytest.param("n_replicas", [4, 8], id="n_replicas-several-entries"),
     ],
 )
 def test_config_rejects_bad_numeric_values(key, value):
@@ -201,16 +204,24 @@ def test_concentration_enumerates_each_instance_once(monkeypatch):
     assert exp._stable_text(serial) == exp._stable_text(threaded)
 
 
-def test_concentration_errors_stay_per_row():
-    # n_replicas = 0 fails its own row only; n = 25 fails the shared
+def test_concentration_errors_stay_per_row(monkeypatch):
+    # sampling 16 chains fails its own row only; n = 25 fails the shared
     # enumeration, so every row of that instance carries the error
+    sample = exp.gibbs_mod.glauber_sample
+
+    def failing_at_16(instance, sweeps, burn_in, thin, n_chains, seed):
+        if n_chains == 16:
+            raise ValueError("no sampler for 16 chains")
+        return sample(instance, sweeps, burn_in, thin, n_chains, seed)
+
+    monkeypatch.setattr(exp.gibbs_mod, "glauber_sample", failing_at_16)
     rows = run_experiment(config_from_dict(
-        _minimal(kind="concentration", n=[6, 25], n_replicas=[0, 4], sweeps=10, burn_in=2)
+        _minimal(kind="concentration", n=[6, 25], n_replicas=[16, 4], sweeps=10, burn_in=2)
     ))
     errors = {(r.n, r.n_replicas): r.error for r in rows}
     assert errors[(6, 4)] == ""
-    assert errors[(6, 0)].startswith("ValueError")
-    assert errors[(25, 0)] == errors[(25, 4)] != ""
+    assert errors[(6, 16)] == "ValueError: no sampler for 16 chains"
+    assert errors[(25, 16)] == errors[(25, 4)] != ""
     assert all(r.metrics == {} for r in rows if r.error)
 
 

@@ -18,7 +18,6 @@ from tapglass.gibbs import (
     exact_gibbs,
     glauber_sample,
     in_band,
-    pair_nonorthogonal,
     replica_geometry_report,
     restricted_logZ_band,
     restricted_logZ_nonorth_pairs,
@@ -207,12 +206,15 @@ def test_sampled_nonorth_pairs_against_exact():
     exact = restricted_logZ_nonorth_pairs(inst, band)
     log_zb = restricted_logZ_band(inst, band)
     replicas = glauber_sample(inst, sweeps=60, burn_in=30, thin=5, n_chains=400, seed=31)
-    est = sampled_logZ_nonorth_pairs(replicas, band, log_zb)
-    assert est.pairs_in_band > 0
+    report = replica_geometry_report(replicas, band)
+    est = sampled_logZ_nonorth_pairs(report, log_zb)
+    assert report.pairs_in_band > 0
     assert np.isfinite(est.value)
     assert abs(est.value - exact) < 0.3
     # the degenerate no-pair outcome keeps the inequality direction
-    empty = sampled_logZ_nonorth_pairs(replicas, BandSpec(m, 0.5, 49.0), log_zb)
+    empty_report = replica_geometry_report(replicas, BandSpec(m, 0.5, 49.0))
+    assert empty_report.pairs_violating == 0
+    empty = sampled_logZ_nonorth_pairs(empty_report, log_zb)
     assert empty.value == -np.inf
 
 
@@ -223,13 +225,6 @@ def test_band_predicates():
     assert not in_band(np.array([-1.0, 1, -1, 1]), band)  # projection gap 2/4
     stack = np.array([[1.0, 1, 1, 1], [-1.0, 1, 1, 1]])
     assert np.array_equal(in_band(stack, band), [True, False])
-
-    s = np.array([1.0, 1, 1, 1])
-    t = np.array([1.0, 1, 1, -1])
-    # centered overlap (0 + 1 + 1 + 1*(-1)) ... compute: (s-m).(t-m)/4
-    val = (s - m) @ (t - m) / 4
-    assert pair_nonorthogonal(s, t, band) == (abs(val) > 0.8)
-    assert pair_nonorthogonal(s, s, band) == (np.sum((s - m) ** 2) / 4 > 0.8)
 
 
 def test_b_n_membership():
@@ -383,15 +378,34 @@ def test_estimate_magnetization_from_final_states():
 def test_replica_geometry_report():
     m = np.zeros(4)
     band = BandSpec(m, 0.5, 0.6)
-    samples = np.array([[1.0, 1, -1, -1], [1.0, -1, 1, -1], [1.0, 1, -1, -1]])
-    reps = ReplicaSet(
-        samples=samples, chain_mag=samples.copy(), recorded_sweeps=1,
-        sweeps=1, burn_in=0, thin=1, seed=0, n=4, beta=0.1,
-    )
+    in_rows = np.array([[1.0, 1, -1, -1], [1.0, -1, 1, -1], [1.0, 1, -1, -1]])
+    reps = ReplicaSet(samples=in_rows, chain_mag=in_rows.copy(), recorded_sweeps=1, n=4)
     report = replica_geometry_report(reps, band)
     assert report.band_fraction == 1.0
     # rows 0 and 2 coincide: 2 of 6 ordered pairs overlap at 1 > 0.6
     assert report.pair_violation_fraction == pytest.approx(2 / 6)
     assert not report.in_b_n
-    mean = samples.mean(axis=0)
+    mean = in_rows.mean(axis=0)
     assert report.distance == pytest.approx(np.sum(mean**2) / 4)
+
+    # an off-center band puts a row with s_0 = -1 outside: the projection gap
+    # |0.25 s_0 - 0.0625| / 4 is 0.047 for s_0 = 1 and 0.078 for s_0 = -1;
+    # that row overlaps rows 0 and 2 at 0.516 > eta, which only the
+    # all-pairs fraction may count
+    band = BandSpec(np.array([0.25, 0.0, 0.0, 0.0]), 0.06, 0.5)
+    samples = np.vstack([in_rows, [[-1.0, 1, -1, -1]]])
+    report = replica_geometry_report(
+        ReplicaSet(samples=samples, chain_mag=samples.copy(), recorded_sweeps=1, n=4), band
+    )
+    inside = [bool(in_band(s, band)) for s in samples]
+    assert inside == [True, True, True, False]
+    assert report.band_fraction == 0.75
+    assert not report.in_b_n
+    pairs = [(a, b) for a in range(4) for b in range(4) if a != b]
+    overlap = {(a, b): (samples[a] - band.center) @ (samples[b] - band.center) / 4
+               for a, b in pairs}
+    in_pairs = [p for p in pairs if inside[p[0]] and inside[p[1]]]
+    assert report.pairs_in_band == len(in_pairs) == 6
+    assert report.pairs_violating == sum(abs(overlap[p]) > 0.5 for p in in_pairs) == 2
+    assert report.pair_violation_fraction == pytest.approx(
+        sum(abs(overlap[p]) > 0.5 for p in pairs) / len(pairs)) == 6 / 12

@@ -210,6 +210,11 @@ def test_law_spec_round_trip():
     assert abs(back.mean) < 1e-12 and abs(back.variance - 1.0) < 1e-12
     with pytest.raises(ValueError):
         law_from_spec({"kind": "uniform"})
+    # only the keys to_spec writes are accepted
+    with pytest.raises(ValueError, match="atoms"):
+        law_from_spec({"kind": "empirical", "atoms": [[-1.0, 0.5], [1.0, 0.5]]})
+    with pytest.raises(ValueError, match="weights"):
+        law_from_spec({"kind": "semicircle", "weights": [1.0]})
 
 
 def test_atom_validation():

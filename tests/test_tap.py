@@ -12,7 +12,6 @@ from tapglass.tap import (
     corrected_field,
     magnetization_vs_amp,
     solve_tap_damped,
-    tap_report,
     tap_residual,
 )
 
@@ -114,7 +113,3 @@ def test_validation_and_report():
         solve_tap_damped(inst, fp, damping=1.5)
     with pytest.raises(ValueError):
         solve_tap_damped(inst, fp, m0=np.zeros(3))
-    report = tap_report(inst, fp, np.zeros(8), source="zeros")
-    assert report.source == "zeros"
-    assert report.onsager_coefficient == pytest.approx(fp.a_star)
-    assert report.residual == pytest.approx(tap_residual(inst, fp, np.zeros(8)))

@@ -39,6 +39,9 @@ smaller, which is what the replica geometry tests probe.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +64,39 @@ _CHAIN_CHUNK = 256
 # most this many entries.
 _GER_BLOCK_ELEMENTS = 1 << 13
 _PAIR_CHUNK_ROWS = 512
+
+
+try:  # numpy's OpenBLAS thread count as (get, set); None under another BLAS build
+    _blas = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    _BLAS_THREADS = (_blas.scipy_openblas_get_num_threads64_,
+                     _blas.scipy_openblas_set_num_threads64_)
+except (AttributeError, OSError):
+    _BLAS_THREADS = None
+else:
+    _BLAS_THREADS[0].argtypes, _BLAS_THREADS[0].restype = [], ctypes.c_int
+    _BLAS_THREADS[1].argtypes, _BLAS_THREADS[1].restype = [ctypes.c_int], None
+
+
+def _one_blas_thread(fn):
+    """fn with numpy's OpenBLAS held at one thread.  Enumeration products are
+    big enough for OpenBLAS to split and too small to gain; its workers then
+    spin and take a core from the Glauber loop that follows.  The count is
+    process-wide and a product's rounding can depend on it, so it is held only
+    while the caller is the process's one thread (not beside a cell pool)."""
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        if _BLAS_THREADS is None or threading.active_count() > 1:
+            return fn(*args, **kwargs)
+        get, set_ = _BLAS_THREADS
+        previous = get()
+        set_(1)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            set_(previous)
+
+    return wrapper
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,6 +194,7 @@ def _check_enumerable(instance: ModelInstance, band: BandSpec | None, cap: int, 
         raise ValueError("band center length must match the instance size")
 
 
+@_one_blas_thread
 def _enumerate(
     instance: ModelInstance, band: BandSpec | None = None, pairs: bool = False
 ) -> GibbsExact:
@@ -208,6 +245,7 @@ def restricted_logZ_band(instance: ModelInstance, band: BandSpec) -> float:
     return _enumerate(instance, band).log_z_band
 
 
+@_one_blas_thread
 def restricted_logZ_nonorth_pairs(instance: ModelInstance, band: BandSpec) -> float:
     """log Z_c: exact sum of exp(H(s) + H(t)) over ordered band pairs with
     centered overlap above eta (diagonal pairs included when they qualify).

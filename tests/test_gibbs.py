@@ -1,5 +1,7 @@
 """Gibbs layer: enumeration against naive listings, band sums, Glauber sampling."""
 
+import threading
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
@@ -197,6 +199,39 @@ def test_nonorth_pairs_empty_cases():
     inst0 = _diag_instance(6, np.zeros(6), np.zeros(6))
     band = BandSpec(np.full(6, 0.9), 0.01, 0.5)
     assert restricted_logZ_nonorth_pairs(inst0, band) == -np.inf
+
+
+def test_enumeration_blas_thread_limit():
+    # one BLAS thread inside the enumeration, the previous count after it,
+    # no change while another thread runs, and the same bits either way
+    if gibbs._BLAS_THREADS is None:
+        pytest.skip("numpy is not linked against OpenBLAS")
+    get, _ = gibbs._BLAS_THREADS
+    before = get()
+    seen = gibbs._one_blas_thread(get)()
+    assert get() == before
+    assert seen == 1
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert gibbs._one_blas_thread(get)() == before
+    finally:
+        release.set()
+        other.join()
+    for n in (12, 20):
+        inst = build_instance(n, 0.3, semicircle(), constant_field(0.8), seed=2)
+        band = BandSpec(exact_gibbs(inst).magnetization, 0.3, 0.1)
+        pairs = n <= gibbs.MAX_PAIR_ENUMERATION_N
+        limited = gibbs._enumerate(inst, band, pairs)
+        unlimited = gibbs._enumerate.__wrapped__(inst, band, pairs)
+        assert limited.log_z == unlimited.log_z
+        assert limited.log_z_band == unlimited.log_z_band
+        assert np.array_equal(limited.magnetization, unlimited.magnetization)
+        if pairs:
+            assert np.array_equal(limited.pair_correlations, unlimited.pair_correlations)
+            assert restricted_logZ_nonorth_pairs(inst, band) == (
+                restricted_logZ_nonorth_pairs.__wrapped__(inst, band))
 
 
 def test_sampled_nonorth_pairs_against_exact():

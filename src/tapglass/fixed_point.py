@@ -40,9 +40,9 @@ _gh_x, _gh_w = hermgauss(GH_NODES)
 GAUSS_NODES = np.sqrt(2.0) * _gh_x          # nodes for N(0,1) expectations
 GAUSS_WEIGHTS = _gh_w / np.sqrt(np.pi)
 
-DEFAULT_DAMPING = 0.5
-DEFAULT_TOL = 1e-12
-DEFAULT_MAX_ITER = 10_000
+DAMPING = 0.5
+TOL = 1e-12
+MAX_ITER = 10_000
 
 FIELD_CONSTANT = "constant"
 FIELD_GAUSSIAN = "gaussian"
@@ -183,14 +183,7 @@ def _tanh_sq_expectation(field: FieldLaw, sigma: float) -> float:
     return gauss_field_expectation(lambda h, y: np.tanh(h + y) ** 2, field, sigma)
 
 
-def solve_fixed_point(
-    beta: float,
-    law: SpectralLaw,
-    field: FieldLaw,
-    damping: float = DEFAULT_DAMPING,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> FixedPoint:
+def solve_fixed_point(beta: float, law: SpectralLaw, field: FieldLaw) -> FixedPoint:
     """Solve the overlap fixed point by damped iteration and derive all constants.
 
     Requires beta > 0 and a standardized spectral law.  Raises
@@ -203,8 +196,6 @@ def solve_fixed_point(
                          "(use product_fixed_point for the decoupled case)")
     if not law.is_standardized():
         raise ValueError("spectral law must be standardized (mean 0, variance 1)")
-    if not 0 < damping <= 1:
-        raise ValueError(f"damping must lie in (0, 1], got {damping}")
     rescaled = RescaledLaw(law, beta)
 
     def sigma_sq_of(q: float) -> float:
@@ -220,11 +211,11 @@ def solve_fixed_point(
     q = _tanh_sq_expectation(field, 0.0)
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         s2 = sigma_sq_of(q)
         q_map = _tanh_sq_expectation(field, np.sqrt(s2))
-        q_new = (1.0 - damping) * q + damping * q_map
-        if abs(q_new - q) < tol:
+        q_new = (1.0 - DAMPING) * q + DAMPING * q_map
+        if abs(q_new - q) < TOL:
             q = q_new
             converged = True
             break

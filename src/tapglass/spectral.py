@@ -17,9 +17,13 @@ and for the symmetric two-point law at +-1
 
     G(z) = z / (z^2 - 1),   R(w) = (sqrt(1 + 4 w^2) - 1) / (2 w).
 
-Closed forms are used where they exist; the general numeric route inverts G
-by bisection and is kept available for every law so the two paths can be
-checked against each other.
+Closed forms are used where they exist.  For atoms x_i with weights p_i (top
+atom x_k) write D_i = 1 + w (R - x_i); G(R + 1/w) = w says sum_i p_i / D_i = 1,
+so R is the root of the increasing g(R) = sum_i p_i (R - x_i) / D_i, which
+changes sign on [max(x_1, x_k - (1 - p_k)/w), x_k], where every D_i >= p_k > 0.
+That one root gives the exact R' = sum p (R-x)^2/D^2 / sum p/D^2 and
+int_0^a R = a R(a) - sum p log1p(a (R(a) - x)).  Bisection on G stays, for
+every law, as the reference route.
 
 Temperature enters by scaling the spectrum: if d has law mu then beta * d has
 the transforms
@@ -34,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import brentq
 
 SEMICIRCLE = "semicircle"
@@ -42,7 +45,6 @@ TWO_POINT = "two_point"
 EMPIRICAL = "empirical"
 
 INVERSE_TOL = 1e-12
-QUAD_ABS_TOL = 1e-10
 DERIVATIVE_REL_STEP = 1e-6
 
 _EDGE_OFFSET = 1e-12
@@ -111,13 +113,8 @@ class SpectralLaw:
         return np.inf
 
     def cauchy_inverse(self, w: float) -> float:
-        """G^{-1}(w) on (0, G(d_plus+)), by closed form where known, else bisection."""
-        self._check_inverse_domain(w)
-        if self.kind == SEMICIRCLE:
-            return w + 1.0 / w
-        if self.kind == TWO_POINT:
-            return (1.0 + np.sqrt(1.0 + 4.0 * w * w)) / (2.0 * w)
-        return numeric_cauchy_inverse(self, w)
+        """G^{-1}(w) = R(w) + 1/w on (0, G(d_plus+))."""
+        return self.r_transform(w) + 1.0 / w
 
     def r_transform(self, w: float) -> float:
         """R(w) = G^{-1}(w) - 1/w.  The semicircle gives R(w) = w exactly."""
@@ -126,20 +123,22 @@ class SpectralLaw:
             return w
         if self.kind == TWO_POINT:
             return (np.sqrt(1.0 + 4.0 * w * w) - 1.0) / (2.0 * w)
-        return self.cauchy_inverse(w) - 1.0 / w
+        return self._atomic_r(w)[0]
 
     def r_transform_derivative(self, w: float) -> float:
-        """R'(w), closed form for the analytic kinds, central difference otherwise."""
+        """R'(w): closed form for the analytic kinds, exact atomic sum otherwise."""
         self._check_inverse_domain(w)
         if self.kind == SEMICIRCLE:
             return 1.0
         if self.kind == TWO_POINT:
             s = np.sqrt(1.0 + 4.0 * w * w)
             return (s - 1.0) / (2.0 * w * w * s)
-        return numeric_r_derivative(self, w)
+        y, p = self._atomic_r(w)[1], self.atoms[:, 1]
+        d2 = (1.0 + w * y) ** -2
+        return float(p @ (d2 * y * y) / (p @ d2))
 
     def r_integral(self, a: float) -> float:
-        """int_0^a R(w) dw.  R extends continuously by R(0+) = mean = 0 for standardized laws."""
+        """int_0^a R(w) dw: closed form for every kind (R(0+) is the mean)."""
         if a < 0:
             raise DomainError(f"r_integral needs a >= 0, got {a}")
         if a == 0.0:
@@ -151,10 +150,21 @@ class SpectralLaw:
         if self.kind == TWO_POINT:
             s = np.sqrt(1.0 + 4.0 * a * a)
             return 0.5 * (s - np.log1p(s) - 1.0 + np.log(2.0))
-        val, err = quad(self.r_transform, 0.0, a, epsabs=QUAD_ABS_TOL, limit=200)
-        if err > 100 * QUAD_ABS_TOL:
-            raise ArithmeticError(f"r_integral quadrature error estimate {err} too large")
-        return val
+        r, y = self._atomic_r(a)
+        return float(a * r - self.atoms[:, 1] @ np.log1p(a * y))
+
+    def _atomic_r(self, w: float) -> tuple[float, np.ndarray]:
+        """R(w) and R - x_i for an atomic law: the root of g (module docstring).
+
+        Solved for s = R - x_k: the left end -(1 - p_k)/w then carries no
+        rounding of x_k, which flips the sign of g there at large w.  The
+        tolerance is relative only: R(w) ~ mean + variance w can be tiny.
+        """
+        x, p = self.atoms[:, 0], self.atoms[:, 1]
+        gap = x[-1] - x
+        s = brentq(lambda t: p @ ((t + gap) / (1.0 + w * (t + gap))),
+                   max(-gap[0], -(1.0 - p[-1]) / w), 0.0, xtol=np.finfo(float).tiny)
+        return float(x[-1] + s), s + gap
 
     def _check_inverse_domain(self, w: float) -> None:
         if not (0.0 < w < self.edge_cauchy()):
@@ -354,6 +364,4 @@ class RescaledLaw:
         return self.beta * self.beta * self.base.r_transform_derivative(self.beta * w)
 
     def r_integral(self, a: float) -> float:
-        if a < 0:
-            raise DomainError(f"r_integral needs a >= 0, got {a}")
         return self.base.r_integral(self.beta * a)

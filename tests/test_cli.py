@@ -61,6 +61,13 @@ def test_fixed_point_json_matches_solver(capsys):
     assert payload["converged"] is True
 
 
+def test_fixed_point_with_atomic_law(capsys):
+    law = '{"kind": "empirical", "locations": [-1.0, 0.0, 2.0], "weights": [0.3, 0.3, 0.4]}'
+    rc, out = _run(capsys, ["fixed-point", "--beta", "0.15", "--law", law])
+    assert rc == 0
+    assert json.loads(out)["q_star"] == pytest.approx(0.576078, abs=1e-6)
+
+
 def test_amp_run_csv_contract(capsys):
     rc, out = _run(
         capsys,

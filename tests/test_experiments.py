@@ -94,6 +94,17 @@ def test_default_config_runs_without_error_rows(kind):
     assert [row.error for row in rows] == [""] * len(rows)
 
 
+# A three-atom law goes through the generic atomic transforms, not a closed form.
+ATOMIC_LAW = {"kind": "empirical", "locations": [-1.0, 0.0, 2.0], "weights": [0.3, 0.3, 0.4]}
+
+
+@pytest.mark.parametrize("kind", exp.EXPERIMENT_KINDS)
+def test_default_config_runs_with_atomic_law(kind):
+    rows = run_experiment(config_from_dict({**default_config(kind).echo(), "law": ATOMIC_LAW}))
+    assert rows
+    assert [row.error for row in rows] == [""] * len(rows)
+
+
 @pytest.mark.parametrize("typo", ["n_replica", "sweps"])
 def test_config_rejects_unknown_keys(typo):
     with pytest.raises(ConfigError, match=typo):
@@ -172,6 +183,16 @@ def test_fixed_point_rows_cover_grid():
         assert r.error == ""
         assert r.metrics["converged"] == 1
         assert 0.0 < r.metrics["q_star"] < 1.0
+
+
+def test_atomic_law_fixed_point_values():
+    # 40-digit mpmath route (R by bisection on G, R' by mpmath.diff, int R by
+    # mpmath.quad): q* = 0.576078159930, psi_rs = 1.130694831341
+    (row,) = run_experiment(config_from_dict(_minimal(n=[300], seeds=[3], law=ATOMIC_LAW)))
+    assert row.error == ""
+    assert row.metrics["converged"] == 1
+    assert row.metrics["q_star"] == pytest.approx(0.576078, abs=1e-6)
+    assert row.metrics["psi_rs"] == pytest.approx(1.130695, abs=1e-6)
 
 
 def test_rows_sorted_regardless_of_thread_count():

@@ -128,8 +128,6 @@ def test_solve_validations():
     raw = empirical_atoms([0.0, 5.0], [0.5, 0.5])  # not standardized
     with pytest.raises(ValueError):
         solve_fixed_point(0.2, raw, constant_field(1.0))
-    with pytest.raises(ValueError):
-        solve_fixed_point(0.2, semicircle(), constant_field(1.0), damping=0.0)
 
 
 def test_gauss_field_expectation_basics():

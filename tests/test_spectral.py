@@ -22,6 +22,10 @@ TWO_POINT_G_AT_2 = 2.0 / 3.0      # 2 / (4 - 1)
 TWO_POINT_R_AT_HALF = np.sqrt(2.0) - 1.0
 SEMI_R_INT_AT_0P4 = 0.08          # a^2 / 2
 
+# A standardized three-atom law: no closed form, so R, R' and int R all come
+# from the atomic root solve.
+ATOMIC = empirical_atoms([-1.0, 0.0, 2.0], [0.3, 0.3, 0.4]).standardize()
+
 
 def test_semicircle_cauchy_closed_form_values():
     law = semicircle()
@@ -77,8 +81,8 @@ def test_numeric_inverse_matches_closed_forms():
             assert abs(closed - numeric) < 1e-8
 
 
-def test_two_point_r_derivative_closed_vs_central_difference():
-    law = two_point()
+@pytest.mark.parametrize("law", [two_point(), ATOMIC], ids=["two_point", "empirical"])
+def test_r_derivative_closed_vs_central_difference(law):
     for w in (0.2, 0.5, 0.8, 1.3):
         assert law.r_transform_derivative(w) == pytest.approx(
             numeric_r_derivative(law, w), abs=1e-7
@@ -104,8 +108,21 @@ def test_empirical_matches_two_point_after_standardize():
     ref = two_point()
     for z in (1.5, 2.0, 3.0):
         assert law.cauchy_transform(z) == pytest.approx(ref.cauchy_transform(z), abs=1e-14)
-    for w in (0.3, 0.8):
-        assert law.r_transform(w) == pytest.approx(ref.r_transform(w), abs=1e-9)
+    # the atomic route (one root solve) against the two-point closed forms;
+    # below w = 0.05 the closed R' itself loses digits to cancellation
+    for w in (0.05, 0.3, 0.7, 1.5, 5.0):
+        assert law.r_transform(w) == pytest.approx(ref.r_transform(w), abs=1e-12)
+        assert law.r_transform_derivative(w) == pytest.approx(
+            ref.r_transform_derivative(w), abs=1e-12
+        )
+        assert law.r_integral(w) == pytest.approx(ref.r_integral(w), abs=1e-12)
+
+
+def test_atomic_r_transform_small_w():
+    # R(w) = mean + variance w + O(w^2); forming G^{-1}(w) - 1/w would cancel
+    # every digit of R here
+    for w in (1e-6, 1e-4):
+        assert ATOMIC.r_transform(w) / w == pytest.approx(1.0, abs=1e-3)
 
 
 def test_standardize_idempotent_and_moments():

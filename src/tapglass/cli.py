@@ -61,18 +61,16 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 
 def _cmd_fixed_point(args) -> int:
-    law = parse_law_argument(args.law)
-    field = parse_field_argument(args.field)
-    fp = exp_mod.fixed_point_for(args.beta, law, field)
+    fp = exp_mod.fixed_point_for(args.beta, args.law, args.field)
     _write_or_print(json.dumps(fp.to_dict(), indent=2) + "\n", args.out)
     return 0
 
 
 def _cmd_amp_run(args) -> int:
-    law = parse_law_argument(args.law)
-    field = parse_field_argument(args.field)
-    fp = exp_mod.fixed_point_for(args.beta, law, field)
-    inst = exp_mod.instance_for(args.n, args.beta, law, field, args.seed, args.field_mode)
+    fp = exp_mod.fixed_point_for(args.beta, args.law, args.field)
+    inst = exp_mod.instance_for(
+        args.n, args.beta, args.law, args.field, args.seed, args.field_mode
+    )
     traj = amp_mod.run_amp(
         inst, fp, args.t_max,
         exp_mod.stream_seed(args.seed, args.n, args.beta, exp_mod.STREAM_AMP),
@@ -87,25 +85,26 @@ def _cmd_amp_run(args) -> int:
     return 0
 
 
-def _instance_from_args(args, law, field):
+def _instance_from_args(args):
     if args.load_instance:
         return load_instance(args.load_instance)
-    inst = exp_mod.instance_for(args.n, args.beta, law, field, args.seed, args.field_mode)
+    inst = exp_mod.instance_for(
+        args.n, args.beta, args.law, args.field, args.seed, args.field_mode
+    )
     if args.save_instance:
         save_instance(inst, args.save_instance)
     return inst
 
 
 def _cmd_gibbs_exact(args) -> int:
-    law = parse_law_argument(args.law)
-    field = parse_field_argument(args.field)
-    inst = _instance_from_args(args, law, field)
-    fp = exp_mod.fixed_point_for(inst.beta, law, field)
+    inst = _instance_from_args(args)
+    fp = exp_mod.fixed_point_for(inst.beta, args.law, args.field)
     res = gibbs_mod.exact_gibbs(inst)
     payload = {
         "n": inst.n,
         "beta": inst.beta,
-        "seed": args.seed,
+        # a saved instance holds only its stream seed, not the --seed it came from
+        "seed": None if args.load_instance else args.seed,
         "log_z_per_site": res.log_z / inst.n,
         "psi_rs": fp.psi_rs,
         "free_energy_gap": res.log_z / inst.n - fp.psi_rs,
@@ -116,9 +115,7 @@ def _cmd_gibbs_exact(args) -> int:
 
 
 def _cmd_gibbs_mcmc(args) -> int:
-    law = parse_law_argument(args.law)
-    field = parse_field_argument(args.field)
-    inst = _instance_from_args(args, law, field)
+    inst = _instance_from_args(args)
     reps = gibbs_mod.glauber_sample(
         inst, sweeps=args.sweeps, burn_in=args.burn_in, thin=args.thin,
         n_chains=args.chains,
@@ -133,10 +130,10 @@ def _cmd_gibbs_mcmc(args) -> int:
 
 
 def _cmd_tap_residual(args) -> int:
-    law = parse_law_argument(args.law)
-    field = parse_field_argument(args.field)
-    fp = exp_mod.fixed_point_for(args.beta, law, field)
-    inst = exp_mod.instance_for(args.n, args.beta, law, field, args.seed, args.field_mode)
+    fp = exp_mod.fixed_point_for(args.beta, args.law, args.field)
+    inst = exp_mod.instance_for(
+        args.n, args.beta, args.law, args.field, args.seed, args.field_mode
+    )
     if args.source == "amp":
         traj = amp_mod.run_amp(
             inst, fp, args.t_max,
@@ -247,6 +244,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "law" in vars(args):
+            args.law, args.field = parse_law_argument(args.law), parse_field_argument(args.field)
         return args.fn(args)
     except (exp_mod.ConfigError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

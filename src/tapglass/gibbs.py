@@ -129,22 +129,6 @@ def in_band(sigma: np.ndarray, band: BandSpec):
     return np.abs(proj) < band.delta
 
 
-def _band_overlaps(samples: np.ndarray, band: BandSpec):
-    """The in-band mask of a stack of states, the mask of their ordered pairs
-    with centered overlap |<s - m, t - m>| / n above eta, and the mask of
-    distinct ordered pairs."""
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    centered = samples - band.center
-    above = np.abs(centered @ centered.T / band.center.size) > band.eta
-    return in_band(samples, band), above, ~np.eye(samples.shape[0], dtype=bool)
-
-
-def b_n_membership(samples: np.ndarray, band: BandSpec) -> bool:
-    """All states in the band and every distinct ordered pair below the overlap cut."""
-    inside, above, distinct = _band_overlaps(samples, band)
-    return bool(inside.all() and not above[distinct].any())
-
-
 # ----------------------------------------------------------------------
 # exact enumeration
 # ----------------------------------------------------------------------
@@ -424,9 +408,13 @@ class ReplicaGeometryReport:
 def replica_geometry_report(replicas: ReplicaSet, band: BandSpec) -> ReplicaGeometryReport:
     """One pass over the replica overlaps.  pair_violation_fraction is taken
     over all distinct ordered pairs (0 for a single replica); in_b_n asks every
-    replica to be in the band and every such pair below the cut."""
+    replica to be in the band and every such pair below the cut.  A pair is
+    above the cut when its centered overlap |<s - m, t - m>| / n exceeds eta."""
     samples = replicas.samples
-    inside, above, distinct = _band_overlaps(samples, band)
+    centered = samples - band.center
+    above = np.abs(centered @ centered.T / band.center.size) > band.eta
+    inside = in_band(samples, band)
+    distinct = ~np.eye(samples.shape[0], dtype=bool)
     both_inside = distinct & inside[:, None] & inside[None, :]
     mean = samples.mean(axis=0)
     return ReplicaGeometryReport(

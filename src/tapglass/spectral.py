@@ -13,15 +13,12 @@ well defined.  For the semicircle law (support [-2, 2], unit variance)
 
     G(z) = (z - sqrt(z^2 - 4)) / 2,   G^{-1}(w) = w + 1/w,   R(w) = w,
 
-and for the symmetric two-point law at +-1
-
-    G(z) = z / (z^2 - 1),   R(w) = (sqrt(1 + 4 w^2) - 1) / (2 w).
-
-Closed forms are used where they exist.  For atoms x_i with weights p_i (top
-atom x_k) write D_i = 1 + w (R - x_i); G(R + 1/w) = w says sum_i p_i / D_i = 1,
-so R is the root of the increasing g(R) = sum_i p_i (R - x_i) / D_i, which
-changes sign on [max(x_1, x_k - (1 - p_k)/w), x_k], where every D_i >= p_k > 0.
-That one root gives the exact R' = sum p (R-x)^2/D^2 / sum p/D^2 and
+and these closed forms are used.  Every atomic law, the symmetric two-point
+law at +-1 included, goes through one root solve.  For atoms x_i with
+weights p_i (top atom x_k) write D_i = 1 + w (R - x_i); G(R + 1/w) = w says
+sum_i p_i / D_i = 1, so R is the root of the increasing
+g(R) = sum_i p_i (R - x_i) / D_i, which changes sign on
+[max(x_1, x_k - (1 - p_k)/w), x_k], where every D_i >= p_k > 0.  That one root gives the exact R' = sum p (R-x)^2/D^2 / sum p/D^2 and
 int_0^a R = a R(a) - sum p log1p(a (R(a) - x)).  Bisection on G stays, for
 every law, as the reference route.
 
@@ -41,7 +38,6 @@ import numpy as np
 from scipy.optimize import brentq
 
 SEMICIRCLE = "semicircle"
-TWO_POINT = "two_point"
 EMPIRICAL = "empirical"
 
 INVERSE_TOL = 1e-12
@@ -84,8 +80,8 @@ def _as_atoms(values, weights) -> np.ndarray:
 class SpectralLaw:
     """A probability law on the real line used for coupling spectra.
 
-    ``atoms`` is an (k, 2) array of (location, weight) rows for the atomic
-    kinds and None for the semicircle.  ``d_plus`` is the supremum of the
+    ``atoms`` is an (k, 2) array of (location, weight) rows for an atomic
+    law and None for the semicircle.  ``d_plus`` is the supremum of the
     support, ``mean`` and ``variance`` the first two moments.
     """
 
@@ -121,18 +117,13 @@ class SpectralLaw:
         self._check_inverse_domain(w)
         if self.kind == SEMICIRCLE:
             return w
-        if self.kind == TWO_POINT:
-            return (np.sqrt(1.0 + 4.0 * w * w) - 1.0) / (2.0 * w)
         return self._atomic_r(w)[0]
 
     def r_transform_derivative(self, w: float) -> float:
-        """R'(w): closed form for the analytic kinds, exact atomic sum otherwise."""
+        """R'(w): 1 for the semicircle, an exact sum over the atoms otherwise."""
         self._check_inverse_domain(w)
         if self.kind == SEMICIRCLE:
             return 1.0
-        if self.kind == TWO_POINT:
-            s = np.sqrt(1.0 + 4.0 * w * w)
-            return (s - 1.0) / (2.0 * w * w * s)
         y, p = self._atomic_r(w)[1], self.atoms[:, 1]
         d2 = (1.0 + w * y) ** -2
         return float(p @ (d2 * y * y) / (p @ d2))
@@ -147,9 +138,6 @@ class SpectralLaw:
             raise DomainError(f"r_integral needs a < {self.edge_cauchy()}, got {a}")
         if self.kind == SEMICIRCLE:
             return a * a / 2.0
-        if self.kind == TWO_POINT:
-            s = np.sqrt(1.0 + 4.0 * a * a)
-            return 0.5 * (s - np.log1p(s) - 1.0 + np.log(2.0))
         r, y = self._atomic_r(a)
         return float(a * r - self.atoms[:, 1] @ np.log1p(a * y))
 
@@ -175,8 +163,8 @@ class SpectralLaw:
     # ----- law manipulation -------------------------------------------
 
     def standardize(self) -> SpectralLaw:
-        """Affine image with mean 0 and variance 1.  Idempotent; the analytic kinds are already standard."""
-        if self.kind in (SEMICIRCLE, TWO_POINT):
+        """Affine image with mean 0 and variance 1.  Idempotent; the semicircle is standard."""
+        if self.kind == SEMICIRCLE:
             return self
         if self.variance <= 0:
             raise DegenerateLawError("zero-variance law cannot be standardized")
@@ -200,8 +188,6 @@ class SpectralLaw:
     def to_spec(self) -> dict:
         if self.kind == SEMICIRCLE:
             return {"kind": SEMICIRCLE}
-        if self.kind == TWO_POINT:
-            return {"kind": TWO_POINT}
         return {
             "kind": EMPIRICAL,
             "locations": self.atoms[:, 0].tolist(),
@@ -216,8 +202,7 @@ def semicircle() -> SpectralLaw:
 
 def two_point() -> SpectralLaw:
     """Symmetric two-point law: mass 1/2 at each of -1 and +1."""
-    atoms = np.array([[-1.0, 0.5], [1.0, 0.5]])
-    return SpectralLaw(TWO_POINT, atoms, 1.0, 0.0, 1.0)
+    return empirical_atoms([-1.0, 1.0], [0.5, 0.5])
 
 
 def empirical_atoms(values, weights) -> SpectralLaw:
@@ -233,11 +218,11 @@ def law_from_spec(obj: dict) -> SpectralLaw:
     """Build a law from its JSON form.  Empirical laws are standardized on load,
     since every consumer (instances, fixed points) requires mean 0, variance 1."""
     kind = _spec_kind(
-        obj, {SEMICIRCLE: (), TWO_POINT: (), EMPIRICAL: ("locations", "weights")}, "spectral law"
+        obj, {SEMICIRCLE: (), "two_point": (), EMPIRICAL: ("locations", "weights")}, "spectral law"
     )
     if kind == SEMICIRCLE:
         return semicircle()
-    if kind == TWO_POINT:
+    if kind == "two_point":
         return two_point()
     return empirical_atoms(obj["locations"], obj["weights"]).standardize()
 
@@ -281,10 +266,11 @@ def _semicircle_quantile(p: float) -> float:
 def numeric_cauchy_inverse(law: SpectralLaw, w: float, tol: float = INVERSE_TOL) -> float:
     """Invert G by bisection on (d_plus, inf), to |G(z) - w| < tol.
 
-    Valid for every law kind; this is the reference route the closed forms are
-    checked against.  The bracket starts at (d_plus + 1e-12, d_plus + 1e3] and
-    the upper end grows geometrically until it straddles the root (small w
-    puts the root near 1/w, far beyond any fixed cap).
+    Valid for every law; this is the reference route the semicircle's closed
+    forms and the atomic root solve are checked against.  The bracket starts
+    at (d_plus + 1e-12, d_plus + 1e3] and the upper end grows geometrically
+    until it straddles the root (small w puts the root near 1/w, far beyond
+    any fixed cap).
     """
     if not (0.0 < w < law.edge_cauchy()):
         raise DomainError(f"numeric inverse needs w in (0, {law.edge_cauchy()}), got {w}")

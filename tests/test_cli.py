@@ -25,7 +25,8 @@ def _run(capsys, argv):
 
 def test_parse_law_argument_forms(tmp_path):
     assert parse_law_argument("semicircle").kind == "semicircle"
-    assert parse_law_argument("two_point").kind == "two_point"
+    # the shorthand is the atomic law at +-1
+    assert parse_law_argument("two_point").atoms.tolist() == [[-1.0, 0.5], [1.0, 0.5]]
     spec = {"kind": "empirical", "locations": [-1.0, 1.0], "weights": [0.5, 0.5]}
     law = parse_law_argument(json.dumps(spec))
     assert law.kind == "empirical"
@@ -102,6 +103,21 @@ def test_gibbs_exact_roundtrip_through_saved_instance(capsys, tmp_path):
         direct["log_z_per_site"], abs=1e-14
     )
     assert reloaded["magnetization"] == direct["magnetization"]
+
+
+def test_gibbs_exact_loaded_instance_reports_no_seed(capsys, tmp_path):
+    # the saved file holds only the instance's stream seed, not --seed
+    inst_path = tmp_path / "inst.npz"
+    rc, out = _run(capsys, ["gibbs-exact", "--n", "8", "--seed", "7",
+                            "--save-instance", str(inst_path)])
+    assert rc == 0
+    saved = json.loads(out)
+    assert saved["seed"] == 7
+    rc, out = _run(capsys, ["gibbs-exact", "--load-instance", str(inst_path)])
+    assert rc == 0
+    loaded = json.loads(out)
+    assert loaded["seed"] is None
+    assert loaded["log_z_per_site"] == saved["log_z_per_site"]
 
 
 def test_gibbs_exact_matches_runner_row(capsys):
@@ -234,6 +250,11 @@ def test_missing_config_file_exits_2(capsys, tmp_path):
 
 def test_bad_law_argument_exits_2(capsys):
     rc, _ = _run(capsys, ["fixed-point", "--beta", "0.15", "--law", "wigner"])
+    assert rc == 2
+
+
+def test_bad_field_argument_exits_2(capsys):
+    rc, _ = _run(capsys, ["gibbs-mcmc", "--n", "6", "--field", "{not json"])
     assert rc == 2
 
 

@@ -15,7 +15,6 @@ from tapglass.gibbs import (
     MAX_MCMC_DENSE_N,
     BandSpec,
     ReplicaSet,
-    b_n_membership,
     estimate_magnetization,
     exact_gibbs,
     glauber_sample,
@@ -263,17 +262,21 @@ def test_band_predicates():
 
 
 def test_b_n_membership():
+    def in_b_n(samples, band):
+        reps = ReplicaSet(samples=samples, chain_mag=samples.copy(), recorded_sweeps=1, n=4)
+        return replica_geometry_report(reps, band).in_b_n
+
     m = np.zeros(4)
     band = BandSpec(m, 0.3, 0.6)
     # all-different rows of a Hadamard-like set have pairwise overlap 0
     samples = np.array([[1.0, 1, -1, -1], [1.0, -1, 1, -1]])
-    assert b_n_membership(samples, band)
+    assert in_b_n(samples, band)
     # duplicate rows overlap at 1 > eta
     dup = np.array([[1.0, 1, -1, -1], [1.0, 1, -1, -1]])
-    assert not b_n_membership(dup, band)
+    assert not in_b_n(dup, band)
     # out-of-band member fails regardless of overlaps
     off_band = BandSpec(np.full(4, 0.9), 0.05, 3.9)
-    assert not b_n_membership(samples, off_band)
+    assert not in_b_n(samples, off_band)
 
 
 def test_band_spec_validation():

@@ -27,6 +27,32 @@ SEMI_R_INT_AT_0P4 = 0.08          # a^2 / 2
 ATOMIC = empirical_atoms([-1.0, 0.0, 2.0], [0.3, 0.3, 0.4]).standardize()
 
 
+class ClosedTwoPoint:
+    """The +-1 law's transforms in closed form, an oracle independent of the
+    root solve that two_point() goes through.  With s = sqrt(1 + 4 w^2):
+    G(z) = z / (z^2 - 1), R = (s - 1)/(2w) = 2w/(s + 1), R' = 2/(s (s + 1)),
+    int_0^a R = (s - log1p(s) - 1 + log 2)/2 = (t - log1p(t/2))/2 with
+    t = s - 1 = 4a^2/(s + 1); the second forms do not cancel at small w."""
+
+    @staticmethod
+    def cauchy_transform(z):
+        return z / (z * z - 1.0)
+
+    @staticmethod
+    def r_transform(w):
+        return 2.0 * w / (np.sqrt(1.0 + 4.0 * w * w) + 1.0)
+
+    @staticmethod
+    def r_transform_derivative(w):
+        s = np.sqrt(1.0 + 4.0 * w * w)
+        return 2.0 / (s * (s + 1.0))
+
+    @staticmethod
+    def r_integral(a):
+        t = 4.0 * a * a / (np.sqrt(1.0 + 4.0 * a * a) + 1.0)
+        return 0.5 * (t - np.log1p(0.5 * t))
+
+
 def test_semicircle_cauchy_closed_form_values():
     law = semicircle()
     assert law.cauchy_transform(2.5) == pytest.approx(SEMI_G_AT_2P5, abs=1e-15)
@@ -81,7 +107,7 @@ def test_numeric_inverse_matches_closed_forms():
             assert abs(closed - numeric) < 1e-8
 
 
-@pytest.mark.parametrize("law", [two_point(), ATOMIC], ids=["two_point", "empirical"])
+@pytest.mark.parametrize("law", [ClosedTwoPoint, ATOMIC], ids=["two_point", "empirical"])
 def test_r_derivative_closed_vs_central_difference(law):
     for w in (0.2, 0.5, 0.8, 1.3):
         assert law.r_transform_derivative(w) == pytest.approx(
@@ -105,17 +131,34 @@ def test_r_integral_values_and_quadrature_cross_check():
 
 def test_empirical_matches_two_point_after_standardize():
     law = empirical_atoms([-2.0, 2.0], [0.5, 0.5]).standardize()
-    ref = two_point()
+    ref = ClosedTwoPoint
     for z in (1.5, 2.0, 3.0):
         assert law.cauchy_transform(z) == pytest.approx(ref.cauchy_transform(z), abs=1e-14)
-    # the atomic route (one root solve) against the two-point closed forms;
-    # below w = 0.05 the closed R' itself loses digits to cancellation
-    for w in (0.05, 0.3, 0.7, 1.5, 5.0):
+    # the atomic route (one root solve) against the two-point closed forms
+    for w in (1e-8, 1e-4, 0.05, 0.3, 0.7, 1.5, 5.0):
         assert law.r_transform(w) == pytest.approx(ref.r_transform(w), abs=1e-12)
         assert law.r_transform_derivative(w) == pytest.approx(
             ref.r_transform_derivative(w), abs=1e-12
         )
         assert law.r_integral(w) == pytest.approx(ref.r_integral(w), abs=1e-12)
+
+
+def test_two_point_r_derivative_small_w():
+    # against the stable R' = 2/(s (s + 1)); the cancelling form
+    # (s - 1)/(2 w^2 s) reads 1.11 at w = 1e-8, not 1
+    law = two_point()
+    for w in (1e-8, 1e-4, 0.05, 0.3, 5.0):
+        assert law.r_transform_derivative(w) == pytest.approx(
+            ClosedTwoPoint.r_transform_derivative(w), rel=1e-15
+        )
+
+
+def test_two_point_is_the_atomic_law_at_plus_minus_one():
+    ref = law_from_spec({"kind": "empirical", "locations": [-1, 1], "weights": [0.5, 0.5]})
+    for law in (two_point(), law_from_spec({"kind": "two_point"})):
+        assert law.kind == ref.kind == "empirical"
+        assert np.array_equal(law.atoms, ref.atoms)
+        assert (law.d_plus, law.mean, law.variance) == (ref.d_plus, ref.mean, ref.variance)
 
 
 def test_atomic_r_transform_small_w():

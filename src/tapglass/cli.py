@@ -22,7 +22,7 @@ from tapglass import experiments as exp_mod
 from tapglass import gibbs as gibbs_mod
 from tapglass import tap as tap_mod
 from tapglass.ensemble import load_instance, save_instance
-from tapglass.fixed_point import field_from_spec
+from tapglass.fixed_point import field_from_spec, solve_fixed_point
 from tapglass.spectral import law_from_spec
 
 
@@ -61,13 +61,13 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 
 def _cmd_fixed_point(args) -> int:
-    fp = exp_mod.fixed_point_for(args.beta, args.law, args.field)
-    _write_or_print(json.dumps(fp.to_dict(), indent=2) + "\n", args.out)
+    fp = solve_fixed_point(args.beta, args.law, args.field)
+    _write_or_print(json.dumps(dataclasses.asdict(fp), indent=2) + "\n", args.out)
     return 0
 
 
 def _cmd_amp_run(args) -> int:
-    fp = exp_mod.fixed_point_for(args.beta, args.law, args.field)
+    fp = solve_fixed_point(args.beta, args.law, args.field)
     inst = exp_mod.instance_for(
         args.n, args.beta, args.law, args.field, args.seed, args.field_mode
     )
@@ -98,7 +98,7 @@ def _instance_from_args(args):
 
 def _cmd_gibbs_exact(args) -> int:
     inst = _instance_from_args(args)
-    fp = exp_mod.fixed_point_for(inst.beta, args.law, args.field)
+    fp = solve_fixed_point(inst.beta, args.law, args.field)
     res = gibbs_mod.exact_gibbs(inst)
     payload = {
         "n": inst.n,
@@ -130,7 +130,7 @@ def _cmd_gibbs_mcmc(args) -> int:
 
 
 def _cmd_tap_residual(args) -> int:
-    fp = exp_mod.fixed_point_for(args.beta, args.law, args.field)
+    fp = solve_fixed_point(args.beta, args.law, args.field)
     inst = exp_mod.instance_for(
         args.n, args.beta, args.law, args.field, args.seed, args.field_mode
     )

@@ -13,6 +13,7 @@ a value to the grid never shifts the streams of existing cells.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -29,13 +30,11 @@ from tapglass import tap as tap_mod
 from tapglass.ensemble import build_instance
 from tapglass.fixed_point import (
     FieldLaw,
-    constant_field,
     field_from_spec,
-    product_fixed_point,
     solve_fixed_point,
     theoretical_delta,
 )
-from tapglass.spectral import SpectralLaw, law_from_spec, semicircle
+from tapglass.spectral import SpectralLaw, law_from_spec
 
 SCHEMA_VERSION = 1
 
@@ -232,13 +231,6 @@ class ResultRow:
     error: str = ""
 
 
-def fixed_point_for(beta: float, law: SpectralLaw, field: FieldLaw):
-    """The fixed point at beta; beta = 0 is the analytic product limit."""
-    if beta == 0.0:
-        return product_fixed_point(field)
-    return solve_fixed_point(beta, law, field)
-
-
 def instance_for(
     n: int, beta: float, law: SpectralLaw, field: FieldLaw, seed: int, field_mode: str
 ):
@@ -253,15 +245,15 @@ def instance_for(
 
 
 def _cell_fixed_point(cfg, n, beta, seed):
-    fp = fixed_point_for(beta, cfg.law, cfg.field)
-    out = fp.to_dict()
+    fp = solve_fixed_point(beta, cfg.law, cfg.field)
+    out = dataclasses.asdict(fp)
     out["converged"] = int(out["converged"])
     del out["beta"]
     return out
 
 
 def _cell_amp(cfg, n, beta, seed):
-    fp = fixed_point_for(beta, cfg.law, cfg.field)
+    fp = solve_fixed_point(beta, cfg.law, cfg.field)
     inst = instance_for(n, beta, cfg.law, cfg.field, seed, cfg.field_mode)
     traj = amp_mod.run_amp(inst, fp, cfg.t_max, stream_seed(seed, n, beta, STREAM_AMP))
     return {
@@ -274,7 +266,7 @@ def _cell_amp(cfg, n, beta, seed):
 
 
 def _cell_gibbs_exact(cfg, n, beta, seed):
-    fp = fixed_point_for(beta, cfg.law, cfg.field)
+    fp = solve_fixed_point(beta, cfg.law, cfg.field)
     inst = instance_for(n, beta, cfg.law, cfg.field, seed, cfg.field_mode)
     res = gibbs_mod.exact_gibbs(inst)
     per_site = res.log_z / n
@@ -309,7 +301,7 @@ def _cell_gibbs_mcmc(cfg, n, beta, seed):
 
 
 def _cell_tap_verify(cfg, n, beta, seed):
-    fp = fixed_point_for(beta, cfg.law, cfg.field)
+    fp = solve_fixed_point(beta, cfg.law, cfg.field)
     inst = instance_for(n, beta, cfg.law, cfg.field, seed, cfg.field_mode)
     mag = gibbs_mod.exact_gibbs(inst).magnetization
     traj = amp_mod.run_amp(inst, fp, cfg.t_max, stream_seed(seed, n, beta, STREAM_AMP))
@@ -345,7 +337,7 @@ def _cell_concentration(cfg, n, beta, seed, n_replicas, inst, mag):
 
 
 def _cell_band(cfg, n, beta, seed):
-    fp = fixed_point_for(beta, cfg.law, cfg.field)
+    fp = solve_fixed_point(beta, cfg.law, cfg.field)
     inst = instance_for(n, beta, cfg.law, cfg.field, seed, cfg.field_mode)
     traj = amp_mod.run_amp(inst, fp, max(cfg.t_max, 50), stream_seed(seed, n, beta, STREAM_AMP))
     band = gibbs_mod.BandSpec(traj.final.m, cfg.delta, cfg.eta)
@@ -374,7 +366,7 @@ def _cell_band(cfg, n, beta, seed):
 
 
 def _cell_se_check(cfg, n, beta, seed):
-    fp = fixed_point_for(beta, cfg.law, cfg.field)
+    fp = solve_fixed_point(beta, cfg.law, cfg.field)
     inst = instance_for(n, beta, cfg.law, cfg.field, seed, cfg.field_mode)
     traj = amp_mod.run_amp(inst, fp, cfg.t_max, stream_seed(seed, n, beta, STREAM_AMP))
     est = theoretical_delta(
@@ -545,12 +537,4 @@ def emit_json_summary(rows: list[ResultRow], cfg: ExperimentConfig) -> dict:
 
 def default_config(kind: str) -> ExperimentConfig:
     """A small runnable config for each kind, used by tests and as a template."""
-    base = {
-        "kind": kind,
-        "n": [12],
-        "beta": [0.15],
-        "seeds": [1, 2],
-        "law": semicircle().to_spec(),
-        "field": constant_field(1.0).to_spec(),
-    }
-    return config_from_dict(base)
+    return config_from_dict({"kind": kind, "n": [12], "beta": [0.15], "seeds": [1, 2]})

@@ -11,14 +11,16 @@ q* the model's limiting constants are
     sigma*^2 = q* Rbar'(1 - q*)
     lambda*  = Rbar(1 - q*) + 1/(1 - q*)     so that Gbar(lambda*) = 1 - q*
     a*       = Rbar(1 - q*)                  (Onsager coefficient)
-    kappa*   = 1 / (1 - (1 - q*)^2 Rbar'(1 - q*)) - 1
+    kappa*   = (1 - q*)^2 Rbar'(1 - q*) / (1 - (1 - q*)^2 Rbar'(1 - q*))
     delta*   = sigma*^2 / kappa*             ( = q*/(1-q*)^2 - sigma*^2 )
     psi_rs   = E[log 2cosh(H + sigma* G)] + (q*/2) Rbar(1 - q*)
                - (q*(1 - q*)/2) Rbar'(1 - q*) + (1/2) int_0^{1-q*} Rbar ,
 
-the last being the limit of the free energy per site.  Gaussian expectations
-use 61-node Gauss-Hermite quadrature throughout; the fixed point is found by
-damped iteration.
+the last being the limit of the free energy per site.  At beta = 0 every
+transform term vanishes: q* = E tanh(H)^2, sigma*^2 = kappa* = a* = 0,
+delta* = q*/(1-q*)^2 and psi_rs = E log 2cosh(H), the product measure, on
+the same arithmetic.  Gaussian expectations use 61-node Gauss-Hermite
+quadrature throughout; the fixed point is found by damped iteration.
 
 `theoretical_delta` grows the message-passing state-evolution covariance
 Delta_t column by column with common random numbers, so that empirical AMP
@@ -164,20 +166,6 @@ class FixedPoint:
     converged: bool
     iterations: int
 
-    def to_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "q_star": self.q_star,
-            "sigma_star_sq": self.sigma_star_sq,
-            "kappa_star": self.kappa_star,
-            "delta_star": self.delta_star,
-            "lambda_star": self.lambda_star,
-            "a_star": self.a_star,
-            "psi_rs": self.psi_rs,
-            "converged": self.converged,
-            "iterations": self.iterations,
-        }
-
 
 def _tanh_sq_expectation(field: FieldLaw, sigma: float) -> float:
     return gauss_field_expectation(lambda h, y: np.tanh(h + y) ** 2, field, sigma)
@@ -186,14 +174,17 @@ def _tanh_sq_expectation(field: FieldLaw, sigma: float) -> float:
 def solve_fixed_point(beta: float, law: SpectralLaw, field: FieldLaw) -> FixedPoint:
     """Solve the overlap fixed point by damped iteration and derive all constants.
 
-    Requires beta > 0 and a standardized spectral law.  Raises
-    BetaTooLargeError when an iterate or the solution leaves the domain where
-    the rescaled transforms (and hence the constants) are defined, which is
-    the numerical signature of leaving the high-temperature regime.
+    Requires beta >= 0 and, for beta > 0, a standardized spectral law.  At
+    beta = 0 the transform terms vanish and the product record is returned
+    without looking at the law.  Raises BetaTooLargeError when an iterate or
+    the solution leaves the domain where the rescaled transforms (and hence
+    the constants) are defined, which is the numerical signature of leaving
+    the high-temperature regime.
     """
-    if not beta > 0:
-        raise ValueError(f"solve_fixed_point needs beta > 0, got {beta} "
-                         "(use product_fixed_point for the decoupled case)")
+    if not beta >= 0:
+        raise ValueError(f"solve_fixed_point needs beta >= 0, got {beta}")
+    if beta == 0.0:
+        return product_fixed_point(field)
     if not law.is_standardized():
         raise ValueError("spectral law must be standardized (mean 0, variance 1)")
     rescaled = RescaledLaw(law, beta)
@@ -221,26 +212,28 @@ def solve_fixed_point(beta: float, law: SpectralLaw, field: FieldLaw) -> FixedPo
             break
         q = q_new
 
-    return _derive_constants(beta, rescaled, field, q, converged, iterations)
+    u = 1.0 - q
+    try:
+        transforms = (rescaled.r_transform(u), rescaled.r_transform_derivative(u),
+                      rescaled.r_integral(u))
+    except DomainError as exc:
+        raise BetaTooLargeError(
+            f"1 - q* = {u} is outside the rescaled transform domain at beta={beta}"
+        ) from exc
+    return _derive_constants(beta, transforms, field, q, converged, iterations)
 
 
 def _derive_constants(
     beta: float,
-    rescaled: RescaledLaw,
+    transforms: tuple[float, float, float],
     field: FieldLaw,
     q: float,
     converged: bool,
     iterations: int,
 ) -> FixedPoint:
+    """The record at overlap q from (Rbar, Rbar', int_0 Rbar) at 1 - q."""
+    r_val, r_der, r_int = transforms
     u = 1.0 - q
-    try:
-        r_val = rescaled.r_transform(u)
-        r_der = rescaled.r_transform_derivative(u)
-        r_int = rescaled.r_integral(u)
-    except DomainError as exc:
-        raise BetaTooLargeError(
-            f"1 - q* = {u} is outside the rescaled transform domain at beta={beta}"
-        ) from exc
     denom = 1.0 - u * u * r_der
     if denom <= 0:
         raise BetaTooLargeError(
@@ -248,7 +241,7 @@ def _derive_constants(
             "the covariance expansion diverges"
         )
     sigma_sq = q * r_der
-    kappa = 1.0 / denom - 1.0
+    kappa = u * u * r_der / denom  # = 1/denom - 1 without the cancellation
     if kappa > 0:
         delta = sigma_sq / kappa
     else:
@@ -277,26 +270,9 @@ def _derive_constants(
 
 
 def product_fixed_point(field: FieldLaw) -> FixedPoint:
-    """Exact constants in the decoupled (beta = 0) case: a product measure.
-
-    q* = E tanh(H)^2 with no Gaussian smearing, all interaction-driven
-    constants vanish, and psi reduces to E log 2cosh(H).
-    """
-    q = _tanh_sq_expectation(field, 0.0)
-    u = 1.0 - q
-    psi = gauss_field_expectation(lambda h, y: np.log(2.0 * np.cosh(h + y)), field, 0.0)
-    return FixedPoint(
-        beta=0.0,
-        q_star=q,
-        sigma_star_sq=0.0,
-        kappa_star=0.0,
-        delta_star=q / (u * u),
-        lambda_star=1.0 / u,
-        a_star=0.0,
-        psi_rs=psi,
-        converged=True,
-        iterations=0,
-    )
+    """The beta = 0 record: a product measure, where every transform term vanishes."""
+    return _derive_constants(0.0, (0.0, 0.0, 0.0), field, _tanh_sq_expectation(field, 0.0),
+                             True, 0)
 
 
 @dataclass(frozen=True)
@@ -344,17 +320,13 @@ def theoretical_delta(
     Y_0, and the Gaussian innovations behind Y_s are drawn once, and Y_s is
     produced from the semidefinite Cholesky factor of the current kappa* Delta
     estimate, so successive columns are maximally correlated and the empirical
-    Grams of a matched AMP run have a stable target.
-
-    sigma*^2 = 0 collapses everything to the zero matrix (returned exactly).
+    Grams of a matched AMP run have a stable target.  At beta = 0 the factor
+    is zero, Y vanishes, and every entry estimates E tanh(H)^2 / (1-q*)^2 = delta*.
     """
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
     if mc_samples < 2:
         raise ValueError(f"mc_samples must be >= 2, got {mc_samples}")
-    if fp.sigma_star_sq == 0.0:
-        zero = np.zeros((t_max, t_max))
-        return DeltaEstimate(delta=zero, se=zero.copy(), samples=mc_samples)
 
     rng = np.random.default_rng(seed)
     h = field.sample(rng, mc_samples)

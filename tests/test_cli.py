@@ -145,6 +145,18 @@ def test_gibbs_mcmc_csv_contract(capsys):
         assert float(se) >= 0.0
 
 
+def test_gibbs_mcmc_loaded_instance_with_same_seed_is_identical(capsys, tmp_path):
+    # the chains draw from --seed, which the saved file does not hold
+    inst_path = tmp_path / "inst.npz"
+    chain = ["--seed", "7", "--chains", "4", "--sweeps", "20", "--burn-in", "5"]
+    rc, saved = _run(capsys, ["gibbs-mcmc", "--n", "8", *chain,
+                              "--save-instance", str(inst_path)])
+    assert rc == 0
+    rc, loaded = _run(capsys, ["gibbs-mcmc", "--load-instance", str(inst_path), *chain])
+    assert rc == 0
+    assert loaded == saved
+
+
 def test_tap_residual_json_keys(capsys):
     rc, out = _run(
         capsys,

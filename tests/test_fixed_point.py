@@ -1,5 +1,8 @@
 """Fixed-point layer: scan oracle, exact identities, decoupled limits, covariance MC."""
 
+import dataclasses
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -75,6 +78,17 @@ def test_semicircle_closed_form_constants():
     assert fp.psi_rs == pytest.approx(elog + b2 * u * u / 4.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("law, beta, h", [(semicircle(), 0.05, 1.0), (two_point(), 0.05, 0.7)])
+def test_kappa_star_matches_exact_rational(law, beta, h):
+    # kappa* = u^2 D / (1 - u^2 D) in exact arithmetic on the same float u and
+    # D = Rbar'(u); the form 1/(1 - u^2 D) - 1 loses ~1e-13 to cancellation here
+    fp = solve_fixed_point(beta, law, constant_field(h))
+    u = 1.0 - fp.q_star
+    x = Fraction(u) ** 2 * Fraction(RescaledLaw(law, beta).r_transform_derivative(u))
+    exact = x / (1 - x)
+    assert abs(Fraction(fp.kappa_star) - exact) / exact < Fraction(1, 10**15)
+
+
 def test_two_point_solves_and_identities():
     fp = solve_fixed_point(0.25, two_point(), constant_field(0.7))
     assert fp.converged
@@ -94,6 +108,20 @@ def test_product_case():
     assert pf.psi_rs == pytest.approx(np.log(2 * np.cosh(1.0)), abs=1e-15)
     assert pf.lambda_star == pytest.approx(1.0 / (1.0 - pf.q_star), abs=1e-14)
     assert pf.delta_star == pytest.approx(pf.q_star / (1.0 - pf.q_star) ** 2, abs=1e-13)
+
+
+def test_beta_zero_solve_is_the_product_record():
+    from tapglass.spectral import empirical_atoms
+
+    raw = empirical_atoms([0.0, 5.0], [0.5, 0.5])  # beta = 0 never looks at the law
+    fields = (constant_field(1.0), gaussian_field(0.3, 0.6),
+              empirical_field([-0.5, 0.4, 1.2], [0.2, 0.3, 0.5]))
+    for law in (semicircle(), raw):
+        for field in fields:
+            solved = dataclasses.asdict(solve_fixed_point(0.0, law, field))
+            product = dataclasses.asdict(product_fixed_point(field))
+            assert {k: repr(v) for k, v in solved.items()} == {
+                k: repr(v) for k, v in product.items()}
 
 
 def test_small_beta_continuity_with_product_case():
@@ -124,7 +152,9 @@ def test_solve_validations():
     from tapglass.spectral import empirical_atoms
 
     with pytest.raises(ValueError):
-        solve_fixed_point(0.0, semicircle(), constant_field(1.0))
+        solve_fixed_point(-0.1, semicircle(), constant_field(1.0))
+    with pytest.raises(ValueError):
+        solve_fixed_point(float("nan"), semicircle(), constant_field(1.0))
     raw = empirical_atoms([0.0, 5.0], [0.5, 0.5])  # not standardized
     with pytest.raises(ValueError):
         solve_fixed_point(0.2, raw, constant_field(1.0))
@@ -174,10 +204,22 @@ def test_field_quantiles_and_sampling():
     assert back.value == 0.1 and back.sd == 0.4
 
 
-def test_theoretical_delta_product_case_is_zero():
-    pf = product_fixed_point(constant_field(1.0))
-    est = theoretical_delta(pf, constant_field(1.0), t_max=4, mc_samples=10)
+def test_theoretical_delta_product_case_is_delta_star():
+    # at beta = 0, kappa* = 0 so Y = 0 and X_s = tanh(H)/(1 - q*) in every
+    # column: Delta = E tanh(H)^2 / (1 - q*)^2 11^T = delta* 11^T
+    field = constant_field(1.0)
+    pf = product_fixed_point(field)
+    est = theoretical_delta(pf, field, t_max=4, mc_samples=1000)
+    assert np.all(np.abs(est.delta - pf.delta_star) <= 1e-12 * pf.delta_star)
+
+    zero = constant_field(0.0)
+    est = theoretical_delta(product_fixed_point(zero), zero, t_max=4, mc_samples=1000)
     assert np.array_equal(est.delta, np.zeros((4, 4)))
+
+    field = gaussian_field(0.3, 0.6)
+    pf = product_fixed_point(field)
+    est = theoretical_delta(pf, field, t_max=4, mc_samples=200_000, seed=3)
+    assert np.all(np.abs(est.delta - pf.delta_star) < 4 * est.se)
 
 
 def test_theoretical_delta_matches_delta_star():

@@ -17,7 +17,6 @@ import json
 import sys
 from pathlib import Path
 
-from tapglass import amp as amp_mod
 from tapglass import experiments as exp_mod
 from tapglass import gibbs as gibbs_mod
 from tapglass import tap as tap_mod
@@ -52,6 +51,12 @@ def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--field-mode", default="quantile", choices=["quantile", "iid"])
 
 
+def _add_instance_file_arguments(parser: argparse.ArgumentParser) -> None:
+    files = parser.add_mutually_exclusive_group()
+    files.add_argument("--save-instance")
+    files.add_argument("--load-instance")
+
+
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -66,18 +71,26 @@ def _cmd_fixed_point(args) -> int:
     return 0
 
 
+def _cell(args) -> exp_mod.Cell:
+    """The grid cell of --n, --beta and --seed, or of the instance in the
+    --load-instance file; --save-instance writes the instance to a file."""
+    options = vars(args)
+    inst = load_instance(args.load_instance) if options.get("load_instance") else None
+    n, beta = (args.n, args.beta) if inst is None else (inst.n, inst.beta)
+    cell = exp_mod.Cell(args.law, args.field, args.field_mode, n, beta, args.seed)
+    if inst is not None:
+        cell.instance = inst
+    elif options.get("save_instance"):
+        save_instance(cell.instance, args.save_instance)
+    return cell
+
+
 def _cmd_amp_run(args) -> int:
-    fp = solve_fixed_point(args.beta, args.law, args.field)
-    inst = exp_mod.instance_for(
-        args.n, args.beta, args.law, args.field, args.seed, args.field_mode
-    )
-    traj = amp_mod.run_amp(
-        inst, fp, args.t_max,
-        exp_mod.stream_seed(args.seed, args.n, args.beta, exp_mod.STREAM_AMP),
-    )
+    cell = _cell(args)
+    traj = cell.amp(args.t_max)
     lines = ["t,y_diff_sq,m_norm_sq_over_n,tap_residual"]
     for t in range(args.t_max):
-        residual = tap_mod.tap_residual(inst, fp, traj.M[:, t])
+        residual = tap_mod.tap_residual(cell.instance, cell.fp, traj.M[:, t])
         lines.append(
             f"{t + 1},{float(traj.y_diff_sq[t])!r},{float(traj.m_norm_sq[t])!r},{residual!r}"
         )
@@ -85,21 +98,9 @@ def _cmd_amp_run(args) -> int:
     return 0
 
 
-def _instance_from_args(args):
-    if args.load_instance:
-        return load_instance(args.load_instance)
-    inst = exp_mod.instance_for(
-        args.n, args.beta, args.law, args.field, args.seed, args.field_mode
-    )
-    if args.save_instance:
-        save_instance(inst, args.save_instance)
-    return inst
-
-
 def _cmd_gibbs_exact(args) -> int:
-    inst = _instance_from_args(args)
-    fp = solve_fixed_point(inst.beta, args.law, args.field)
-    res = gibbs_mod.exact_gibbs(inst)
+    cell = _cell(args)
+    inst, fp, res = cell.instance, cell.fp, cell.exact
     payload = {
         "n": inst.n,
         "beta": inst.beta,
@@ -115,33 +116,23 @@ def _cmd_gibbs_exact(args) -> int:
 
 
 def _cmd_gibbs_mcmc(args) -> int:
-    inst = _instance_from_args(args)
-    reps = gibbs_mod.glauber_sample(
-        inst, sweeps=args.sweeps, burn_in=args.burn_in, thin=args.thin,
-        n_chains=args.chains,
-        seed=exp_mod.stream_seed(args.seed, inst.n, inst.beta, exp_mod.STREAM_MCMC),
-    )
+    cell = _cell(args)
+    reps = cell.chains(args.chains, args.sweeps, args.burn_in, args.thin)
     est = gibbs_mod.estimate_magnetization(reps)
     lines = ["site,magnetization,standard_error"]
-    for i in range(inst.n):
+    for i in range(cell.n):
         lines.append(f"{i},{float(est.mean[i])!r},{float(est.se[i])!r}")
     _write_or_print("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def _cmd_tap_residual(args) -> int:
-    fp = solve_fixed_point(args.beta, args.law, args.field)
-    inst = exp_mod.instance_for(
-        args.n, args.beta, args.law, args.field, args.seed, args.field_mode
-    )
+    cell = _cell(args)
+    fp, inst = cell.fp, cell.instance
     if args.source == "amp":
-        traj = amp_mod.run_amp(
-            inst, fp, args.t_max,
-            exp_mod.stream_seed(args.seed, args.n, args.beta, exp_mod.STREAM_AMP),
-        )
-        m = traj.final.m
+        m = cell.amp(args.t_max).final.m
     elif args.source == "exact":
-        m = gibbs_mod.exact_gibbs(inst).magnetization
+        m = cell.exact.magnetization
     else:
         m = tap_mod.solve_tap_damped(inst, fp).m
     payload = {
@@ -202,8 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ge.add_argument("--beta", type=float, default=0.15)
     p_ge.add_argument("--seed", type=int, default=0)
     _add_model_arguments(p_ge)
-    p_ge.add_argument("--save-instance")
-    p_ge.add_argument("--load-instance")
+    _add_instance_file_arguments(p_ge)
     p_ge.add_argument("--out")
     p_ge.set_defaults(fn=_cmd_gibbs_exact)
 
@@ -216,8 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gm.add_argument("--burn-in", type=int, default=50)
     p_gm.add_argument("--thin", type=int, default=2)
     _add_model_arguments(p_gm)
-    p_gm.add_argument("--save-instance")
-    p_gm.add_argument("--load-instance")
+    _add_instance_file_arguments(p_gm)
     p_gm.add_argument("--out")
     p_gm.set_defaults(fn=_cmd_gibbs_mcmc)
 

@@ -14,10 +14,12 @@ a value to the grid never shifts the streams of existing cells.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import io
 import itertools
 import json
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -46,17 +48,6 @@ KIND_TAP_VERIFY = "tap_verify"
 KIND_CONCENTRATION = "concentration"
 KIND_BAND = "band"
 KIND_SE_CHECK = "se_check"
-
-EXPERIMENT_KINDS = (
-    KIND_FIXED_POINT,
-    KIND_AMP,
-    KIND_GIBBS_EXACT,
-    KIND_GIBBS_MCMC,
-    KIND_TAP_VERIFY,
-    KIND_CONCENTRATION,
-    KIND_BAND,
-    KIND_SE_CHECK,
-)
 
 STREAM_INSTANCE = 1
 STREAM_AMP = 2
@@ -122,16 +113,25 @@ class ExperimentConfig:
         }
 
 
-def _as_tuple(value, caster, name):
+def _typed(value, cast, name):
+    """value cast by int or float, if it is an integer or a real number, never a bool."""
+    kind, what = (numbers.Integral, "an integer") if cast is int else (numbers.Real, "a number")
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    return cast(value)
+
+
+def _as_tuple(value, cast, name):
     if not isinstance(value, (list, tuple)):
         value = [value]
     if len(value) == 0:
         raise ConfigError(f"{name} must be nonempty")
-    try:
-        return tuple(caster(v) for v in value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} has a non-{caster.__name__} entry: {exc}") from exc
+    return tuple(_typed(v, cast, name) for v in value)
 
+
+# the scalar keys, named as the config fields; each takes its default's type
+_SCALAR_DEFAULTS = {"t_max": 8, "sweeps": 200, "burn_in": 50, "thin": 2, "delta": 0.2,
+                    "eta": 0.8, "mc_samples": 200_000, "threads": 1}
 
 _CONFIG_KEYS = frozenset((
     "kind", "n", "beta", "seeds", "law", "field", "field_mode", "t_max", "n_replicas",
@@ -154,6 +154,9 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
         if required not in obj:
             raise ConfigError(f"config is missing the {required!r} list")
     law_spec = obj.get("law", {"kind": "semicircle"})
+    out = obj.get("out")
+    if out is not None and not isinstance(out, str):
+        raise ConfigError(f"out must be a string or null, got {out!r}")
     try:
         law = law_from_spec(law_spec)
     except (KeyError, ValueError) as exc:
@@ -175,16 +178,10 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
         law_spec=law_spec,
         field=field,
         field_mode=field_mode,
-        t_max=int(obj.get("t_max", 8)),
         replica_counts=_as_tuple(obj.get("n_replicas", 8), int, "n_replicas"),
-        sweeps=int(obj.get("sweeps", 200)),
-        burn_in=int(obj.get("burn_in", 50)),
-        thin=int(obj.get("thin", 2)),
-        delta=float(obj.get("delta", 0.2)),
-        eta=float(obj.get("eta", 0.8)),
-        mc_samples=int(obj.get("mc_samples", 200_000)),
-        threads=int(obj.get("threads", 1)),
-        out=obj.get("out"),
+        out=out,
+        **{key: _typed(obj.get(key, default), type(default), key)
+           for key, default in _SCALAR_DEFAULTS.items()},
     )
     if cfg.t_max < 1:
         raise ConfigError("t_max must be >= 1")
@@ -231,45 +228,87 @@ class ResultRow:
     error: str = ""
 
 
-def instance_for(
-    n: int, beta: float, law: SpectralLaw, field: FieldLaw, seed: int, field_mode: str
-):
-    """The instance of grid cell (n, beta, seed), drawn from its instance stream."""
-    if beta == 0.0:
-        raise ValueError("instances need beta > 0; the beta = 0 limit is analytic")
-    return build_instance(
-        n, beta, law, field,
-        seed=stream_seed(seed, n, beta, STREAM_INSTANCE),
-        field_mode=field_mode,
-    )
+class _cached_property(functools.cached_property):
+    """functools.cached_property without the lock that Python < 3.12 shares
+    across all instances, which would make the cells of a thread pool draw
+    their instances one at a time.  Each cell is used by one thread."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
 
 
-def _cell_fixed_point(cfg, n, beta, seed):
-    fp = solve_fixed_point(beta, cfg.law, cfg.field)
-    out = dataclasses.asdict(fp)
+@dataclass(eq=False)
+class Cell:
+    """Grid cell (n, beta, seed): the one place its random objects are drawn.
+
+    Each object draws from the stream keyed by the cell's coordinates.  The
+    fixed point, instance and enumeration are computed on first use and then
+    shared by every caller of the cell; a failure is not kept, so a later
+    caller retries and fails the same way.
+    """
+
+    law: SpectralLaw
+    field: FieldLaw
+    field_mode: str
+    n: int
+    beta: float
+    seed: int
+
+    def stream(self, tag: int) -> int:
+        return stream_seed(self.seed, self.n, self.beta, tag)
+
+    @_cached_property
+    def fp(self):
+        return solve_fixed_point(self.beta, self.law, self.field)
+
+    @_cached_property
+    def instance(self):
+        if self.beta == 0.0:
+            raise ValueError("instances need beta > 0; the beta = 0 limit is analytic")
+        return build_instance(
+            self.n, self.beta, self.law, self.field,
+            seed=self.stream(STREAM_INSTANCE), field_mode=self.field_mode,
+        )
+
+    @_cached_property
+    def exact(self):
+        return gibbs_mod.exact_gibbs(self.instance)
+
+    def amp(self, t_max: int):
+        fp = self.fp  # before the instance, so a fixed-point failure is the one reported
+        return amp_mod.run_amp(self.instance, fp, t_max, self.stream(STREAM_AMP))
+
+    def chains(self, n_chains: int, sweeps: int, burn_in: int, thin: int):
+        return gibbs_mod.glauber_sample(
+            self.instance, sweeps=sweeps, burn_in=burn_in, thin=thin,
+            n_chains=n_chains, seed=self.stream(STREAM_MCMC),
+        )
+
+
+def _cell_fixed_point(cfg, cell, n_rep):
+    out = dataclasses.asdict(cell.fp)
     out["converged"] = int(out["converged"])
     del out["beta"]
     return out
 
 
-def _cell_amp(cfg, n, beta, seed):
-    fp = solve_fixed_point(beta, cfg.law, cfg.field)
-    inst = instance_for(n, beta, cfg.law, cfg.field, seed, cfg.field_mode)
-    traj = amp_mod.run_amp(inst, fp, cfg.t_max, stream_seed(seed, n, beta, STREAM_AMP))
+def _cell_amp(cfg, cell, n_rep):
+    traj = cell.amp(cfg.t_max)
     return {
-        "q_star": fp.q_star,
+        "q_star": cell.fp.q_star,
         "y_diff_sq": float(traj.y_diff_sq[-1]),
         "m_norm_sq_over_n": float(traj.m_norm_sq[-1]),
-        "m_norm_gap": float(abs(traj.m_norm_sq[-1] - fp.q_star)),
-        "tap_residual": tap_mod.tap_residual(inst, fp, traj.final.m),
+        "m_norm_gap": float(abs(traj.m_norm_sq[-1] - cell.fp.q_star)),
+        "tap_residual": tap_mod.tap_residual(cell.instance, cell.fp, traj.final.m),
     }
 
 
-def _cell_gibbs_exact(cfg, n, beta, seed):
-    fp = solve_fixed_point(beta, cfg.law, cfg.field)
-    inst = instance_for(n, beta, cfg.law, cfg.field, seed, cfg.field_mode)
-    res = gibbs_mod.exact_gibbs(inst)
-    per_site = res.log_z / n
+def _cell_gibbs_exact(cfg, cell, n_rep):
+    fp = cell.fp
+    per_site = cell.exact.log_z / cell.n
     return {
         "log_z_per_site": per_site,
         "psi_rs": fp.psi_rs,
@@ -277,20 +316,15 @@ def _cell_gibbs_exact(cfg, n, beta, seed):
     }
 
 
-def _cell_gibbs_mcmc(cfg, n, beta, seed):
-    inst = instance_for(n, beta, cfg.law, cfg.field, seed, cfg.field_mode)
-    reps = gibbs_mod.glauber_sample(
-        inst, sweeps=cfg.sweeps, burn_in=cfg.burn_in, thin=cfg.thin,
-        n_chains=cfg.replica_counts[0],
-        seed=stream_seed(seed, n, beta, STREAM_MCMC),
-    )
+def _cell_gibbs_mcmc(cfg, cell, n_rep):
+    reps = cell.chains(n_rep, cfg.sweeps, cfg.burn_in, cfg.thin)
     out = {
         "mean_abs_mag": float(np.abs(reps.samples.mean(axis=0)).mean()),
         "marginal_max_abs_err": np.nan,
         "replica_distance": np.nan,
     }
-    if n <= gibbs_mod.MAX_ENUMERATION_N:
-        exact = gibbs_mod.exact_gibbs(inst).magnetization
+    if cell.n <= gibbs_mod.MAX_ENUMERATION_N:
+        exact = cell.exact.magnetization
         time_avg = gibbs_mod.estimate_magnetization(
             reps, exact_magnetization=exact, use_time_average=True
         )
@@ -300,11 +334,11 @@ def _cell_gibbs_mcmc(cfg, n, beta, seed):
     return out
 
 
-def _cell_tap_verify(cfg, n, beta, seed):
-    fp = solve_fixed_point(beta, cfg.law, cfg.field)
-    inst = instance_for(n, beta, cfg.law, cfg.field, seed, cfg.field_mode)
-    mag = gibbs_mod.exact_gibbs(inst).magnetization
-    traj = amp_mod.run_amp(inst, fp, cfg.t_max, stream_seed(seed, n, beta, STREAM_AMP))
+def _cell_tap_verify(cfg, cell, n_rep):
+    fp = cell.fp
+    mag = cell.exact.magnetization
+    traj = cell.amp(cfg.t_max)
+    inst = cell.instance
     d = tap_mod.magnetization_vs_amp(mag, traj)
     sol = tap_mod.solve_tap_damped(inst, fp)
     return {
@@ -316,38 +350,25 @@ def _cell_tap_verify(cfg, n, beta, seed):
         "solver_converged": int(sol.converged),
         "solver_iterations": sol.iterations,
         "solver_amp_rms_gap": float(
-            np.sqrt(np.sum((sol.m - traj.final.m) ** 2) / n)
+            np.sqrt(np.sum((sol.m - traj.final.m) ** 2) / cell.n)
         ),
     }
 
 
-def _concentration_instance(cfg, n, beta, seed):
-    """The instance and exact magnetization shared by every replica count."""
-    inst = instance_for(n, beta, cfg.law, cfg.field, seed, cfg.field_mode)
-    return inst, gibbs_mod.exact_gibbs(inst).magnetization
-
-
-def _cell_concentration(cfg, n, beta, seed, n_replicas, inst, mag):
-    reps = gibbs_mod.glauber_sample(
-        inst, sweeps=cfg.sweeps, burn_in=cfg.burn_in, thin=cfg.thin,
-        n_chains=n_replicas, seed=stream_seed(seed, n, beta, STREAM_MCMC),
-    )
+def _cell_concentration(cfg, cell, n_rep):
+    mag = cell.exact.magnetization
+    reps = cell.chains(n_rep, cfg.sweeps, cfg.burn_in, cfg.thin)
     est = gibbs_mod.estimate_magnetization(reps, exact_magnetization=mag)
     return {"distance": est.distance}
 
 
-def _cell_band(cfg, n, beta, seed):
-    fp = solve_fixed_point(beta, cfg.law, cfg.field)
-    inst = instance_for(n, beta, cfg.law, cfg.field, seed, cfg.field_mode)
-    traj = amp_mod.run_amp(inst, fp, max(cfg.t_max, 50), stream_seed(seed, n, beta, STREAM_AMP))
+def _cell_band(cfg, cell, n_rep):
+    traj = cell.amp(max(cfg.t_max, 50))
+    inst, n = cell.instance, cell.n
     band = gibbs_mod.BandSpec(traj.final.m, cfg.delta, cfg.eta)
     exact = gibbs_mod.exact_gibbs(inst, band=band)
     log_z, log_zb = exact.log_z, exact.log_z_band
-    reps = gibbs_mod.glauber_sample(
-        inst, sweeps=cfg.sweeps, burn_in=cfg.burn_in, thin=cfg.thin,
-        n_chains=cfg.replica_counts[0],
-        seed=stream_seed(seed, n, beta, STREAM_MCMC),
-    )
+    reps = cell.chains(n_rep, cfg.sweeps, cfg.burn_in, cfg.thin)
     geometry = gibbs_mod.replica_geometry_report(reps, band)
     if n <= gibbs_mod.MAX_PAIR_ENUMERATION_N:
         log_zc = gibbs_mod.restricted_logZ_nonorth_pairs(inst, band)
@@ -365,20 +386,18 @@ def _cell_band(cfg, n, beta, seed):
     }
 
 
-def _cell_se_check(cfg, n, beta, seed):
-    fp = solve_fixed_point(beta, cfg.law, cfg.field)
-    inst = instance_for(n, beta, cfg.law, cfg.field, seed, cfg.field_mode)
-    traj = amp_mod.run_amp(inst, fp, cfg.t_max, stream_seed(seed, n, beta, STREAM_AMP))
+def _cell_se_check(cfg, cell, n_rep):
+    traj = cell.amp(cfg.t_max)
     est = theoretical_delta(
-        fp, cfg.field, cfg.t_max, mc_samples=cfg.mc_samples,
-        seed=stream_seed(seed, n, beta, STREAM_DELTA),
+        cell.fp, cfg.field, cfg.t_max, mc_samples=cfg.mc_samples,
+        seed=cell.stream(STREAM_DELTA),
     )
     report = amp_mod.empirical_vs_theoretical_se(traj, est.delta)
     return {
         "max_dev_xx": report.max_dev_xx,
         "max_dev_yy": report.max_dev_yy,
         "max_dev_xy": report.max_dev_xy,
-        "m_norm_gap": float(abs(traj.m_norm_sq[-1] - fp.q_star)),
+        "m_norm_gap": float(abs(traj.m_norm_sq[-1] - cell.fp.q_star)),
     }
 
 
@@ -388,45 +407,32 @@ _CELL_FUNCTIONS = {
     KIND_GIBBS_EXACT: _cell_gibbs_exact,
     KIND_GIBBS_MCMC: _cell_gibbs_mcmc,
     KIND_TAP_VERIFY: _cell_tap_verify,
+    KIND_CONCENTRATION: _cell_concentration,
     KIND_BAND: _cell_band,
     KIND_SE_CHECK: _cell_se_check,
 }
+EXPERIMENT_KINDS = tuple(_CELL_FUNCTIONS)
 
 
-def _isolated(fn, *args):
-    """(result, error text, seconds) of fn(*args), with any failure caught."""
-    start = time.perf_counter()
-    try:
-        result, error = fn(*args), ""
-    except Exception as exc:  # noqa: BLE001  (cell isolation is the contract)
-        result, error = {}, f"{type(exc).__name__}: {exc}"
-    return result, error, time.perf_counter() - start
-
-
-def _run_cell(cfg: ExperimentConfig, cell) -> list[ResultRow]:
-    """The rows of grid point (n, beta, seed): one row, or for concentration
-    one row per replica count, all sharing one instance and its enumeration.
-    The shared set-up time is charged to the first count's row."""
-    n, beta, seed = cell
-
-    def row(n_rep, metrics, error, wall_time):
-        return ResultRow(
-            schema_version=SCHEMA_VERSION, kind=cfg.kind, n=n, beta=beta, seed=seed,
-            n_replicas=n_rep, metrics=metrics, wall_time=wall_time, error=error,
-        )
-
-    if cfg.kind != KIND_CONCENTRATION:
-        return [row(cfg.replica_counts[0],
-                    *_isolated(_CELL_FUNCTIONS[cfg.kind], cfg, n, beta, seed))]
-    shared, shared_error, setup_time = _isolated(_concentration_instance, cfg, n, beta, seed)
+def _run_cell(cfg: ExperimentConfig, coords) -> list[ResultRow]:
+    """The rows of grid point (n, beta, seed), one per replica count (only
+    concentration has more than one), each with its failure caught.  The rows
+    share one Cell, so the first row to draw an object carries its cost in
+    its wall time."""
+    n, beta, seed = coords
+    cell = Cell(cfg.law, cfg.field, cfg.field_mode, n, beta, seed)
     rows = []
     for n_rep in cfg.replica_counts:
-        metrics, error, wall_time = (
-            ({}, shared_error, 0.0) if shared_error
-            else _isolated(_cell_concentration, cfg, n, beta, seed, n_rep, *shared)
-        )
-        rows.append(row(n_rep, metrics, error, setup_time + wall_time))
-        setup_time = 0.0
+        start = time.perf_counter()
+        try:
+            metrics, error = _CELL_FUNCTIONS[cfg.kind](cfg, cell, n_rep), ""
+        except Exception as exc:  # noqa: BLE001  (cell isolation is the contract)
+            metrics, error = {}, f"{type(exc).__name__}: {exc}"
+        rows.append(ResultRow(
+            schema_version=SCHEMA_VERSION, kind=cfg.kind, n=n, beta=beta, seed=seed,
+            n_replicas=n_rep, metrics=metrics, wall_time=time.perf_counter() - start,
+            error=error,
+        ))
     return rows
 
 

@@ -230,6 +230,8 @@ def law_from_spec(obj: dict) -> SpectralLaw:
 def _spec_kind(obj: dict, keys_by_kind: dict, what: str) -> str:
     """The kind of a law or field spec; an unknown kind, or any key besides
     kind that to_spec does not write for that kind (keys_by_kind), is rejected."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {obj!r}")
     kind = obj.get("kind")
     if kind not in keys_by_kind:
         raise ValueError(f"unknown {what} kind {kind!r}")

@@ -47,6 +47,8 @@ def test_parse_field_argument_forms():
         parse_field_argument('{"kind": "gaussian", "value": 0.5, "sd": 1.0}')
     with pytest.raises(ValueError, match="atoms"):
         parse_field_argument('{"kind": "empirical", "atoms": [[0.5, 0.6], [1.5, 0.4]]}')
+    with pytest.raises(ValueError, match="JSON object"):
+        parse_field_argument("1.0")
 
 
 # ---------------------------------------------------------------- commands
@@ -120,12 +122,41 @@ def test_gibbs_exact_loaded_instance_reports_no_seed(capsys, tmp_path):
     assert loaded["log_z_per_site"] == saved["log_z_per_site"]
 
 
-def test_gibbs_exact_matches_runner_row(capsys):
-    rc, out = _run(capsys, ["gibbs-exact", "--n", "12", "--seed", "1"])
+def _last_amp_step(out):
+    _, y_diff_sq, m_norm_sq, residual = out.strip().splitlines()[-1].split(",")
+    return {"y_diff_sq": float(y_diff_sq), "m_norm_sq_over_n": float(m_norm_sq),
+            "tap_residual": float(residual)}
+
+
+def _mean_abs_site_magnetization(out):
+    mags = [float(line.split(",")[1]) for line in out.strip().splitlines()[1:]]
+    return {"mean_abs_mag": float(np.abs(np.array(mags)).mean())}
+
+
+# (argv, runner kind, the runner metrics the output gives) at the cell of
+# seed 1 in the kind's default config: n = 12, beta = 0.15, t_max = 8, 8 chains
+CLI_RUNNER_CASES = {
+    "gibbs-exact": (["gibbs-exact", "--n", "12", "--seed", "1"], "gibbs_exact",
+                    lambda out: {"log_z_per_site": json.loads(out)["log_z_per_site"]}),
+    "amp-run": (["amp-run", "--n", "12", "--beta", "0.15", "--seed", "1", "--t-max", "8"],
+                "amp", _last_amp_step),
+    "tap-residual": (["tap-residual", "--n", "12", "--beta", "0.15", "--seed", "1",
+                      "--source", "amp", "--t-max", "8"],
+                     "amp", lambda out: {"tap_residual": json.loads(out)["residual"]}),
+    "gibbs-mcmc": (["gibbs-mcmc", "--n", "12", "--seed", "1", "--chains", "8"],
+                   "gibbs_mcmc", _mean_abs_site_magnetization),
+}
+
+
+@pytest.mark.parametrize("command", list(CLI_RUNNER_CASES))
+def test_cli_matches_runner_row(capsys, command):
+    # the CLI and the runner draw a cell's objects the same way, bit for bit
+    argv, kind, read = CLI_RUNNER_CASES[command]
+    rc, out = _run(capsys, argv)
     assert rc == 0
-    rows = run_experiment(default_config("gibbs_exact"))
-    row = next(r for r in rows if r.seed == 1)
-    assert json.loads(out)["log_z_per_site"] == row.metrics["log_z_per_site"]
+    row = next(r for r in run_experiment(default_config(kind)) if r.seed == 1)
+    values = read(out)
+    assert values == {key: row.metrics[key] for key in values}
 
 
 def test_gibbs_mcmc_csv_contract(capsys):
@@ -155,6 +186,17 @@ def test_gibbs_mcmc_loaded_instance_with_same_seed_is_identical(capsys, tmp_path
     rc, loaded = _run(capsys, ["gibbs-mcmc", "--load-instance", str(inst_path), *chain])
     assert rc == 0
     assert loaded == saved
+
+
+@pytest.mark.parametrize("command", ["gibbs-exact", "gibbs-mcmc"])
+def test_load_and_save_instance_are_exclusive(capsys, tmp_path, command):
+    saved = tmp_path / "saved.npz"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--n", "6", "--load-instance", str(tmp_path / "in.npz"),
+              "--save-instance", str(saved)])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+    assert not saved.exists()
 
 
 def test_tap_residual_json_keys(capsys):
@@ -246,6 +288,16 @@ def test_bad_config_file_exits_2(capsys, tmp_path):
     bad.write_text('{"kind": "nonsense", "n": [8], "beta": [0.1], "seeds": [0]}')
     rc, _ = _run(capsys, ["experiment", "--config", str(bad)])
     assert rc == 2
+
+
+def test_config_with_law_name_exits_2(capsys, tmp_path):
+    # the law of a config is a JSON object; the name shorthand is the CLI's
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"kind": "fixed_point", "n": [8], "beta": [0.1], "seeds": [0], '
+                   '"law": "semicircle"}')
+    rc = main(["experiment", "--config", str(bad)])
+    assert rc == 2
+    assert "law must be a JSON object" in capsys.readouterr().err
 
 
 def test_malformed_json_config_exits_2(capsys, tmp_path):

@@ -1,11 +1,16 @@
 """Tests for the experiment grid driver: config parsing, determinism,
 error isolation, and the CSV/JSON emitters."""
 
+import ast
 import json
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tapglass
 from tapglass import experiments as exp
 from tapglass.experiments import (
     BASE_COLUMNS,
@@ -131,6 +136,32 @@ def test_config_rejects_bad_numeric_values(key, value):
         config_from_dict(_minimal(**{key: value}))
 
 
+WRONGLY_TYPED = [
+    ("law", "semicircle"),
+    ("field", 1.0),
+    ("t_max", [8]),
+    ("t_max", None),
+    ("sweeps", 2.7),
+    ("n", [8.9]),
+    ("seeds", [1.5]),
+    ("threads", "2"),
+    ("out", 5),
+    ("beta", [True]),
+    ("delta", "0.2"),
+    ("n_replicas", True),
+]
+
+
+@pytest.mark.parametrize(
+    "key, value", WRONGLY_TYPED, ids=[f"{key}-{json.dumps(value)}" for key, value in WRONGLY_TYPED]
+)
+def test_config_rejects_wrongly_typed_values(key, value):
+    # integer keys take integers and real keys numbers, never bools; law and
+    # field take objects; out takes a string or null
+    with pytest.raises(ConfigError, match=rf"\b{key}\b.* must be"):
+        config_from_dict(_minimal(**{key: value}))
+
+
 # ---------------------------------------------------------------- seeds
 
 
@@ -166,6 +197,38 @@ def test_stream_seed_keyed_by_coordinates_not_grid_position():
     ]
     assert len(match) == 1
     assert match[0].metrics == target.metrics
+
+
+def test_only_experiments_reads_the_streams():
+    # every random object of a cell is drawn through Cell, so which stream
+    # feeds which object stays a decision of experiments.py alone
+    def names(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+            elif isinstance(node, ast.alias):
+                yield node.name
+
+    readers = sorted(
+        path.name
+        for path in Path(tapglass.__file__).parent.glob("*.py")
+        if any(name == "stream_seed" or name.startswith("STREAM_")
+               for name in names(ast.parse(path.read_text(encoding="utf-8"))))
+    )
+    assert readers == ["experiments.py"]
+
+
+def test_cells_draw_instances_concurrently(monkeypatch):
+    # the cells of a thread pool build their instances at the same time: each
+    # build waits for the other, which times out if one cell locks out the next
+    barrier = threading.Barrier(2, timeout=10)
+    monkeypatch.setattr(exp, "build_instance", lambda *args, **kwargs: barrier.wait())
+    cfg = config_from_dict(_minimal())
+    cells = [exp.Cell(cfg.law, cfg.field, cfg.field_mode, 8, 0.15, seed) for seed in (0, 1)]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        assert sorted(pool.map(lambda cell: cell.instance, cells)) == [0, 1]
 
 
 # ---------------------------------------------------------------- runs

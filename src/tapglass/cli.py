@@ -149,8 +149,6 @@ def _cmd_tap_residual(args) -> int:
 
 def _cmd_experiment(args) -> int:
     cfg = exp_mod.load_config(args.config)
-    if args.threads is not None:
-        cfg = dataclasses.replace(cfg, threads=args.threads)
     rows = exp_mod.run_experiment(cfg)
     out = args.out if args.out is not None else cfg.out
     csv_body = exp_mod.csv_text(rows)
@@ -223,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("experiment", help="run a config-driven grid")
     p_exp.add_argument("--config", required=True)
     p_exp.add_argument("--out", help="CSV path (overrides the config's out)")
-    p_exp.add_argument("--threads", type=int)
     p_exp.set_defaults(fn=_cmd_experiment)
 
     return parser

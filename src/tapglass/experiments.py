@@ -3,7 +3,7 @@
 A config names one experiment kind and the (n, beta, seed) grid to run it
 over; the runner executes every cell, isolates per-cell failures into error
 rows, and emits rows sorted by coordinates, so the CSV bytes are identical
-across runs and thread counts (wall-time column aside).
+across runs (wall-time column aside).
 
 Seed discipline: every random object in a cell draws from a stream keyed by
 the cell's coordinates, SeedSequence([master_seed, n, round(beta * 1e9),
@@ -21,7 +21,6 @@ import itertools
 import json
 import numbers
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,7 +87,6 @@ class ExperimentConfig:
     delta: float
     eta: float
     mc_samples: int
-    threads: int
     out: str | None
 
     def echo(self) -> dict:
@@ -131,11 +129,11 @@ def _as_tuple(value, cast, name):
 
 # the scalar keys, named as the config fields; each takes its default's type
 _SCALAR_DEFAULTS = {"t_max": 8, "sweeps": 200, "burn_in": 50, "thin": 2, "delta": 0.2,
-                    "eta": 0.8, "mc_samples": 200_000, "threads": 1}
+                    "eta": 0.8, "mc_samples": 200_000}
 
 _CONFIG_KEYS = frozenset((
     "kind", "n", "beta", "seeds", "law", "field", "field_mode", "t_max", "n_replicas",
-    "sweeps", "burn_in", "thin", "delta", "eta", "mc_samples", "threads", "out",
+    "sweeps", "burn_in", "thin", "delta", "eta", "mc_samples", "out",
 ))
 
 
@@ -185,8 +183,6 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
     )
     if cfg.t_max < 1:
         raise ConfigError("t_max must be >= 1")
-    if cfg.threads < 1:
-        raise ConfigError("threads must be >= 1")
     if any(n < 1 for n in cfg.n_values):
         raise ConfigError("all n must be >= 1")
     if any(b < 0 for b in cfg.beta_values):
@@ -228,18 +224,6 @@ class ResultRow:
     error: str = ""
 
 
-class _cached_property(functools.cached_property):
-    """functools.cached_property without the lock that Python < 3.12 shares
-    across all instances, which would make the cells of a thread pool draw
-    their instances one at a time.  Each cell is used by one thread."""
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.attrname] = self.func(instance)
-        return value
-
-
 @dataclass(eq=False)
 class Cell:
     """Grid cell (n, beta, seed): the one place its random objects are drawn.
@@ -260,11 +244,11 @@ class Cell:
     def stream(self, tag: int) -> int:
         return stream_seed(self.seed, self.n, self.beta, tag)
 
-    @_cached_property
+    @functools.cached_property
     def fp(self):
         return solve_fixed_point(self.beta, self.law, self.field)
 
-    @_cached_property
+    @functools.cached_property
     def instance(self):
         if self.beta == 0.0:
             raise ValueError("instances need beta > 0; the beta = 0 limit is analytic")
@@ -273,7 +257,7 @@ class Cell:
             seed=self.stream(STREAM_INSTANCE), field_mode=self.field_mode,
         )
 
-    @_cached_property
+    @functools.cached_property
     def exact(self):
         return gibbs_mod.exact_gibbs(self.instance)
 
@@ -438,13 +422,8 @@ def _run_cell(cfg: ExperimentConfig, coords) -> list[ResultRow]:
 
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     """Run every grid cell, isolating failures, and return rows in sorted order."""
-    cells = list(itertools.product(cfg.n_values, cfg.beta_values, cfg.seeds))
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            groups = list(pool.map(lambda c: _run_cell(cfg, c), cells))
-    else:
-        groups = [_run_cell(cfg, c) for c in cells]
-    rows = [r for group in groups for r in group]
+    cells = itertools.product(cfg.n_values, cfg.beta_values, cfg.seeds)
+    rows = [row for coords in cells for row in _run_cell(cfg, coords)]
     rows.sort(key=lambda r: (r.n, r.beta, r.seed, r.n_replicas))
     return rows
 

@@ -82,7 +82,8 @@ def _one_blas_thread(fn):
     big enough for OpenBLAS to split and too small to gain; its workers then
     spin and take a core from the Glauber loop that follows.  The count is
     process-wide and a product's rounding can depend on it, so it is held only
-    while the caller is the process's one thread (not beside a cell pool)."""
+    while the caller is the process's one thread (not while another Python
+    thread runs)."""
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):

@@ -22,9 +22,9 @@ from tapglass.amp import AmpTrajectory
 from tapglass.ensemble import ModelInstance
 from tapglass.fixed_point import FixedPoint
 
-DEFAULT_TAP_DAMPING = 0.3
+TAP_DAMPING = 0.3
 DEFAULT_TAP_TOL = 1e-10
-DEFAULT_TAP_MAX_ITER = 5_000
+TAP_MAX_ITER = 5_000
 
 
 def corrected_field(instance: ModelInstance, fp: FixedPoint, m: np.ndarray) -> np.ndarray:
@@ -53,19 +53,17 @@ def solve_tap_damped(
     instance: ModelInstance,
     fp: FixedPoint,
     m0: np.ndarray | None = None,
-    damping: float = DEFAULT_TAP_DAMPING,
     tol: float = DEFAULT_TAP_TOL,
-    max_iter: int = DEFAULT_TAP_MAX_ITER,
 ) -> TapSolution:
-    """Damped iteration m <- (1 - gamma) m + gamma tanh(h + Jbar m - a* m).
+    """Damped iteration m <- (1 - gamma) m + gamma tanh(h + Jbar m - a* m),
+    with gamma = TAP_DAMPING.
 
     Stops when the root-mean-square step (1/sqrt(n)) ||m_new - m|| drops
-    below tol.  Starts from tanh(h) unless m0 is given.  In the
-    high-temperature regime the map is a contraction and the solution is
-    unique, so the starting point only affects the iteration count.
+    below tol, or after TAP_MAX_ITER steps.  Starts from tanh(h) unless m0
+    is given.  In the high-temperature regime the map is a contraction and
+    the solution is unique, so the starting point only affects the
+    iteration count.
     """
-    if not 0 < damping <= 1:
-        raise ValueError(f"damping must lie in (0, 1], got {damping}")
     n = instance.n
     if m0 is None:
         m = np.tanh(instance.h.copy())
@@ -75,9 +73,9 @@ def solve_tap_damped(
             raise ValueError(f"m0 must have shape ({n},), got {m.shape}")
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, TAP_MAX_ITER + 1):
         target = np.tanh(corrected_field(instance, fp, m))
-        m_new = (1.0 - damping) * m + damping * target
+        m_new = (1.0 - TAP_DAMPING) * m + TAP_DAMPING * target
         step = np.sqrt(np.sum((m_new - m) ** 2) / n)
         m = m_new
         if step < tol:

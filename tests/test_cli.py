@@ -255,31 +255,6 @@ def test_experiment_without_out_prints_csv(capsys, tmp_path):
     assert out.splitlines()[0].startswith("schema_version,kind,")
 
 
-def test_experiment_threads_flag_matches_serial(capsys, tmp_path):
-    cfg = {"kind": "amp", "n": [16, 24], "beta": [0.15], "seeds": [0, 1],
-           "t_max": 3}
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
-    out_a = tmp_path / "a.csv"
-    out_b = tmp_path / "b.csv"
-    rc_a, _ = _run(capsys, ["experiment", "--config", str(cfg_path),
-                            "--out", str(out_a)])
-    rc_b, _ = _run(capsys, ["experiment", "--config", str(cfg_path),
-                            "--out", str(out_b), "--threads", "4"])
-    assert rc_a == rc_b == 0
-
-    def stable(text):
-        lines = []
-        for i, line in enumerate(text.splitlines()):
-            parts = line.split(",")
-            if i > 0:
-                parts[-2] = ""
-            lines.append(",".join(parts))
-        return lines
-
-    assert stable(out_a.read_text()) == stable(out_b.read_text())
-
-
 # ---------------------------------------------------------------- exit codes
 
 

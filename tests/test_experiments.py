@@ -3,8 +3,6 @@ error isolation, and the CSV/JSON emitters."""
 
 import ast
 import json
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -59,8 +57,6 @@ def test_config_rejects_bad_scalars():
     with pytest.raises(ConfigError):
         config_from_dict(_minimal(t_max=0))
     with pytest.raises(ConfigError):
-        config_from_dict(_minimal(threads=0))
-    with pytest.raises(ConfigError):
         config_from_dict(_minimal(n=[0]))
     with pytest.raises(ConfigError):
         config_from_dict(_minimal(beta=[-0.1]))
@@ -78,7 +74,6 @@ def test_config_defaults_and_echo_roundtrip():
     assert cfg.t_max == 8
     assert cfg.replica_counts == (8,)
     assert cfg.sweeps == 200
-    assert cfg.threads == 1
     echo = cfg.echo()
     # the echo must itself parse back to an identical config
     cfg2 = config_from_dict(echo)
@@ -110,7 +105,7 @@ def test_default_config_runs_with_atomic_law(kind):
     assert [row.error for row in rows] == [""] * len(rows)
 
 
-@pytest.mark.parametrize("typo", ["n_replica", "sweps"])
+@pytest.mark.parametrize("typo", ["n_replica", "sweps", "threads"])
 def test_config_rejects_unknown_keys(typo):
     with pytest.raises(ConfigError, match=typo):
         config_from_dict(_minimal(**{typo: 4}))
@@ -144,7 +139,6 @@ WRONGLY_TYPED = [
     ("sweeps", 2.7),
     ("n", [8.9]),
     ("seeds", [1.5]),
-    ("threads", "2"),
     ("out", 5),
     ("beta", [True]),
     ("delta", "0.2"),
@@ -220,15 +214,24 @@ def test_only_experiments_reads_the_streams():
     assert readers == ["experiments.py"]
 
 
-def test_cells_draw_instances_concurrently(monkeypatch):
-    # the cells of a thread pool build their instances at the same time: each
-    # build waits for the other, which times out if one cell locks out the next
-    barrier = threading.Barrier(2, timeout=10)
-    monkeypatch.setattr(exp, "build_instance", lambda *args, **kwargs: barrier.wait())
-    cfg = config_from_dict(_minimal())
-    cells = [exp.Cell(cfg.law, cfg.field, cfg.field_mode, 8, 0.15, seed) for seed in (0, 1)]
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        assert sorted(pool.map(lambda cell: cell.instance, cells)) == [0, 1]
+def test_package_starts_no_threads_or_processes():
+    # cells run one after another in one thread; gibbs._one_blas_thread sets a
+    # process-wide BLAS thread count, which is only safe while that holds
+    def modules(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                yield from (alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                yield node.module
+
+    importers = sorted(
+        path.name
+        for path in Path(tapglass.__file__).parent.glob("*.py")
+        if any(module.startswith(pool)
+               for module in modules(ast.parse(path.read_text(encoding="utf-8")))
+               for pool in ("concurrent.futures", "multiprocessing"))
+    )
+    assert importers == []
 
 
 # ---------------------------------------------------------------- runs
@@ -259,13 +262,16 @@ def test_atomic_law_fixed_point_values():
 
 
 def test_rows_sorted_regardless_of_thread_count():
+    # a grid is spread over processes by giving each a disjoint seeds list;
+    # merged and sorted, their rows are the rows of one run
     obj = _minimal(kind="amp", n=[24, 16], beta=[0.15, 0.1], seeds=[1, 0], t_max=3)
-    serial = run_experiment(config_from_dict(obj))
-    threaded = run_experiment(config_from_dict({**obj, "threads": 4}))
+    whole = run_experiment(config_from_dict(obj))
     key = lambda r: (r.n, r.beta, r.seed, r.n_replicas)
-    assert [key(r) for r in serial] == sorted(key(r) for r in serial)
-    assert exp._stable_text(serial) == exp._stable_text(threaded)
-    assert content_hash(serial) == content_hash(threaded)
+    assert [key(r) for r in whole] == sorted(key(r) for r in whole)
+    split = [run_experiment(config_from_dict({**obj, "seeds": seeds})) for seeds in ([1], [0])]
+    merged = sorted(split[0] + split[1], key=key)
+    assert exp._stable_text(whole) == exp._stable_text(merged)
+    assert content_hash(whole) == content_hash(merged)
 
 
 def test_concentration_enumerates_each_instance_once(monkeypatch):
@@ -279,13 +285,11 @@ def test_concentration_enumerates_each_instance_once(monkeypatch):
     monkeypatch.setattr(exp.gibbs_mod, "exact_gibbs", counted)
     obj = _minimal(kind="concentration", n=[8], seeds=[3, 1], n_replicas=[16, 4, 64],
                    sweeps=20, burn_in=5)
-    serial = run_experiment(config_from_dict(obj))
+    rows = run_experiment(config_from_dict(obj))
     assert len(calls) == 2 and len(set(calls)) == 2
-    assert [(r.seed, r.n_replicas) for r in serial] == [
+    assert [(r.seed, r.n_replicas) for r in rows] == [
         (1, 4), (1, 16), (1, 64), (3, 4), (3, 16), (3, 64)]
-    assert all(r.error == "" and r.metrics["distance"] >= 0 for r in serial)
-    threaded = run_experiment(config_from_dict({**obj, "threads": 2}))
-    assert exp._stable_text(serial) == exp._stable_text(threaded)
+    assert all(r.error == "" and r.metrics["distance"] >= 0 for r in rows)
 
 
 def test_concentration_errors_stay_per_row(monkeypatch):

@@ -110,6 +110,4 @@ def test_validation_and_report():
     with pytest.raises(ValueError):
         tap_residual(inst, fp, np.zeros(5))
     with pytest.raises(ValueError):
-        solve_tap_damped(inst, fp, damping=1.5)
-    with pytest.raises(ValueError):
         solve_tap_damped(inst, fp, m0=np.zeros(3))

@@ -17,10 +17,12 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from tapglass import experiments as exp_mod
 from tapglass import gibbs as gibbs_mod
 from tapglass import tap as tap_mod
-from tapglass.ensemble import load_instance, save_instance
+from tapglass.ensemble import FIELD_MODE_QUANTILE, load_instance, save_instance
 from tapglass.fixed_point import field_from_spec, solve_fixed_point
 from tapglass.spectral import law_from_spec
 
@@ -73,12 +75,22 @@ def _cmd_fixed_point(args) -> int:
 
 def _cell(args) -> exp_mod.Cell:
     """The grid cell of --n, --beta and --seed, or of the instance in the
-    --load-instance file; --save-instance writes the instance to a file."""
+    --load-instance file; --save-instance writes the instance to a file.
+
+    A saved instance holds no laws, so its spectrum is checked against --law
+    and, in quantile field mode, its field against --field (iid draws cannot
+    be recomputed)."""
     options = vars(args)
     inst = load_instance(args.load_instance) if options.get("load_instance") else None
     n, beta = (args.n, args.beta) if inst is None else (inst.n, inst.beta)
     cell = exp_mod.Cell(args.law, args.field, args.field_mode, n, beta, args.seed)
     if inst is not None:
+        expected = [("--law", inst.d_bar, beta * args.law.quantiles(n))]
+        if args.field_mode == FIELD_MODE_QUANTILE:
+            expected.append(("--field", inst.h, args.field.quantiles(n)))
+        for flag, saved, given in expected:
+            if np.abs(saved - given).max() > 1e-12:
+                raise ValueError(f"{flag} does not match the instance in {args.load_instance}")
         cell.instance = inst
     elif options.get("save_instance"):
         save_instance(cell.instance, args.save_instance)

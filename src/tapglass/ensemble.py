@@ -6,6 +6,8 @@ Dbar = beta * diag(quantiles of the spectral law), plus an external field h
 Jbar is never materialized at scale; `ModelInstance.apply_jbar` applies it in
 O(n^2) through the factors, and `ModelInstance.apply_rotated` applies any
 other diagonal in the same rotated basis, so no other module reads O.
+O lies in SO(n) where it enters: `haar_so` draws it so, and `load_instance`
+checks a saved one; `ModelInstance` itself checks only shapes and finiteness.
 
 `conditional_haar_so` samples O uniformly from {O in SO(n): O B = A} for
 n x k matrices with A^T A = B^T B, via
@@ -36,42 +38,37 @@ FIELD_MODE_QUANTILE = "quantile"
 FIELD_MODE_IID = "iid"
 
 
-def _rng_from(seed) -> np.random.Generator:
-    """Accept an int, a SeedSequence, or a ready Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def haar_orthogonal(n: int, seed) -> np.ndarray:
     """Haar-uniform draw from O(n): QR of a Gaussian matrix with the R-diagonal
     sign convention (unique QR with positive diagonal)."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    rng = _rng_from(seed)
-    m = rng.standard_normal((n, n))
+    m = np.random.default_rng(seed).standard_normal((n, n))
     q, r = np.linalg.qr(m)
     signs = np.where(np.diag(r) < 0, -1.0, 1.0)
     return q * signs[None, :]
 
 
+def _det_plus_one(q: np.ndarray) -> np.ndarray:
+    """Negate the last column of the orthogonal q in place when det q = -1."""
+    sign, _ = np.linalg.slogdet(q)
+    if sign < 0:
+        q[:, -1] = -q[:, -1]
+    return q
+
+
 def haar_so(n: int, seed) -> np.ndarray:
     """Haar-uniform draw from SO(n): the O(n) draw with the last column negated
     when the determinant is -1."""
-    o = haar_orthogonal(n, seed)
-    sign, _ = np.linalg.slogdet(o)
-    if sign < 0:
-        o = o.copy()
-        o[:, -1] = -o[:, -1]
-    return o
+    return _det_plus_one(haar_orthogonal(n, seed))
 
 
 @dataclass(frozen=True, eq=False)
 class ModelInstance:
     """One realized model: couplings in factored form O^T diag(d_bar) O plus field h.
 
-    Invariants are checked on construction: O orthogonal with det +1, shapes
-    consistent, entries finite.
+    Construction checks that shapes agree and entries are finite.  O in SO(n)
+    is established where O enters: `haar_so` or `load_instance`.
     """
 
     n: int
@@ -91,12 +88,6 @@ class ModelInstance:
         for arr in (self.d_bar, self.O, self.h):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("instance arrays must be finite")
-        gram_err = np.abs(self.O.T @ self.O - np.eye(self.n)).max()
-        if gram_err > ORTHOGONALITY_TOL:
-            raise ValueError(f"O is not orthogonal: max |O^T O - I| = {gram_err}")
-        sign, logdet = np.linalg.slogdet(self.O)
-        if sign <= 0 or abs(logdet) > _DET_TOL:
-            raise ValueError("O must have determinant +1")
 
     def apply_rotated(self, weights: np.ndarray, v: np.ndarray) -> np.ndarray:
         """O^T (weights * (O v)), for a vector or a stack of columns; callers
@@ -204,10 +195,7 @@ def _orthogonal_complement(a: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(a, mode="complete")
     signs = np.where(np.diag(r)[:k] < 0, -1.0, 1.0)
     q[:, :k] *= signs[None, :]
-    sign, _ = np.linalg.slogdet(q)
-    if sign < 0:
-        q[:, -1] = -q[:, -1]
-    return q[:, k:]
+    return _det_plus_one(q)[:, k:]
 
 
 def save_instance(instance: ModelInstance, path) -> None:
@@ -224,8 +212,9 @@ def save_instance(instance: ModelInstance, path) -> None:
 
 
 def load_instance(path) -> ModelInstance:
+    """Read a saved instance; its O comes from outside, so check it is in SO(n)."""
     with np.load(Path(path)) as data:
-        return ModelInstance(
+        inst = ModelInstance(
             n=int(data["n"]),
             beta=float(data["beta"]),
             d_bar=data["d_bar"].copy(),
@@ -233,3 +222,10 @@ def load_instance(path) -> ModelInstance:
             h=data["h"].copy(),
             seed=int(data["seed"]),
         )
+    gram_err = np.abs(inst.O.T @ inst.O - np.eye(inst.n)).max()
+    if gram_err > ORTHOGONALITY_TOL:
+        raise ValueError(f"O is not orthogonal: max |O^T O - I| = {gram_err}")
+    sign, logdet = np.linalg.slogdet(inst.O)
+    if sign <= 0 or abs(logdet) > _DET_TOL:
+        raise ValueError("O must have determinant +1")
+    return inst

@@ -302,7 +302,7 @@ def glauber_sample(
     if sweeps < 1 or burn_in < 0 or thin < 1 or n_chains < 1:
         raise ValueError("need sweeps >= 1, burn_in >= 0, thin >= 1, n_chains >= 1")
     n = instance.n
-    j_off = instance.dense_coupling(max_n=MAX_MCMC_DENSE_N).copy()
+    j_off = instance.dense_coupling(max_n=MAX_MCMC_DENSE_N)
     np.fill_diagonal(j_off, 0.0)
     h = instance.h
 

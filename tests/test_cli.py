@@ -2,13 +2,14 @@
 so exit codes and stdout contracts are exercised exactly as a shell user
 would see them."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from tapglass.cli import main, parse_field_argument, parse_law_argument
-from tapglass.ensemble import load_instance
+from tapglass.ensemble import load_instance, save_instance
 from tapglass.experiments import default_config, run_experiment
 from tapglass.fixed_point import constant_field, solve_fixed_point
 from tapglass.spectral import semicircle
@@ -120,6 +121,32 @@ def test_gibbs_exact_loaded_instance_reports_no_seed(capsys, tmp_path):
     loaded = json.loads(out)
     assert loaded["seed"] is None
     assert loaded["log_z_per_site"] == saved["log_z_per_site"]
+
+
+def test_loaded_instance_must_match_law_and_field(capsys, tmp_path):
+    # the file holds no laws; its spectrum and quantile field are checked
+    inst_path = tmp_path / "inst.npz"
+    rc, _ = _run(capsys, ["gibbs-exact", "--n", "8", "--seed", "3",
+                          "--save-instance", str(inst_path)])
+    assert rc == 0
+    for flag, value in [("--law", "two_point"),
+                        ("--field", '{"kind": "constant", "value": 0.5}')]:
+        assert main(["gibbs-exact", "--load-instance", str(inst_path), flag, value]) == 2
+        assert f"{flag} does not match" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (lambda o: o @ (np.eye(len(o)) + 0.5 * np.eye(len(o), k=1)), "O is not orthogonal"),
+    (lambda o: o * np.r_[-1.0, np.ones(len(o) - 1)], "O must have determinant +1"),
+], ids=["non-orthogonal", "det-minus-one"])
+def test_gibbs_exact_rejects_loaded_rotation_outside_so_n(capsys, tmp_path, spoil, message):
+    inst_path = tmp_path / "inst.npz"
+    rc, _ = _run(capsys, ["gibbs-exact", "--n", "8", "--save-instance", str(inst_path)])
+    assert rc == 0
+    inst = load_instance(inst_path)
+    save_instance(dataclasses.replace(inst, O=spoil(inst.O)), inst_path)
+    assert main(["gibbs-exact", "--load-instance", str(inst_path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def _last_amp_step(out):

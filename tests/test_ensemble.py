@@ -1,6 +1,7 @@
 """Ensemble layer: Haar draws, conditioned draws, instance assembly, persistence."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,9 @@ from tapglass.ensemble import (
     save_instance,
 )
 from tapglass.fixed_point import constant_field, gaussian_field
-from tapglass.spectral import semicircle, two_point
+from tapglass.spectral import empirical_atoms, semicircle, two_point
+
+THREE_ATOM = empirical_atoms([-1.0, 0.0, 2.0], [0.3, 0.3, 0.4]).standardize()
 
 
 def test_haar_so_orthogonal_and_special():
@@ -197,16 +200,30 @@ def test_instance_validation():
     raw = empirical_atoms([0.0, 3.0], [0.5, 0.5])
     with pytest.raises(ValueError):
         build_instance(4, 0.2, raw, constant_field(1.0), seed=1)
-    # direct construction with a non-orthogonal matrix is rejected
-    with pytest.raises(ValueError):
-        ModelInstance(
-            n=2,
-            beta=0.1,
-            d_bar=np.zeros(2),
-            O=np.array([[1.0, 0.5], [0.0, 1.0]]),
-            h=np.zeros(2),
-            seed=0,
-        )
+
+
+def test_instance_construction_computes_no_determinant(monkeypatch):
+    # SO(n) is established where O is drawn or loaded, not on every construction
+    o = haar_so(6, 3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ModelInstance computed a determinant")
+
+    monkeypatch.setattr(np.linalg, "slogdet", refuse)
+    inst = ModelInstance(n=6, beta=0.1, d_bar=np.zeros(6), O=o, h=np.zeros(6), seed=0)
+    assert inst.O is o
+
+
+@pytest.mark.parametrize("field_mode", ["quantile", "iid"])
+@pytest.mark.parametrize("law", [semicircle(), THREE_ATOM], ids=["semicircle", "three-atom"])
+@pytest.mark.parametrize("n", [1, 2, 7, 300])
+def test_build_instance_rotation_is_in_so_n(n, law, field_mode):
+    # nothing re-checks a drawn O, so the draw must hold it by construction
+    o = build_instance(n, 0.2, law, gaussian_field(0.1, 0.5), seed=n, field_mode=field_mode).O
+    assert np.abs(o.T @ o - np.eye(n)).max() < 1e-10
+    sign, logdet = np.linalg.slogdet(o)
+    assert sign == 1.0
+    assert abs(logdet) < 1e-8
 
 
 def test_dense_coupling_size_guard():
@@ -226,3 +243,15 @@ def test_instance_persistence_round_trip(tmp_path):
     assert np.array_equal(back.O, inst.O)
     assert np.array_equal(back.d_bar, inst.d_bar)
     assert np.array_equal(back.h, inst.h)
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (lambda o: o @ (np.eye(len(o)) + 0.5 * np.eye(len(o), k=1)), "O is not orthogonal"),
+    (lambda o: o * np.r_[-1.0, np.ones(len(o) - 1)], r"O must have determinant \+1"),
+], ids=["non-orthogonal", "det-minus-one"])
+def test_load_instance_rejects_rotation_outside_so_n(tmp_path, spoil, message):
+    inst = build_instance(8, 0.15, semicircle(), constant_field(1.0), seed=4)
+    path = tmp_path / "spoiled.npz"
+    save_instance(dataclasses.replace(inst, O=spoil(inst.O)), path)
+    with pytest.raises(ValueError, match=message):
+        load_instance(path)

@@ -15,24 +15,26 @@ import argparse
 import dataclasses
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from tapglass import experiments as exp_mod
 from tapglass import gibbs as gibbs_mod
 from tapglass import tap as tap_mod
-from tapglass.ensemble import FIELD_MODE_QUANTILE, load_instance, save_instance
+from tapglass.ensemble import _spectrum_and_field, load_instance, save_instance
 from tapglass.fixed_point import field_from_spec, solve_fixed_point
 from tapglass.spectral import law_from_spec
 
 
 def _parse_json_or_path(text: str) -> dict:
-    candidate = Path(text)
-    if candidate.exists():
-        with open(candidate, "r", encoding="utf-8") as fh:
+    """The JSON in the file named text, or else text itself as JSON.  Inline
+    JSON can be longer than a file name may be, so a name the system cannot
+    open is read as JSON too."""
+    try:
+        with open(text, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    return json.loads(text)
+    except OSError:
+        return json.loads(text)
 
 
 def parse_law_argument(text: str):
@@ -78,17 +80,15 @@ def _cell(args) -> exp_mod.Cell:
     --load-instance file; --save-instance writes the instance to a file.
 
     A saved instance holds no laws, so its spectrum is checked against --law
-    and, in quantile field mode, its field against --field (iid draws cannot
-    be recomputed)."""
+    and its field against --field and --field-mode: iid draws are redrawn
+    from the instance's stored seed."""
     options = vars(args)
     inst = load_instance(args.load_instance) if options.get("load_instance") else None
     n, beta = (args.n, args.beta) if inst is None else (inst.n, inst.beta)
     cell = exp_mod.Cell(args.law, args.field, args.field_mode, n, beta, args.seed)
     if inst is not None:
-        expected = [("--law", inst.d_bar, beta * args.law.quantiles(n))]
-        if args.field_mode == FIELD_MODE_QUANTILE:
-            expected.append(("--field", inst.h, args.field.quantiles(n)))
-        for flag, saved, given in expected:
+        d_bar, h = _spectrum_and_field(n, beta, args.law, args.field, inst.seed, args.field_mode)
+        for flag, saved, given in [("--law", inst.d_bar, d_bar), ("--field", inst.h, h)]:
             if np.abs(saved - given).max() > 1e-12:
                 raise ValueError(f"{flag} does not match the instance in {args.load_instance}")
         cell.instance = inst

@@ -136,14 +136,22 @@ def build_instance(
     if field_mode not in (FIELD_MODE_QUANTILE, FIELD_MODE_IID):
         raise ValueError(f"unknown field_mode {field_mode!r}")
 
-    o_seed, h_seed = np.random.SeedSequence(seed).spawn(2)
-    o = haar_so(n, o_seed)
-    d_bar = beta * law.quantiles(n)
+    o = haar_so(n, np.random.SeedSequence(seed).spawn(2)[0])
+    d_bar, h = _spectrum_and_field(n, beta, law, field, seed, field_mode)
+    return ModelInstance(n=n, beta=beta, d_bar=d_bar, O=o, h=h, seed=int(seed))
+
+
+def _spectrum_and_field(
+    n: int, beta: float, law: SpectralLaw, field: FieldLaw, seed: int, field_mode: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """(d_bar, h) of the instance of this seed.  O draws from the seed's first
+    child stream and iid field entries from its second, so a saved instance's
+    field can be redrawn from its stored seed."""
     if field_mode == FIELD_MODE_QUANTILE:
         h = field.quantiles(n)
     else:
-        h = field.sample(np.random.default_rng(h_seed), n)
-    return ModelInstance(n=n, beta=beta, d_bar=d_bar, O=o, h=np.asarray(h, float), seed=int(seed))
+        h = field.sample(np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1]), n)
+    return beta * law.quantiles(n), np.asarray(h, float)
 
 
 def conditional_haar_so(A: np.ndarray, B: np.ndarray, seed) -> np.ndarray:

@@ -19,6 +19,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import numbers
 import time
 from dataclasses import dataclass
@@ -59,6 +60,8 @@ TAIL_COLUMNS = ("wall_time", "error")
 
 def stream_seed(master_seed: int, n: int, beta: float, tag: int) -> int:
     """Derived integer seed for one named stream of one grid cell."""
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
     ss = np.random.SeedSequence(
         [int(master_seed), int(n), int(round(beta * 1e9)), int(tag)]
     )
@@ -112,10 +115,13 @@ class ExperimentConfig:
 
 
 def _typed(value, cast, name):
-    """value cast by int or float, if it is an integer or a real number, never a bool."""
+    """value cast by int or float, if it is an integer or a finite real number,
+    never a bool."""
     kind, what = (numbers.Integral, "an integer") if cast is int else (numbers.Real, "a number")
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ConfigError(f"{name} must be {what}, got {value!r}")
+    if cast is float and not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
     return cast(value)
 
 
@@ -350,13 +356,11 @@ def _cell_band(cfg, cell, n_rep):
     traj = cell.amp(max(cfg.t_max, 50))
     inst, n = cell.instance, cell.n
     band = gibbs_mod.BandSpec(traj.final.m, cfg.delta, cfg.eta)
-    exact = gibbs_mod.exact_gibbs(inst, band=band)
-    log_z, log_zb = exact.log_z, exact.log_z_band
+    exact = gibbs_mod.exact_gibbs(inst, band, pairs=n <= gibbs_mod.MAX_PAIR_ENUMERATION_N)
+    log_z, log_zb, log_zc = exact.log_z, exact.log_z_band, exact.log_z_pairs
     reps = cell.chains(n_rep, cfg.sweeps, cfg.burn_in, cfg.thin)
     geometry = gibbs_mod.replica_geometry_report(reps, band)
-    if n <= gibbs_mod.MAX_PAIR_ENUMERATION_N:
-        log_zc = gibbs_mod.restricted_logZ_nonorth_pairs(inst, band)
-    else:
+    if log_zc is None:
         log_zc = gibbs_mod.sampled_logZ_nonorth_pairs(geometry, log_zb).value
     return {
         "log_z_per_site": log_z / n,

@@ -95,10 +95,6 @@ class FieldLaw:
             return self.value + self.sd * rng.standard_normal(size)
         return rng.choice(self.atoms[:, 0], size=size, p=self.atoms[:, 1])
 
-    def mean(self) -> float:
-        v, w = self.quad_atoms()
-        return float(w @ v)
-
     def to_spec(self) -> dict:
         if self.kind == FIELD_CONSTANT:
             return {"kind": FIELD_CONSTANT, "value": self.value}
@@ -281,7 +277,6 @@ class DeltaEstimate:
 
     delta: np.ndarray
     se: np.ndarray
-    samples: int
 
 
 def _semidefinite_cholesky(a: np.ndarray) -> np.ndarray:
@@ -349,4 +344,4 @@ def theoretical_delta(
     delta = x_cols.T @ x_cols / mc_samples
     prods_sq_mean = (x_cols**2).T @ (x_cols**2) / mc_samples
     se = np.sqrt(np.maximum(prods_sq_mean - delta**2, 0.0) / mc_samples)
-    return DeltaEstimate(delta=delta, se=se, samples=mc_samples)
+    return DeltaEstimate(delta=delta, se=se)

@@ -11,9 +11,10 @@ listing of the low min(n, 12) sites crossed with a few high-site
 configurations.  Energies split as E = E_low + s_low . (J_lh s_high) + E_high,
 so a block costs one small matrix product and no per-state Python step.  Each
 block is reduced against its own maximum energy (log-sum-exp) to the
-partition function, the magnetization, the band-restricted mass and, when
-asked, the pair moments; block results are merged in fixed order, so results
-are bit-stable and independent of any thread or chunk setting.
+partition function, the magnetization and the band-restricted mass; block
+results are merged in fixed order, so results are bit-stable and independent
+of any thread or chunk setting.  When the pair sum Z_c is asked for, the same
+pass keeps the in-band states and the sum over their pairs follows it.
 
 Glauber chains run in lockstep, one chunk of chains at a time.  Within a
 chunk the states and fields are stored site-major (Fortran order), so one
@@ -137,13 +138,14 @@ def in_band(sigma: np.ndarray, band: BandSpec):
 
 @dataclass(frozen=True, eq=False)
 class GibbsExact:
-    """Exact log partition function and moments from full enumeration;
-    log_z_band is the band-restricted log Z when a band was given."""
+    """Exact log partition function and magnetization from full enumeration;
+    log_z_band is log Z_B when a band was given, log_z_pairs log Z_c when
+    pairs were asked for."""
 
     log_z: float
     magnetization: np.ndarray
-    pair_correlations: np.ndarray | None
     log_z_band: float | None = None
+    log_z_pairs: float | None = None
 
 
 def _state_blocks(j_mat: np.ndarray, h: np.ndarray):
@@ -172,86 +174,66 @@ def _state_blocks(j_mat: np.ndarray, h: np.ndarray):
         yield states.reshape(-1, n), energies.ravel()
 
 
-def _check_enumerable(instance: ModelInstance, band: BandSpec | None, cap: int, what: str):
-    if instance.n > cap:
-        raise ValueError(f"{what} is capped at n = {cap}, got {instance.n}")
-    if band is not None and band.center.size != instance.n:
-        raise ValueError("band center length must match the instance size")
-
-
 @_one_blas_thread
-def _enumerate(
+def exact_gibbs(
     instance: ModelInstance, band: BandSpec | None = None, pairs: bool = False
 ) -> GibbsExact:
-    """One pass over the state blocks.  Each block is weighted by
-    exp(E - block max) and reduced to one row [Z, magnetization mass, band
-    mass, pair mass]; the rows are merged in block order against the global
-    max, so results are bit-stable."""
-    _check_enumerable(instance, band, MAX_ENUMERATION_N, "exact enumeration")
-    if pairs:
-        _check_enumerable(instance, None, MAX_PAIR_ENUMERATION_N, "pair correlations")
+    """Full enumeration of the 2^n states (n <= 24) in one pass over the state
+    blocks.  Each block is weighted by exp(E - block max) and reduced to one
+    row [Z, magnetization mass, band mass]; the rows are merged in block order
+    against the global max, so results are bit-stable.
+
+    With a band, log_z_band is log Z_B (-inf when the band is empty).  pairs
+    (a band and n <= 12) keeps the in-band states of each block and sums
+    exp(H(s) + H(t)) over ordered pairs of them whose centered overlap is
+    above eta, diagonal pairs included when they qualify: log_z_pairs is
+    log Z_c, -inf when no pair qualifies, so Z_c <= Z_B^2 still holds."""
     n = instance.n
-    tops, rows = [], []
+    if pairs and band is None:
+        raise ValueError("exact pair enumeration needs a band")
+    cap = MAX_PAIR_ENUMERATION_N if pairs else MAX_ENUMERATION_N
+    if n > cap:
+        what = "exact pair enumeration" if pairs else "exact enumeration"
+        raise ValueError(f"{what} is capped at n = {cap}, got {n}")
+    if band is not None and band.center.size != n:
+        raise ValueError("band center length must match the instance size")
+    tops, rows, band_states, band_energies = [], [], [], []
     for states, energies in _state_blocks(instance.dense_coupling(), instance.h):
         top = energies.max()
         w = np.exp(energies - top)
         row = [[w.sum()], w @ states]
         if band is not None:
-            row.append([w[in_band(states, band)].sum()])
-        if pairs:
-            row.append(((states * w[:, None]).T @ states).ravel())
+            keep = in_band(states, band)
+            row.append([w[keep].sum()])
+            if pairs:
+                band_states.append(states[keep])
+                band_energies.append(energies[keep])
         tops.append(top)
         rows.append(np.concatenate(row))
     top = max(tops)
     total = np.exp(np.array(tops) - top) @ np.array(rows)
     z = total[0]
-    log_z_band = None
+    log_z_band = log_z_pairs = None
     if band is not None:
         with np.errstate(divide="ignore"):
             log_z_band = float(top + np.log(total[n + 1]))
+    if pairs:
+        centered = np.concatenate(band_states) - band.center
+        e_band = np.concatenate(band_energies)
+        chunk_logs = []
+        for start in range(0, e_band.size, _PAIR_CHUNK_ROWS):
+            chunk = slice(start, start + _PAIR_CHUNK_ROWS)
+            mask = np.abs(centered[chunk] @ centered.T / n) > band.eta
+            vals = (e_band[chunk, None] + e_band[None, :])[mask]
+            if vals.size:
+                chunk_logs.append(logsumexp(vals))
+        log_z_pairs = float(logsumexp(chunk_logs)) if chunk_logs else -np.inf
     return GibbsExact(
         log_z=float(top + np.log(z)),
         magnetization=total[1 : n + 1] / z,
-        pair_correlations=total[-n * n :].reshape(n, n) / z if pairs else None,
         log_z_band=log_z_band,
+        log_z_pairs=log_z_pairs,
     )
-
-
-def exact_gibbs(
-    instance: ModelInstance, pair_correlations: bool = False, band: BandSpec | None = None
-) -> GibbsExact:
-    """Full enumeration of the 2^n states (n <= 24; pair moments need n <= 12).
-    With a band, log_z_band comes from the same pass."""
-    return _enumerate(instance, band, pair_correlations)
-
-
-def restricted_logZ_band(instance: ModelInstance, band: BandSpec) -> float:
-    """log of the Gibbs sum over Band(m, delta); -inf when the band is empty."""
-    return _enumerate(instance, band).log_z_band
-
-
-@_one_blas_thread
-def restricted_logZ_nonorth_pairs(instance: ModelInstance, band: BandSpec) -> float:
-    """log Z_c: exact sum of exp(H(s) + H(t)) over ordered band pairs with
-    centered overlap above eta (diagonal pairs included when they qualify).
-    Returns -inf when no pair qualifies, so Z_c <= Z_B^2 still holds."""
-    _check_enumerable(instance, band, MAX_PAIR_ENUMERATION_N, "exact pair enumeration")
-    n = instance.n
-    states, energies = (
-        np.concatenate(part)
-        for part in zip(*_state_blocks(instance.dense_coupling(), instance.h))
-    )
-    keep = in_band(states, band)
-    centered = states[keep] - band.center
-    e_band = energies[keep]
-    chunk_logs = []
-    for start in range(0, e_band.size, _PAIR_CHUNK_ROWS):
-        rows = slice(start, start + _PAIR_CHUNK_ROWS)
-        mask = np.abs(centered[rows] @ centered.T / n) > band.eta
-        vals = (e_band[rows, None] + e_band[None, :])[mask]
-        if vals.size:
-            chunk_logs.append(logsumexp(vals))
-    return float(logsumexp(chunk_logs)) if chunk_logs else -np.inf
 
 
 # ----------------------------------------------------------------------

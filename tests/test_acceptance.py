@@ -38,8 +38,6 @@ from tapglass.gibbs import (
     exact_gibbs,
     glauber_sample,
     replica_geometry_report,
-    restricted_logZ_band,
-    restricted_logZ_nonorth_pairs,
 )
 from tapglass.spectral import (
     RescaledLaw,
@@ -228,9 +226,8 @@ def test_08_band_dominates_and_pairs_decorrelate():
         band = BandSpec(center=m, delta=delta, eta=4.0 * delta)
         assert band.has_pair_margin
 
-        log_z = exact_gibbs(inst).log_z
-        log_zb = restricted_logZ_band(inst, band)
-        log_zc = restricted_logZ_nonorth_pairs(inst, band)
+        exact = exact_gibbs(inst, band=band, pairs=True)
+        log_z, log_zb, log_zc = exact.log_z, exact.log_z_band, exact.log_z_pairs
         assert (log_z - log_zb) / n < 0.05
         assert log_zc / n < 2.0 * log_zb / n
 

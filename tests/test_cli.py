@@ -65,6 +65,24 @@ def test_fixed_point_json_matches_solver(capsys):
     assert payload["converged"] is True
 
 
+def test_long_inline_law_matches_the_same_spec_in_a_file(capsys, tmp_path):
+    # 60 atoms make a spec far longer than a file name may be
+    locations = np.linspace(-1.7, 1.7, 60)
+    spec = json.dumps({"kind": "empirical", "locations": locations.tolist(),
+                       "weights": np.full(60, 1.0 / 60).tolist()})
+    assert len(spec) > 255
+    path = tmp_path / "law.json"
+    path.write_text(spec)
+    rc, inline = _run(capsys, ["fixed-point", "--beta", "0.15", "--law", spec])
+    assert rc == 0
+    rc, from_file = _run(capsys, ["fixed-point", "--beta", "0.15", "--law", str(path)])
+    assert rc == 0
+    assert inline == from_file
+    assert json.loads(inline)["converged"] is True
+    # neither a file nor JSON is still a usage error
+    assert main(["fixed-point", "--beta", "0.15", "--law", "x" * 300]) == 2
+
+
 def test_fixed_point_with_atomic_law(capsys):
     law = '{"kind": "empirical", "locations": [-1.0, 0.0, 2.0], "weights": [0.3, 0.3, 0.4]}'
     rc, out = _run(capsys, ["fixed-point", "--beta", "0.15", "--law", law])
@@ -133,6 +151,24 @@ def test_loaded_instance_must_match_law_and_field(capsys, tmp_path):
                         ("--field", '{"kind": "constant", "value": 0.5}')]:
         assert main(["gibbs-exact", "--load-instance", str(inst_path), flag, value]) == 2
         assert f"{flag} does not match" in capsys.readouterr().err
+
+
+def test_loaded_iid_field_must_match_field(capsys, tmp_path):
+    # an iid field is redrawn from the instance's stored seed and checked
+    inst_path = tmp_path / "inst.npz"
+    saved_field = '{"kind": "gaussian", "mean": 0.2, "sd": 0.5}'
+    common = ["--field-mode", "iid", "--field"]
+    rc, saved = _run(capsys, ["gibbs-exact", "--n", "8", "--seed", "3", *common, saved_field,
+                              "--save-instance", str(inst_path)])
+    assert rc == 0
+    rc, loaded = _run(capsys, ["gibbs-exact", "--load-instance", str(inst_path),
+                               *common, saved_field])
+    assert rc == 0
+    assert json.loads(loaded)["log_z_per_site"] == json.loads(saved)["log_z_per_site"]
+    other_field = '{"kind": "gaussian", "mean": 1.5, "sd": 0.1}'
+    for argv in ([*common, other_field], ["--field", saved_field]):
+        assert main(["gibbs-exact", "--load-instance", str(inst_path), *argv]) == 2
+        assert "--field does not match" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("spoil, message", [
@@ -329,6 +365,23 @@ def test_oversized_enumeration_exits_2(capsys):
     rc, _ = _run(capsys, ["gibbs-exact", "--n", "30", "--beta", "0.15",
                           "--seed", "0"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("command", ["gibbs-exact", "gibbs-mcmc"])
+def test_non_finite_beta_exits_2(capsys, command):
+    assert main([command, "--n", "8", "--beta", "inf"]) == 2
+    assert "beta must be finite" in capsys.readouterr().err
+
+
+def test_non_finite_config_value_exits_2(capsys, tmp_path):
+    # json.load accepts NaN and Infinity; the config check must not
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"kind": "gibbs_exact", "n": [8], "beta": [NaN, Infinity], '
+                        '"seeds": [0]}')
+    assert main(["experiment", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "beta must be finite" in captured.err
 
 
 def test_experiment_with_all_rows_failing_exits_1(capsys, tmp_path):

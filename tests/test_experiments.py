@@ -124,6 +124,11 @@ def test_config_rejects_unknown_keys(typo):
         pytest.param("n_replicas", [0], id="n_replicas-below-1"),
         # only concentration runs one row per replica count
         pytest.param("n_replicas", [4, 8], id="n_replicas-several-entries"),
+        # json.load accepts NaN and Infinity
+        pytest.param("beta", [float("nan")], id="beta-nan"),
+        pytest.param("beta", [0.15, float("inf")], id="beta-inf"),
+        pytest.param("delta", float("inf"), id="delta-inf"),
+        pytest.param("eta", float("nan"), id="eta-nan"),
     ],
 )
 def test_config_rejects_bad_numeric_values(key, value):
@@ -172,6 +177,12 @@ def test_stream_seed_is_deterministic_and_tagged():
     }
     assert a not in others
     assert len(others) == 6
+
+
+def test_stream_seed_rejects_non_finite_beta():
+    for beta in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="beta must be finite"):
+            stream_seed(0, 8, beta, exp.STREAM_INSTANCE)
 
 
 def test_stream_seed_keyed_by_coordinates_not_grid_position():

@@ -20,8 +20,6 @@ from tapglass.gibbs import (
     glauber_sample,
     in_band,
     replica_geometry_report,
-    restricted_logZ_band,
-    restricted_logZ_nonorth_pairs,
     sampled_logZ_nonorth_pairs,
 )
 from tapglass.spectral import semicircle
@@ -112,34 +110,16 @@ def test_uniform_diagonal_shift_moves_log_z_only():
     assert np.abs(r1.magnetization - r0.magnetization).max() < 1e-12
 
 
-def test_pair_correlations():
-    # n = 12 is the pair cap: the whole state listing is one block
-    for inst in (
-        build_instance(4, 0.25, semicircle(), constant_field(0.3), seed=2),
-        build_instance(12, 0.2, semicircle(), gaussian_field(0.2, 0.6), seed=8),
-    ):
-        res = exact_gibbs(inst, pair_correlations=True)
-        states, energies, log_z, mag = _naive_listing(inst)
-        w = np.exp(energies - log_z)
-        ref = (states * w[:, None]).T @ states
-        assert np.abs(res.pair_correlations - ref).max() < 1e-12
-        assert np.allclose(np.diag(res.pair_correlations), 1.0, atol=1e-12)
-        assert np.abs(res.pair_correlations - res.pair_correlations.T).max() < 1e-14
-
-
 def test_enumeration_size_guards():
     inst = build_instance(6, 0.2, semicircle(), constant_field(0.0), seed=1)
     big = build_instance(25, 0.05, semicircle(), constant_field(0.0), seed=1)
     with pytest.raises(ValueError):
         exact_gibbs(big)
     thirteen = build_instance(13, 0.1, semicircle(), constant_field(0.0), seed=1)
-    with pytest.raises(ValueError):
-        exact_gibbs(thirteen, pair_correlations=True)
-    with pytest.raises(ValueError):
-        restricted_logZ_nonorth_pairs(
-            thirteen, BandSpec(np.zeros(13), 0.2, 0.8)
-        )
-    del inst
+    with pytest.raises(ValueError, match="exact pair enumeration is capped"):
+        exact_gibbs(thirteen, band=BandSpec(np.zeros(13), 0.2, 0.8), pairs=True)
+    with pytest.raises(ValueError, match="needs a band"):
+        exact_gibbs(inst, pairs=True)
 
 
 def test_band_mass_monotone_and_saturating():
@@ -147,7 +127,7 @@ def test_band_mass_monotone_and_saturating():
     m = exact_gibbs(inst).magnetization
     log_z = exact_gibbs(inst).log_z
     values = [
-        restricted_logZ_band(inst, BandSpec(m, d, 1.0)) for d in (0.05, 0.2, 0.6, 2.5)
+        exact_gibbs(inst, band=BandSpec(m, d, 1.0)).log_z_band for d in (0.05, 0.2, 0.6, 2.5)
     ]
     assert np.all(np.diff(values) >= 0)
     assert values[-1] == pytest.approx(log_z, abs=1e-12)  # delta > 2 catches everything
@@ -162,7 +142,7 @@ def test_band_restriction_matches_listing(n):
     band = BandSpec(mag, 0.25, 1.0)
     keep = np.abs((states - mag) @ mag) / n < 0.25
     expected = float(logsumexp(energies[keep]))
-    log_zb = restricted_logZ_band(inst, band)
+    log_zb = exact_gibbs(inst, band=band).log_z_band
     assert log_zb == pytest.approx(expected, abs=1e-12)
     assert exact_gibbs(inst, band=band).log_z_band == log_zb
 
@@ -171,7 +151,7 @@ def test_empty_band_gives_minus_inf():
     inst = _diag_instance(6, np.zeros(6), np.zeros(6))
     m = np.full(6, 0.9)
     # sigma . m is a multiple of 1.8 while m . m = 4.86; no state lands within 0.06
-    assert restricted_logZ_band(inst, BandSpec(m, 0.01, 1.0)) == -np.inf
+    assert exact_gibbs(inst, band=BandSpec(m, 0.01, 1.0)).log_z_band == -np.inf
 
 
 def test_nonorth_pairs_match_brute_force():
@@ -183,21 +163,22 @@ def test_nonorth_pairs_match_brute_force():
     overlaps = sb @ sb.T / 8
     mask = np.abs(overlaps) > band.eta
     expected = float(logsumexp((eb[:, None] + eb[None, :])[mask]))
-    got = restricted_logZ_nonorth_pairs(inst, band)
+    exact = exact_gibbs(inst, band=band, pairs=True)
+    got = exact.log_z_pairs
     assert got == pytest.approx(expected, abs=1e-10)
     # the pair sum can never exceed the full band square
-    assert got <= 2 * restricted_logZ_band(inst, band) + 1e-12
+    assert got <= 2 * exact.log_z_band + 1e-12
 
 
 def test_nonorth_pairs_empty_cases():
     inst = build_instance(8, 0.15, semicircle(), constant_field(1.0), seed=9)
     m = exact_gibbs(inst).magnetization
     # an absurdly high cut leaves no qualifying pair
-    assert restricted_logZ_nonorth_pairs(inst, BandSpec(m, 0.3, 50.0)) == -np.inf
+    assert exact_gibbs(inst, band=BandSpec(m, 0.3, 50.0), pairs=True).log_z_pairs == -np.inf
     # an empty band propagates
     inst0 = _diag_instance(6, np.zeros(6), np.zeros(6))
     band = BandSpec(np.full(6, 0.9), 0.01, 0.5)
-    assert restricted_logZ_nonorth_pairs(inst0, band) == -np.inf
+    assert exact_gibbs(inst0, band=band, pairs=True).log_z_pairs == -np.inf
 
 
 def test_enumeration_blas_thread_limit():
@@ -222,23 +203,20 @@ def test_enumeration_blas_thread_limit():
         inst = build_instance(n, 0.3, semicircle(), constant_field(0.8), seed=2)
         band = BandSpec(exact_gibbs(inst).magnetization, 0.3, 0.1)
         pairs = n <= gibbs.MAX_PAIR_ENUMERATION_N
-        limited = gibbs._enumerate(inst, band, pairs)
-        unlimited = gibbs._enumerate.__wrapped__(inst, band, pairs)
+        limited = exact_gibbs(inst, band, pairs)
+        unlimited = exact_gibbs.__wrapped__(inst, band, pairs)
         assert limited.log_z == unlimited.log_z
         assert limited.log_z_band == unlimited.log_z_band
         assert np.array_equal(limited.magnetization, unlimited.magnetization)
-        if pairs:
-            assert np.array_equal(limited.pair_correlations, unlimited.pair_correlations)
-            assert restricted_logZ_nonorth_pairs(inst, band) == (
-                restricted_logZ_nonorth_pairs.__wrapped__(inst, band))
+        assert limited.log_z_pairs == unlimited.log_z_pairs
 
 
 def test_sampled_nonorth_pairs_against_exact():
     inst = build_instance(10, 0.15, semicircle(), constant_field(1.0), seed=12)
     m = exact_gibbs(inst).magnetization
     band = BandSpec(m, 0.5, 0.05)  # wide band, low cut: most pairs qualify
-    exact = restricted_logZ_nonorth_pairs(inst, band)
-    log_zb = restricted_logZ_band(inst, band)
+    enumerated = exact_gibbs(inst, band=band, pairs=True)
+    exact, log_zb = enumerated.log_z_pairs, enumerated.log_z_band
     replicas = glauber_sample(inst, sweeps=60, burn_in=30, thin=5, n_chains=400, seed=31)
     report = replica_geometry_report(replicas, band)
     est = sampled_logZ_nonorth_pairs(report, log_zb)

@@ -6,8 +6,8 @@ Dbar = beta * diag(quantiles of the spectral law), plus an external field h
 Jbar is never materialized at scale; `ModelInstance.apply_jbar` applies it in
 O(n^2) through the factors, and `ModelInstance.apply_rotated` applies any
 other diagonal in the same rotated basis, so no other module reads O.
-O lies in SO(n) where it enters: `haar_so` draws it so, and `load_instance`
-checks a saved one; `ModelInstance` itself checks only shapes and finiteness.
+O enters in SO(n): `haar_so` draws it so, det read off the QR reflectors, and
+`load_instance` checks a saved one; `ModelInstance` checks shapes and finiteness.
 
 `conditional_haar_so` samples O uniformly from {O in SO(n): O B = A} for
 n x k matrices with A^T A = B^T B, via
@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.linalg._umath_linalg import qr_complete, qr_r_raw, qr_reduced
 
 from tapglass.fixed_point import FieldLaw
 from tapglass.spectral import SpectralLaw
@@ -41,26 +42,33 @@ FIELD_MODE_IID = "iid"
 def haar_orthogonal(n: int, seed) -> np.ndarray:
     """Haar-uniform draw from O(n): QR of a Gaussian matrix with the R-diagonal
     sign convention (unique QR with positive diagonal)."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    m = np.random.default_rng(seed).standard_normal((n, n))
-    q, r = np.linalg.qr(m)
-    signs = np.where(np.diag(r) < 0, -1.0, 1.0)
-    return q * signs[None, :]
-
-
-def _det_plus_one(q: np.ndarray) -> np.ndarray:
-    """Negate the last column of the orthogonal q in place when det q = -1."""
-    sign, _ = np.linalg.slogdet(q)
-    if sign < 0:
-        q[:, -1] = -q[:, -1]
-    return q
+    return _haar(n, seed, special=False)
 
 
 def haar_so(n: int, seed) -> np.ndarray:
-    """Haar-uniform draw from SO(n): the O(n) draw with the last column negated
-    when the determinant is -1."""
-    return _det_plus_one(haar_orthogonal(n, seed))
+    """Haar-uniform draw from SO(n): the O(n) draw, last column negated if det = -1."""
+    return _haar(n, seed, special=True)
+
+
+def _haar(n: int, seed, special: bool) -> np.ndarray:
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    rng = np.random.default_rng(seed)
+    return _positive_r_q(np.asfortranarray(rng.standard_normal((n, n))), special)
+
+
+def _positive_r_q(a: np.ndarray, special: bool) -> np.ndarray:
+    """Q of the m x k matrix a = QR (complete if m > k), overwriting a, with columns
+    signed so that R's diagonal is positive and, if special, det Q = +1.  These are
+    the geqrf and orgqr calls of `np.linalg.qr`, which copy a Fortran-ordered a the
+    fastest, so Q is theirs to the bit; a reflector has det -1 unless its tau = 0."""
+    m, k = a.shape
+    tau = qr_r_raw(a)
+    signs = np.append(np.where(np.diagonal(a) < 0, -1.0, 1.0), np.ones(m - k))
+    if special and (np.count_nonzero(tau) + np.count_nonzero(signs < 0)) % 2:
+        signs[-1] = -signs[-1]
+    q = (qr_complete if m > k else qr_reduced)(a, tau)
+    return np.multiply(q, signs, out=q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,17 +201,9 @@ def conditional_haar_so(A: np.ndarray, B: np.ndarray, seed) -> np.ndarray:
 
 
 def _orthogonal_complement(a: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis of range(a)^perp with overall det +1.
-
-    Complete QR with the positive-diagonal sign convention on the leading k
-    columns; if the full basis has det -1 the last complement column is
-    flipped (k < n guarantees the complement is nonempty).
-    """
-    n, k = a.shape
-    q, r = np.linalg.qr(a, mode="complete")
-    signs = np.where(np.diag(r)[:k] < 0, -1.0, 1.0)
-    q[:, :k] *= signs[None, :]
-    return _det_plus_one(q)[:, k:]
+    """Deterministic orthonormal basis of range(a)^perp, a n x k with k < n: the
+    last n - k columns of a's complete sign-fixed QR basis, which has det +1."""
+    return _positive_r_q(np.array(a, dtype=float, order="F"), special=True)[:, a.shape[1]:]
 
 
 def save_instance(instance: ModelInstance, path) -> None:

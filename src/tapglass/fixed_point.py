@@ -108,13 +108,17 @@ class FieldLaw:
 
 
 def constant_field(value: float) -> FieldLaw:
-    return FieldLaw(FIELD_CONSTANT, value=float(value))
+    value = float(value)
+    if not np.isfinite(value):
+        raise ValueError(f"constant field needs a finite value, got {value}")
+    return FieldLaw(FIELD_CONSTANT, value=value)
 
 
 def gaussian_field(mean: float, sd: float) -> FieldLaw:
-    if sd < 0:
-        raise ValueError(f"gaussian field needs sd >= 0, got {sd}")
-    return FieldLaw(FIELD_GAUSSIAN, value=float(mean), sd=float(sd))
+    mean, sd = float(mean), float(sd)
+    if not (np.isfinite(mean) and 0 <= sd < np.inf):
+        raise ValueError(f"gaussian field needs a finite mean and sd >= 0, got {mean}, {sd}")
+    return FieldLaw(FIELD_GAUSSIAN, value=mean, sd=sd)
 
 
 def empirical_field(values, weights) -> FieldLaw:
@@ -177,8 +181,8 @@ def solve_fixed_point(beta: float, law: SpectralLaw, field: FieldLaw) -> FixedPo
     the constants) are defined, which is the numerical signature of leaving
     the high-temperature regime.
     """
-    if not beta >= 0:
-        raise ValueError(f"solve_fixed_point needs beta >= 0, got {beta}")
+    if not 0 <= beta < np.inf:
+        raise ValueError(f"beta must be finite and >= 0, got {beta}")
     if beta == 0.0:
         return product_fixed_point(field)
     if not law.is_standardized():

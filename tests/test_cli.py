@@ -373,6 +373,27 @@ def test_non_finite_beta_exits_2(capsys, command):
     assert "beta must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("beta", ["inf", "nan"])
+@pytest.mark.parametrize("command, argv", [
+    ("fixed-point", []),
+    ("amp-run", ["--n", "8"]),
+    ("tap-residual", ["--n", "8"]),
+])
+def test_non_finite_beta_is_an_invalid_input(capsys, command, argv, beta):
+    assert main([command, *argv, "--beta", beta]) == 2
+    err = capsys.readouterr().err
+    assert "beta must be finite and >= 0" in err
+    assert "R-transform domain" not in err
+
+
+def test_non_finite_field_exits_2(capsys):
+    field = '{"kind": "gaussian", "mean": 0.0, "sd": Infinity}'
+    assert main(["amp-run", "--n", "8", "--beta", "0.15", "--field", field]) == 2
+    err = capsys.readouterr().err
+    assert "finite" in err
+    assert "R-transform domain" not in err
+
+
 def test_non_finite_config_value_exits_2(capsys, tmp_path):
     # json.load accepts NaN and Infinity; the config check must not
     cfg_path = tmp_path / "cfg.json"

@@ -11,6 +11,7 @@ from scipy.stats import ks_2samp
 import tapglass
 from tapglass.ensemble import (
     ModelInstance,
+    _orthogonal_complement,
     build_instance,
     conditional_haar_so,
     haar_orthogonal,
@@ -22,6 +23,62 @@ from tapglass.fixed_point import constant_field, gaussian_field
 from tapglass.spectral import empirical_atoms, semicircle, two_point
 
 THREE_ATOM = empirical_atoms([-1.0, 0.0, 2.0], [0.3, 0.3, 0.4]).standardize()
+
+
+def _reference_signed_q(a, special):
+    # the draw as np.linalg.qr gives it: R-diagonal sign fix, then a slogdet
+    # flip of the last column when det = -1
+    k = a.shape[1]
+    q, r = np.linalg.qr(a, mode="complete")
+    q[:, :k] *= np.where(np.diag(r) < 0, -1.0, 1.0)[None, :]
+    if special and np.linalg.slogdet(q)[0] < 0:
+        q[:, -1] = -q[:, -1]
+    return q
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 40, 300])
+def test_haar_draws_match_the_qr_reference_bit_for_bit(n):
+    for seed in range(4):
+        gaussian = np.random.default_rng(seed).standard_normal((n, n))
+        assert np.array_equal(haar_orthogonal(n, seed), _reference_signed_q(gaussian, False))
+        assert np.array_equal(haar_so(n, seed), _reference_signed_q(gaussian, True))
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (6, 2), (40, 6)])
+def test_orthogonal_complement_matches_the_qr_reference_bit_for_bit(n, k):
+    for seed in range(4):
+        a = np.random.default_rng(seed).standard_normal((n, k))
+        before = a.copy()
+        assert np.array_equal(_orthogonal_complement(a), _reference_signed_q(a.copy(), True)[:, k:])
+        assert np.array_equal(a, before)
+
+
+def test_haar_draws_compute_no_determinant(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Haar draw computed a determinant")
+
+    monkeypatch.setattr(np.linalg, "slogdet", refuse)
+    monkeypatch.setattr(np.linalg, "det", refuse)
+    haar_so(7, 0)
+    haar_orthogonal(7, 0)
+    b = np.random.default_rng(1).standard_normal((7, 2))
+    conditional_haar_so(haar_so(7, 2) @ b, b, seed=3)
+
+
+def test_ensemble_does_not_use_scipy_linalg():
+    # scipy's LAPACK runs in its own OpenBLAS pool, whose spinning workers slow
+    # the Glauber loop after a draw; the draw stays in numpy's
+    def modules(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                yield from (alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                yield node.module
+                yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+    path = Path(tapglass.__file__).parent / "ensemble.py"
+    assert not [module for module in modules(ast.parse(path.read_text(encoding="utf-8")))
+                if module.startswith("scipy.linalg")]
 
 
 def test_haar_so_orthogonal_and_special():
@@ -220,6 +277,8 @@ def test_instance_construction_computes_no_determinant(monkeypatch):
 def test_build_instance_rotation_is_in_so_n(n, law, field_mode):
     # nothing re-checks a drawn O, so the draw must hold it by construction
     o = build_instance(n, 0.2, law, gaussian_field(0.1, 0.5), seed=n, field_mode=field_mode).O
+    # the layout sets the rounding of O @ v, so it is part of the draw
+    assert o.flags.c_contiguous
     assert np.abs(o.T @ o - np.eye(n)).max() < 1e-10
     sign, logdet = np.linalg.slogdet(o)
     assert sign == 1.0

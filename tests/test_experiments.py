@@ -64,6 +64,17 @@ def test_config_rejects_bad_scalars():
         config_from_dict(_minimal(field_mode="diagonal"))
 
 
+@pytest.mark.parametrize("field", [
+    {"kind": "constant", "value": float("nan")},
+    {"kind": "gaussian", "mean": 0.0, "sd": float("nan")},
+    {"kind": "gaussian", "mean": float("inf"), "sd": 1.0},
+], ids=["constant-nan", "gaussian-sd-nan", "gaussian-mean-inf"])
+def test_config_rejects_non_finite_field(field):
+    # otherwise every cell becomes a "1 - q = nan" error row
+    with pytest.raises(ConfigError, match="bad field law"):
+        config_from_dict(_minimal(kind="gibbs_exact", field=field))
+
+
 def test_config_rejects_bad_law_spec():
     with pytest.raises(ConfigError, match="law"):
         config_from_dict(_minimal(law={"kind": "noise"}))

@@ -160,6 +160,24 @@ def test_solve_validations():
         solve_fixed_point(0.2, raw, constant_field(1.0))
 
 
+@pytest.mark.parametrize("make", [
+    constant_field,
+    lambda bad: gaussian_field(bad, 1.0),
+    lambda bad: gaussian_field(0.0, bad),
+], ids=["constant-value", "gaussian-mean", "gaussian-sd"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_field_parameters_must_be_finite(make, bad):
+    with pytest.raises(ValueError, match="finite"):
+        make(bad)
+
+
+@pytest.mark.parametrize("beta", [np.inf, np.nan])
+def test_non_finite_beta_is_an_invalid_input_not_a_regime(beta):
+    with pytest.raises(ValueError, match="beta must be finite and >= 0") as exc:
+        solve_fixed_point(beta, semicircle(), constant_field(1.0))
+    assert not isinstance(exc.value, BetaTooLargeError)
+
+
 def test_gauss_field_expectation_basics():
     field = constant_field(0.4)
     assert gauss_field_expectation(lambda h, y: 1, field, 0.7) == pytest.approx(1.0, abs=1e-13)

@@ -129,8 +129,8 @@ def _cmd_gibbs_exact(args) -> int:
 
 def _cmd_gibbs_mcmc(args) -> int:
     cell = _cell(args)
-    reps = cell.chains(args.chains, args.sweeps, args.burn_in, args.thin)
-    est = gibbs_mod.estimate_magnetization(reps)
+    reps = cell.chains(args.chains, args.sweeps, args.burn_in)
+    est = gibbs_mod.estimate_magnetization(reps, use_time_average=True)
     lines = ["site,magnetization,standard_error"]
     for i in range(cell.n):
         lines.append(f"{i},{float(est.mean[i])!r},{float(est.se[i])!r}")
@@ -214,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gm.add_argument("--chains", type=int, default=64)
     p_gm.add_argument("--sweeps", type=int, default=200)
     p_gm.add_argument("--burn-in", type=int, default=50)
-    p_gm.add_argument("--thin", type=int, default=2)
     _add_model_arguments(p_gm)
     _add_instance_file_arguments(p_gm)
     p_gm.add_argument("--out")

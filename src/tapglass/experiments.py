@@ -86,7 +86,6 @@ class ExperimentConfig:
     replica_counts: tuple[int, ...]
     sweeps: int
     burn_in: int
-    thin: int
     delta: float
     eta: float
     mc_samples: int
@@ -107,7 +106,6 @@ class ExperimentConfig:
             "n_replicas": list(self.replica_counts),
             "sweeps": self.sweeps,
             "burn_in": self.burn_in,
-            "thin": self.thin,
             "delta": self.delta,
             "eta": self.eta,
             "mc_samples": self.mc_samples,
@@ -134,12 +132,12 @@ def _as_tuple(value, cast, name):
 
 
 # the scalar keys, named as the config fields; each takes its default's type
-_SCALAR_DEFAULTS = {"t_max": 8, "sweeps": 200, "burn_in": 50, "thin": 2, "delta": 0.2,
+_SCALAR_DEFAULTS = {"t_max": 8, "sweeps": 200, "burn_in": 50, "delta": 0.2,
                     "eta": 0.8, "mc_samples": 200_000}
 
 _CONFIG_KEYS = frozenset((
     "kind", "n", "beta", "seeds", "law", "field", "field_mode", "t_max", "n_replicas",
-    "sweeps", "burn_in", "thin", "delta", "eta", "mc_samples", "out",
+    "sweeps", "burn_in", "delta", "eta", "mc_samples", "out",
 ))
 
 
@@ -199,8 +197,8 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
         raise ConfigError("all n_replicas must be >= 1")
     if len(cfg.replica_counts) > 1 and kind != KIND_CONCENTRATION:
         raise ConfigError(f"only concentration takes more than one n_replicas entry, not {kind}")
-    if cfg.sweeps < 1 or cfg.burn_in < 0 or cfg.thin < 1:
-        raise ConfigError("need sweeps >= 1, burn_in >= 0 and thin >= 1")
+    if cfg.sweeps < 1 or cfg.burn_in < 0:
+        raise ConfigError("need sweeps >= 1 and burn_in >= 0")
     if not (cfg.delta > 0 and cfg.eta > 0):
         raise ConfigError("delta and eta must be > 0")
     if cfg.mc_samples < 2:
@@ -271,10 +269,10 @@ class Cell:
         fp = self.fp  # before the instance, so a fixed-point failure is the one reported
         return amp_mod.run_amp(self.instance, fp, t_max, self.stream(STREAM_AMP))
 
-    def chains(self, n_chains: int, sweeps: int, burn_in: int, thin: int):
+    def chains(self, n_chains: int, sweeps: int, burn_in: int):
         return gibbs_mod.glauber_sample(
-            self.instance, sweeps=sweeps, burn_in=burn_in, thin=thin,
-            n_chains=n_chains, seed=self.stream(STREAM_MCMC),
+            self.instance, sweeps=sweeps, burn_in=burn_in, n_chains=n_chains,
+            seed=self.stream(STREAM_MCMC),
         )
 
 
@@ -307,7 +305,7 @@ def _cell_gibbs_exact(cfg, cell, n_rep):
 
 
 def _cell_gibbs_mcmc(cfg, cell, n_rep):
-    reps = cell.chains(n_rep, cfg.sweeps, cfg.burn_in, cfg.thin)
+    reps = cell.chains(n_rep, cfg.sweeps, cfg.burn_in)
     out = {
         "mean_abs_mag": float(np.abs(reps.samples.mean(axis=0)).mean()),
         "marginal_max_abs_err": np.nan,
@@ -347,7 +345,7 @@ def _cell_tap_verify(cfg, cell, n_rep):
 
 def _cell_concentration(cfg, cell, n_rep):
     mag = cell.exact.magnetization
-    reps = cell.chains(n_rep, cfg.sweeps, cfg.burn_in, cfg.thin)
+    reps = cell.chains(n_rep, cfg.sweeps, cfg.burn_in)
     est = gibbs_mod.estimate_magnetization(reps, exact_magnetization=mag)
     return {"distance": est.distance}
 
@@ -356,9 +354,9 @@ def _cell_band(cfg, cell, n_rep):
     traj = cell.amp(max(cfg.t_max, 50))
     inst, n = cell.instance, cell.n
     band = gibbs_mod.BandSpec(traj.final.m, cfg.delta, cfg.eta)
-    exact = gibbs_mod.exact_gibbs(inst, band, pairs=n <= gibbs_mod.MAX_PAIR_ENUMERATION_N)
+    exact = gibbs_mod.exact_gibbs(inst, band)
     log_z, log_zb, log_zc = exact.log_z, exact.log_z_band, exact.log_z_pairs
-    reps = cell.chains(n_rep, cfg.sweeps, cfg.burn_in, cfg.thin)
+    reps = cell.chains(n_rep, cfg.sweeps, cfg.burn_in)
     geometry = gibbs_mod.replica_geometry_report(reps, band)
     if log_zc is None:
         log_zc = gibbs_mod.sampled_logZ_nonorth_pairs(geometry, log_zb).value

@@ -13,11 +13,12 @@ so a block costs one small matrix product and no per-state Python step.  Each
 block is reduced against its own maximum energy (log-sum-exp) to the
 partition function, the magnetization and the band-restricted mass; block
 results are merged in fixed order, so results are bit-stable and independent
-of any thread or chunk setting.  When the pair sum Z_c is asked for, the same
-pass keeps the in-band states and the sum over their pairs follows it.
+of any thread or chunk setting.  With a band and n <= 12 the same pass also
+keeps the in-band states, and the pair sum Z_c over them follows it.
 
-Glauber chains run in lockstep, one chunk of chains at a time.  Within a
-chunk the states and fields are stored site-major (Fortran order), so one
+Glauber chains run in lockstep, all of them in one loop, drawing their
+uniforms in blocks of sweeps that hold at most 2^20 doubles over all chains.
+The states and fields are stored site-major (Fortran order), so one
 site's values across chains are contiguous, and a site-step is a fixed
 handful of whole-vector numpy calls: the logistic into a preallocated buffer,
 the comparison with that step's uniforms, the spin change d in {-2, 0, 2},
@@ -57,8 +58,7 @@ MAX_MCMC_DENSE_N = 512
 
 _LOW_BITS = 12
 _BLOCK_STATES = 1 << 13
-_SWEEP_BLOCK_ELEMENTS = 1 << 16
-_CHAIN_CHUNK = 256
+_SWEEP_BLOCK_ELEMENTS = 1 << 20  # uniforms drawn at once, over all chains (8 MiB)
 # OpenBLAS runs dger on several threads above 8192 entries; at Glauber sizes
 # that buys no speed, and its spinning workers take cores from numpy's own
 # BLAS threads, so the Glauber field update is issued in column blocks of at
@@ -139,8 +139,8 @@ def in_band(sigma: np.ndarray, band: BandSpec):
 @dataclass(frozen=True, eq=False)
 class GibbsExact:
     """Exact log partition function and magnetization from full enumeration;
-    log_z_band is log Z_B when a band was given, log_z_pairs log Z_c when
-    pairs were asked for."""
+    log_z_band is log Z_B when a band was given, log_z_pairs log Z_c when a
+    band was given and n <= MAX_PAIR_ENUMERATION_N."""
 
     log_z: float
     magnetization: np.ndarray
@@ -175,26 +175,22 @@ def _state_blocks(j_mat: np.ndarray, h: np.ndarray):
 
 
 @_one_blas_thread
-def exact_gibbs(
-    instance: ModelInstance, band: BandSpec | None = None, pairs: bool = False
-) -> GibbsExact:
+def exact_gibbs(instance: ModelInstance, band: BandSpec | None = None) -> GibbsExact:
     """Full enumeration of the 2^n states (n <= 24) in one pass over the state
     blocks.  Each block is weighted by exp(E - block max) and reduced to one
     row [Z, magnetization mass, band mass]; the rows are merged in block order
     against the global max, so results are bit-stable.
 
-    With a band, log_z_band is log Z_B (-inf when the band is empty).  pairs
-    (a band and n <= 12) keeps the in-band states of each block and sums
-    exp(H(s) + H(t)) over ordered pairs of them whose centered overlap is
-    above eta, diagonal pairs included when they qualify: log_z_pairs is
-    log Z_c, -inf when no pair qualifies, so Z_c <= Z_B^2 still holds."""
+    With a band, log_z_band is log Z_B (-inf when the band is empty).  With a
+    band and n <= MAX_PAIR_ENUMERATION_N, the pass also keeps the in-band
+    states of each block and sums exp(H(s) + H(t)) over ordered pairs of them
+    whose centered overlap is above eta, diagonal pairs included when they
+    qualify: log_z_pairs is log Z_c, -inf when no pair qualifies, so
+    Z_c <= Z_B^2 still holds."""
     n = instance.n
-    if pairs and band is None:
-        raise ValueError("exact pair enumeration needs a band")
-    cap = MAX_PAIR_ENUMERATION_N if pairs else MAX_ENUMERATION_N
-    if n > cap:
-        what = "exact pair enumeration" if pairs else "exact enumeration"
-        raise ValueError(f"{what} is capped at n = {cap}, got {n}")
+    if n > MAX_ENUMERATION_N:
+        raise ValueError(f"exact enumeration is capped at n = {MAX_ENUMERATION_N}, got {n}")
+    pairs = band is not None and n <= MAX_PAIR_ENUMERATION_N
     if band is not None and band.center.size != n:
         raise ValueError("band center length must match the instance size")
     tops, rows, band_states, band_energies = [], [], [], []
@@ -246,16 +242,13 @@ class ReplicaSet:
     """Final states and per-chain time-averaged magnetizations of independent chains."""
 
     samples: np.ndarray      # (n_chains, n), final state of each chain
-    chain_mag: np.ndarray    # (n_chains, n), time average over recorded sweeps
-    recorded_sweeps: int     # sweeps entering each time average
-    n: int
+    chain_mag: np.ndarray    # (n_chains, n), time average over the sweeps after burn-in
 
 
 def glauber_sample(
     instance: ModelInstance,
     sweeps: int,
     burn_in: int,
-    thin: int,
     n_chains: int,
     seed: int,
 ) -> ReplicaSet:
@@ -264,83 +257,69 @@ def glauber_sample(
     Each sweep updates sites 0..n-1 in order; site i flips to +1 with
     probability 1/(1 + exp(-2 l_i)) where l = (Jbar - diag Jbar) sigma + h.
     Chains draw from per-chain child streams of the seed, so results do not
-    depend on how chains are chunked.  After burn_in, every thin-th sweep's
-    state enters the per-chain time average.
+    depend on how the uniforms are blocked.  Every sweep after burn_in enters
+    the per-chain time average.
 
-    Inside a chunk of at most _CHAIN_CHUNK chains, sigma and the fields l
-    are (chains, n) Fortran-ordered arrays, so column i (site i across
-    chains) is contiguous, and the uniforms of a block of sweeps are laid
-    out (sweep, site, chain).  A site-step computes the logistic in place,
-    the new spins, their change d in {-2, 0, 2}, and then the fields with
-    one BLAS rank-1 update l += d J_off[i] over all chains, moved or not,
-    issued as one dger call per column block of at most
-    _GER_BLOCK_ELEMENTS fields (one call when chains * n is at most that).
-    That update is exact: d * J_off[i, k] is an exact product and the sum
-    rounds once, as a masked update of the moved chains would; a zero
-    product leaves a field unchanged up to the sign of a zero, which
-    exp(-2 l) does not see.  Outputs are therefore bit-for-bit those of a
-    chain-by-chain masked loop on the same seed.
+    sigma and the fields l are (chains, n) Fortran-ordered arrays, so column
+    i (site i across chains) is contiguous, and the uniforms of a block of
+    sweeps are laid out (sweep, site, chain).  A block holds at most
+    _SWEEP_BLOCK_ELEMENTS doubles, or one sweep when a sweep is larger.  A
+    site-step computes the logistic in place, the new spins, their change d
+    in {-2, 0, 2}, and then the fields with one BLAS rank-1 update
+    l += d J_off[i] over all chains, moved or not, issued as one dger call per
+    column block of at most _GER_BLOCK_ELEMENTS fields (one call when
+    chains * n is at most that).  That update is exact: d * J_off[i, k] is an
+    exact product and the sum rounds once, as a masked update of the moved
+    chains would; a zero product leaves a field unchanged up to the sign of a
+    zero, which exp(-2 l) does not see.  Outputs are therefore bit-for-bit
+    those of a chain-by-chain masked loop on the same seed.
     """
-    if sweeps < 1 or burn_in < 0 or thin < 1 or n_chains < 1:
-        raise ValueError("need sweeps >= 1, burn_in >= 0, thin >= 1, n_chains >= 1")
+    if sweeps < 1 or burn_in < 0 or n_chains < 1:
+        raise ValueError("need sweeps >= 1, burn_in >= 0, n_chains >= 1")
     n = instance.n
     j_off = instance.dense_coupling(max_n=MAX_MCMC_DENSE_N)
     np.fill_diagonal(j_off, 0.0)
     h = instance.h
 
-    children = np.random.SeedSequence(seed).spawn(n_chains)
-    samples = np.empty((n_chains, n))
-    chain_mag = np.zeros((n_chains, n))
+    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n_chains)]
+    sigma = np.array([rng.integers(0, 2, n) * 2 - 1 for rng in rngs], dtype=float)
+    field = np.asfortranarray(sigma @ j_off + h[None, :])
+    sigma = np.asfortranarray(sigma)
+    mag_acc = np.zeros((n_chains, n), order="F")
+    prob_up = np.empty(n_chains)
+    up = np.empty(n_chains, dtype=bool)
+    delta_s = np.zeros(n_chains)
+    width = max(1, _GER_BLOCK_ELEMENTS // n_chains)
+    blocks = [(field[:, c:c + width], j_off[:, c:c + width]) for c in range(0, n, width)]
+    # the column blocks are views, so dger must update them in place
+    field_0, j_0 = blocks[0]
+    if dger(0.0, delta_s, j_0[0], a=field_0, overwrite_a=1) is not field_0:
+        raise RuntimeError("dger did not update the Glauber fields in place")
     total = burn_in + sweeps
-    recorded = len(range(burn_in, total, thin))
-    block_sweeps = max(1, _SWEEP_BLOCK_ELEMENTS // n)
-
-    for chunk_start in range(0, n_chains, _CHAIN_CHUNK):
-        chunk = slice(chunk_start, min(chunk_start + _CHAIN_CHUNK, n_chains))
-        rngs = [np.random.default_rng(c) for c in children[chunk]]
-        n_c = len(rngs)
-        sigma = np.array([rng.integers(0, 2, n) * 2 - 1 for rng in rngs], dtype=float)
-        field = np.asfortranarray(sigma @ j_off + h[None, :])
-        sigma = np.asfortranarray(sigma)
-        mag_acc = np.zeros((n_c, n), order="F")
-        prob_up = np.empty(n_c)
-        up = np.empty(n_c, dtype=bool)
-        delta_s = np.zeros(n_c)
-        width = max(1, _GER_BLOCK_ELEMENTS // n_c)
-        blocks = [(field[:, c:c + width], j_off[:, c:c + width]) for c in range(0, n, width)]
-        # the column blocks are views, so dger must update them in place
-        field_0, j_0 = blocks[0]
-        if dger(0.0, delta_s, j_0[0], a=field_0, overwrite_a=1) is not field_0:
-            raise RuntimeError("dger did not update the Glauber fields in place")
-        done = 0
-        while done < total:
-            block = min(block_sweeps, total - done)
-            # (block, n, n_c): the uniforms of one site-step are one contiguous row
-            uniforms = np.stack([rng.random((block, n)) for rng in rngs], axis=2)
-            for t in range(block):
-                for i in range(n):
-                    np.multiply(field[:, i], -2.0, out=prob_up)
-                    np.exp(prob_up, out=prob_up)
-                    np.add(prob_up, 1.0, out=prob_up)
-                    np.divide(1.0, prob_up, out=prob_up)
-                    np.less(uniforms[t, i], prob_up, out=up)
-                    sigma_i = sigma[:, i]
-                    np.subtract(np.where(up, 1.0, -1.0), sigma_i, out=delta_s)
-                    sigma_i += delta_s
-                    for field_block, j_block in blocks:
-                        dger(1.0, delta_s, j_block[i], a=field_block, overwrite_a=1)
-                sweep_index = done + t
-                if sweep_index >= burn_in and (sweep_index - burn_in) % thin == 0:
-                    mag_acc += sigma
-            done += block
-        samples[chunk] = sigma
-        chain_mag[chunk] = mag_acc / recorded
+    block_sweeps = max(1, _SWEEP_BLOCK_ELEMENTS // (n * n_chains))
+    # (sweep, site, chain): the uniforms of one site-step are one contiguous row
+    uniforms = np.empty((min(block_sweeps, total), n, n_chains))
+    for done in range(0, total, block_sweeps):
+        block = min(block_sweeps, total - done)
+        np.stack([rng.random((block, n)) for rng in rngs], axis=2, out=uniforms[:block])
+        for t in range(block):
+            for i in range(n):
+                np.multiply(field[:, i], -2.0, out=prob_up)
+                np.exp(prob_up, out=prob_up)
+                np.add(prob_up, 1.0, out=prob_up)
+                np.divide(1.0, prob_up, out=prob_up)
+                np.less(uniforms[t, i], prob_up, out=up)
+                sigma_i = sigma[:, i]
+                np.subtract(np.where(up, 1.0, -1.0), sigma_i, out=delta_s)
+                sigma_i += delta_s
+                for field_block, j_block in blocks:
+                    dger(1.0, delta_s, j_block[i], a=field_block, overwrite_a=1)
+            if done + t >= burn_in:
+                mag_acc += sigma
 
     return ReplicaSet(
-        samples=samples,
-        chain_mag=chain_mag,
-        recorded_sweeps=recorded,
-        n=n,
+        samples=np.ascontiguousarray(sigma),
+        chain_mag=np.ascontiguousarray(mag_acc / sweeps),
     )
 
 
@@ -370,7 +349,7 @@ def estimate_magnetization(
         se = np.full(source.shape[1], np.nan)
     distance = None
     if exact_magnetization is not None:
-        distance = float(np.sum((mean - exact_magnetization) ** 2) / replicas.n)
+        distance = float(np.sum((mean - exact_magnetization) ** 2) / mean.size)
     return MagnetizationEstimate(mean=mean, se=se, distance=distance)
 
 

@@ -226,12 +226,12 @@ def test_08_band_dominates_and_pairs_decorrelate():
         band = BandSpec(center=m, delta=delta, eta=4.0 * delta)
         assert band.has_pair_margin
 
-        exact = exact_gibbs(inst, band=band, pairs=True)
+        exact = exact_gibbs(inst, band=band)
         log_z, log_zb, log_zc = exact.log_z, exact.log_z_band, exact.log_z_pairs
         assert (log_z - log_zb) / n < 0.05
         assert log_zc / n < 2.0 * log_zb / n
 
-        reps = glauber_sample(inst, sweeps=300, burn_in=100, thin=2,
+        reps = glauber_sample(inst, sweeps=300, burn_in=100,
                               n_chains=n_replicas,
                               seed=stream_seed(s, n, beta, STREAM_MCMC))
         report = replica_geometry_report(reps, band)
@@ -287,7 +287,7 @@ def test_10_sampler_matches_exact_distribution():
     probs /= probs.sum()
 
     n_chains = 4096
-    reps = glauber_sample(inst, sweeps=240, burn_in=120, thin=1,
+    reps = glauber_sample(inst, sweeps=240, burn_in=120,
                           n_chains=n_chains,
                           seed=stream_seed(0, n, beta, STREAM_MCMC))
     bits = ((reps.samples + 1) // 2).astype(int)
@@ -301,7 +301,7 @@ def test_10_sampler_matches_exact_distribution():
     n = 10
     inst = _instance(n, beta, 0)
     exact_mag = exact_gibbs(inst).magnetization
-    reps = glauber_sample(inst, sweeps=600, burn_in=100, thin=1, n_chains=128,
+    reps = glauber_sample(inst, sweeps=600, burn_in=100, n_chains=128,
                           seed=stream_seed(0, n, beta, STREAM_MCMC))
     est = estimate_magnetization(reps, use_time_average=True)
     assert np.abs(est.mean - exact_mag).max() < 0.02

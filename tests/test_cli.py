@@ -10,7 +10,8 @@ import pytest
 
 from tapglass.cli import main, parse_field_argument, parse_law_argument
 from tapglass.ensemble import load_instance, save_instance
-from tapglass.experiments import default_config, run_experiment
+from tapglass import gibbs
+from tapglass.experiments import Cell, default_config, run_experiment
 from tapglass.fixed_point import constant_field, solve_fixed_point
 from tapglass.spectral import semicircle
 
@@ -191,9 +192,15 @@ def _last_amp_step(out):
             "tap_residual": float(residual)}
 
 
-def _mean_abs_site_magnetization(out):
-    mags = [float(line.split(",")[1]) for line in out.strip().splitlines()[1:]]
-    return {"mean_abs_mag": float(np.abs(np.array(mags)).mean())}
+def _default_cell(kind, n, seed):
+    cfg = default_config(kind)
+    return Cell(cfg.law, cfg.field, cfg.field_mode, n, cfg.beta_values[0], seed)
+
+
+def _marginal_max_abs_err(out):
+    mags = np.array([float(line.split(",")[1]) for line in out.strip().splitlines()[1:]])
+    exact = _default_cell("gibbs_mcmc", 12, 1).exact.magnetization
+    return {"marginal_max_abs_err": float(np.abs(mags - exact).max())}
 
 
 # (argv, runner kind, the runner metrics the output gives) at the cell of
@@ -207,7 +214,7 @@ CLI_RUNNER_CASES = {
                       "--source", "amp", "--t-max", "8"],
                      "amp", lambda out: {"tap_residual": json.loads(out)["residual"]}),
     "gibbs-mcmc": (["gibbs-mcmc", "--n", "12", "--seed", "1", "--chains", "8"],
-                   "gibbs_mcmc", _mean_abs_site_magnetization),
+                   "gibbs_mcmc", _marginal_max_abs_err),
 }
 
 
@@ -226,7 +233,7 @@ def test_gibbs_mcmc_csv_contract(capsys):
     rc, out = _run(
         capsys,
         ["gibbs-mcmc", "--n", "10", "--beta", "0.12", "--seed", "1",
-         "--chains", "6", "--sweeps", "40", "--burn-in", "10", "--thin", "2"],
+         "--chains", "6", "--sweeps", "40", "--burn-in", "10"],
     )
     assert rc == 0
     lines = out.strip().splitlines()
@@ -237,6 +244,25 @@ def test_gibbs_mcmc_csv_contract(capsys):
         site, mag, se = line.split(",")
         assert -1.0 <= float(mag) <= 1.0
         assert float(se) >= 0.0
+
+
+def test_gibbs_mcmc_prints_time_averaged_marginals(capsys):
+    # the time average, not the final states, estimates single-site marginals
+    rc, out = _run(capsys, ["gibbs-mcmc", "--n", "10", "--seed", "3", "--chains", "5",
+                            "--sweeps", "30", "--burn-in", "10"])
+    assert rc == 0
+    reps = _default_cell("gibbs_mcmc", 10, 3).chains(5, 30, 10)
+    est = gibbs.estimate_magnetization(reps, use_time_average=True)
+    expected = [f"{i},{float(m)!r},{float(se)!r}"
+                for i, (m, se) in enumerate(zip(est.mean, est.se))]
+    assert out.strip().splitlines()[1:] == expected
+
+
+def test_gibbs_mcmc_rejects_thin(capsys):
+    # every sweep after burn-in enters the time average, so there is no --thin
+    with pytest.raises(SystemExit) as exc:
+        main(["gibbs-mcmc", "--n", "6", "--thin", "2"])
+    assert exc.value.code == 2
 
 
 def test_gibbs_mcmc_loaded_instance_with_same_seed_is_identical(capsys, tmp_path):

@@ -116,7 +116,7 @@ def test_default_config_runs_with_atomic_law(kind):
     assert [row.error for row in rows] == [""] * len(rows)
 
 
-@pytest.mark.parametrize("typo", ["n_replica", "sweps", "threads"])
+@pytest.mark.parametrize("typo", ["n_replica", "sweps", "threads", "thin"])
 def test_config_rejects_unknown_keys(typo):
     with pytest.raises(ConfigError, match=typo):
         config_from_dict(_minimal(**{typo: 4}))
@@ -128,7 +128,6 @@ def test_config_rejects_unknown_keys(typo):
         ("seeds", [0, -1]),
         ("sweeps", 0),
         ("burn_in", -1),
-        ("thin", 0),
         ("delta", 0.0),
         ("eta", -0.5),
         ("mc_samples", 1),
@@ -319,10 +318,10 @@ def test_concentration_errors_stay_per_row(monkeypatch):
     # enumeration, so every row of that instance carries the error
     sample = exp.gibbs_mod.glauber_sample
 
-    def failing_at_16(instance, sweeps, burn_in, thin, n_chains, seed):
+    def failing_at_16(instance, sweeps, burn_in, n_chains, seed):
         if n_chains == 16:
             raise ValueError("no sampler for 16 chains")
-        return sample(instance, sweeps, burn_in, thin, n_chains, seed)
+        return sample(instance, sweeps, burn_in, n_chains, seed)
 
     monkeypatch.setattr(exp.gibbs_mod, "glauber_sample", failing_at_16)
     rows = run_experiment(config_from_dict(
@@ -349,7 +348,7 @@ def test_tap_verify_reports_solver_convergence():
 def test_repeat_runs_identical_modulo_wall_time():
     cfg = config_from_dict(
         _minimal(kind="gibbs_mcmc", n=[10], beta=[0.12], seeds=[2],
-                 sweeps=60, burn_in=20, thin=2)
+                 sweeps=60, burn_in=20)
     )
     a = run_experiment(cfg)
     b = run_experiment(cfg)

@@ -1,6 +1,8 @@
 """Gibbs layer: enumeration against naive listings, band sums, Glauber sampling."""
 
+import inspect
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ from tapglass import gibbs
 from tapglass.ensemble import ModelInstance, build_instance, haar_so
 from tapglass.fixed_point import constant_field, gaussian_field
 from tapglass.gibbs import (
-    _CHAIN_CHUNK,
     _SWEEP_BLOCK_ELEMENTS,
     MAX_MCMC_DENSE_N,
     BandSpec,
@@ -115,11 +116,11 @@ def test_enumeration_size_guards():
     big = build_instance(25, 0.05, semicircle(), constant_field(0.0), seed=1)
     with pytest.raises(ValueError):
         exact_gibbs(big)
+    # above the pair cap a band gives Z_B but no pair sum
     thirteen = build_instance(13, 0.1, semicircle(), constant_field(0.0), seed=1)
-    with pytest.raises(ValueError, match="exact pair enumeration is capped"):
-        exact_gibbs(thirteen, band=BandSpec(np.zeros(13), 0.2, 0.8), pairs=True)
-    with pytest.raises(ValueError, match="needs a band"):
-        exact_gibbs(inst, pairs=True)
+    res = exact_gibbs(thirteen, band=BandSpec(np.zeros(13), 0.2, 0.8))
+    assert res.log_z_pairs is None
+    assert np.isfinite(res.log_z_band)
 
 
 def test_band_mass_monotone_and_saturating():
@@ -163,7 +164,7 @@ def test_nonorth_pairs_match_brute_force():
     overlaps = sb @ sb.T / 8
     mask = np.abs(overlaps) > band.eta
     expected = float(logsumexp((eb[:, None] + eb[None, :])[mask]))
-    exact = exact_gibbs(inst, band=band, pairs=True)
+    exact = exact_gibbs(inst, band=band)
     got = exact.log_z_pairs
     assert got == pytest.approx(expected, abs=1e-10)
     # the pair sum can never exceed the full band square
@@ -174,11 +175,11 @@ def test_nonorth_pairs_empty_cases():
     inst = build_instance(8, 0.15, semicircle(), constant_field(1.0), seed=9)
     m = exact_gibbs(inst).magnetization
     # an absurdly high cut leaves no qualifying pair
-    assert exact_gibbs(inst, band=BandSpec(m, 0.3, 50.0), pairs=True).log_z_pairs == -np.inf
+    assert exact_gibbs(inst, band=BandSpec(m, 0.3, 50.0)).log_z_pairs == -np.inf
     # an empty band propagates
     inst0 = _diag_instance(6, np.zeros(6), np.zeros(6))
     band = BandSpec(np.full(6, 0.9), 0.01, 0.5)
-    assert exact_gibbs(inst0, band=band, pairs=True).log_z_pairs == -np.inf
+    assert exact_gibbs(inst0, band=band).log_z_pairs == -np.inf
 
 
 def test_enumeration_blas_thread_limit():
@@ -202,9 +203,8 @@ def test_enumeration_blas_thread_limit():
     for n in (12, 20):
         inst = build_instance(n, 0.3, semicircle(), constant_field(0.8), seed=2)
         band = BandSpec(exact_gibbs(inst).magnetization, 0.3, 0.1)
-        pairs = n <= gibbs.MAX_PAIR_ENUMERATION_N
-        limited = exact_gibbs(inst, band, pairs)
-        unlimited = exact_gibbs.__wrapped__(inst, band, pairs)
+        limited = exact_gibbs(inst, band)
+        unlimited = exact_gibbs.__wrapped__(inst, band)
         assert limited.log_z == unlimited.log_z
         assert limited.log_z_band == unlimited.log_z_band
         assert np.array_equal(limited.magnetization, unlimited.magnetization)
@@ -215,9 +215,9 @@ def test_sampled_nonorth_pairs_against_exact():
     inst = build_instance(10, 0.15, semicircle(), constant_field(1.0), seed=12)
     m = exact_gibbs(inst).magnetization
     band = BandSpec(m, 0.5, 0.05)  # wide band, low cut: most pairs qualify
-    enumerated = exact_gibbs(inst, band=band, pairs=True)
+    enumerated = exact_gibbs(inst, band=band)
     exact, log_zb = enumerated.log_z_pairs, enumerated.log_z_band
-    replicas = glauber_sample(inst, sweeps=60, burn_in=30, thin=5, n_chains=400, seed=31)
+    replicas = glauber_sample(inst, sweeps=60, burn_in=30, n_chains=400, seed=31)
     report = replica_geometry_report(replicas, band)
     est = sampled_logZ_nonorth_pairs(report, log_zb)
     assert report.pairs_in_band > 0
@@ -241,7 +241,7 @@ def test_band_predicates():
 
 def test_b_n_membership():
     def in_b_n(samples, band):
-        reps = ReplicaSet(samples=samples, chain_mag=samples.copy(), recorded_sweeps=1, n=4)
+        reps = ReplicaSet(samples=samples, chain_mag=samples.copy())
         return replica_geometry_report(reps, band).in_b_n
 
     m = np.zeros(4)
@@ -273,7 +273,7 @@ def test_glauber_histogram_matches_exact_distribution():
     states, energies, log_z, _ = _naive_listing(inst)
     probs = np.exp(energies - log_z)
     n_chains = 1200
-    reps = glauber_sample(inst, sweeps=120, burn_in=0, thin=120, n_chains=n_chains, seed=8)
+    reps = glauber_sample(inst, sweeps=120, burn_in=0, n_chains=n_chains, seed=8)
     codes = ((reps.samples + 1) / 2 @ (2 ** np.arange(3))).astype(int)
     counts = np.bincount(codes, minlength=8)
     for k in range(8):
@@ -284,7 +284,7 @@ def test_glauber_histogram_matches_exact_distribution():
 def test_glauber_time_average_matches_marginals():
     inst = build_instance(6, 0.15, semicircle(), constant_field(1.0), seed=14)
     exact = exact_gibbs(inst).magnetization
-    reps = glauber_sample(inst, sweeps=4000, burn_in=400, thin=2, n_chains=8, seed=15)
+    reps = glauber_sample(inst, sweeps=4000, burn_in=400, n_chains=8, seed=15)
     est = estimate_magnetization(reps, exact_magnetization=exact, use_time_average=True)
     assert np.abs(est.mean - exact).max() < 0.02
     assert est.distance < 1e-3
@@ -292,13 +292,15 @@ def test_glauber_time_average_matches_marginals():
 
 def test_glauber_deterministic_and_seed_sensitive():
     inst = build_instance(5, 0.2, semicircle(), constant_field(0.5), seed=2)
-    a = glauber_sample(inst, sweeps=40, burn_in=10, thin=4, n_chains=6, seed=3)
-    b = glauber_sample(inst, sweeps=40, burn_in=10, thin=4, n_chains=6, seed=3)
+    a = glauber_sample(inst, sweeps=40, burn_in=10, n_chains=6, seed=3)
+    b = glauber_sample(inst, sweeps=40, burn_in=10, n_chains=6, seed=3)
     assert np.array_equal(a.samples, b.samples)
     assert np.array_equal(a.chain_mag, b.chain_mag)
-    c = glauber_sample(inst, sweeps=40, burn_in=10, thin=4, n_chains=6, seed=4)
+    c = glauber_sample(inst, sweeps=40, burn_in=10, n_chains=6, seed=4)
     assert not np.array_equal(a.samples, c.samples)
-    assert a.recorded_sweeps == len(range(10, 50, 4))
+
+
+_CHAIN_CHUNK = 256  # the reference's chain chunk; the sampler runs all chains at once
 
 
 def _reference_glauber(instance, sweeps, burn_in, thin, n_chains, seed):
@@ -344,25 +346,24 @@ def _reference_glauber(instance, sweeps, burn_in, thin, n_chains, seed):
 
 
 @pytest.mark.parametrize(
-    "n, n_chains, sweeps, burn_in, thin, block_elements",
+    "n, n_chains, sweeps, burn_in, block_elements",
     [
-        (1, 5, 20, 3, 2, None),            # a single site
-        (6, 1, 30, 4, 1, None),            # a single chain
-        (40, _CHAIN_CHUNK + 44, 6, 2, 1, None),  # two chain chunks, the first
-                                                 # updated in two column blocks
-        (9, 4, 40, 10, 3, None),           # thinning after burn-in
-        (16, 3, 30, 5, 2, 64),             # 9 uniform blocks; the reference draws 1
+        (1, 5, 20, 3, None),               # a single site
+        (6, 1, 30, 4, None),               # a single chain
+        (40, _CHAIN_CHUNK + 44, 6, 2, None),  # two reference chunks, one loop
+                                              # here in two column blocks
+        (9, 4, 40, 10, None),              # time average after burn-in
+        (16, 3, 30, 5, 192),               # 9 uniform blocks; the reference draws 1
     ],
 )
 def test_glauber_matches_masked_reference_bit_for_bit(
-    monkeypatch, n, n_chains, sweeps, burn_in, thin, block_elements
+    monkeypatch, n, n_chains, sweeps, burn_in, block_elements
 ):
     inst = build_instance(n, 0.4, semicircle(), gaussian_field(0.3, 0.8), seed=20 + n)
     if block_elements is not None:
         monkeypatch.setattr(gibbs, "_SWEEP_BLOCK_ELEMENTS", block_elements)
-    reps = glauber_sample(inst, sweeps=sweeps, burn_in=burn_in, thin=thin,
-                          n_chains=n_chains, seed=40 + n)
-    samples, chain_mag = _reference_glauber(inst, sweeps, burn_in, thin, n_chains, 40 + n)
+    reps = glauber_sample(inst, sweeps=sweeps, burn_in=burn_in, n_chains=n_chains, seed=40 + n)
+    samples, chain_mag = _reference_glauber(inst, sweeps, burn_in, 1, n_chains, 40 + n)
     assert np.array_equal(reps.samples, samples)
     assert np.array_equal(reps.chain_mag, chain_mag)
 
@@ -370,22 +371,42 @@ def test_glauber_matches_masked_reference_bit_for_bit(
 def test_glauber_validation():
     inst = build_instance(4, 0.2, semicircle(), constant_field(0.5), seed=2)
     with pytest.raises(ValueError):
-        glauber_sample(inst, sweeps=0, burn_in=0, thin=1, n_chains=2, seed=0)
+        glauber_sample(inst, sweeps=0, burn_in=0, n_chains=2, seed=0)
     with pytest.raises(ValueError):
-        glauber_sample(inst, sweeps=5, burn_in=-1, thin=1, n_chains=2, seed=0)
+        glauber_sample(inst, sweeps=5, burn_in=-1, n_chains=2, seed=0)
     with pytest.raises(ValueError):
-        glauber_sample(inst, sweeps=5, burn_in=0, thin=0, n_chains=2, seed=0)
+        glauber_sample(inst, sweeps=5, burn_in=0, n_chains=0, seed=0)
+
+
+def test_glauber_signature():
+    # the benchmark's tracer binds these parameters by name
+    assert list(inspect.signature(glauber_sample).parameters) == [
+        "instance", "sweeps", "burn_in", "n_chains", "seed"]
+
+
+def test_glauber_uniform_block_is_bounded_over_all_chains(monkeypatch):
+    # 256 chains of n = 20 draw 5120 uniforms a sweep, so a cap of 2^14 doubles
+    # holds 3 sweeps (123 KiB) where the whole run would hold 100 (4 MiB)
+    inst = build_instance(20, 0.2, semicircle(), constant_field(0.5), seed=3)
+    monkeypatch.setattr(gibbs, "_SWEEP_BLOCK_ELEMENTS", 1 << 14)
+    tracemalloc.start()
+    try:
+        glauber_sample(inst, sweeps=100, burn_in=0, n_chains=256, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
 
 
 def test_estimate_magnetization_from_final_states():
     inst = build_instance(4, 0.2, semicircle(), constant_field(1.0), seed=5)
     exact = exact_gibbs(inst).magnetization
-    reps = glauber_sample(inst, sweeps=50, burn_in=20, thin=50, n_chains=600, seed=16)
+    reps = glauber_sample(inst, sweeps=50, burn_in=20, n_chains=600, seed=16)
     est = estimate_magnetization(reps, exact_magnetization=exact)
     assert est.mean.shape == (4,)
     assert np.all(np.isfinite(est.se))
     assert est.distance < 0.02
-    single = glauber_sample(inst, sweeps=5, burn_in=0, thin=5, n_chains=1, seed=1)
+    single = glauber_sample(inst, sweeps=5, burn_in=0, n_chains=1, seed=1)
     lone = estimate_magnetization(single)
     assert np.array_equal(lone.mean, single.samples[0])
     assert np.all(np.isnan(lone.se))
@@ -395,7 +416,7 @@ def test_replica_geometry_report():
     m = np.zeros(4)
     band = BandSpec(m, 0.5, 0.6)
     in_rows = np.array([[1.0, 1, -1, -1], [1.0, -1, 1, -1], [1.0, 1, -1, -1]])
-    reps = ReplicaSet(samples=in_rows, chain_mag=in_rows.copy(), recorded_sweeps=1, n=4)
+    reps = ReplicaSet(samples=in_rows, chain_mag=in_rows.copy())
     report = replica_geometry_report(reps, band)
     assert report.band_fraction == 1.0
     # rows 0 and 2 coincide: 2 of 6 ordered pairs overlap at 1 > 0.6
@@ -411,7 +432,7 @@ def test_replica_geometry_report():
     band = BandSpec(np.array([0.25, 0.0, 0.0, 0.0]), 0.06, 0.5)
     samples = np.vstack([in_rows, [[-1.0, 1, -1, -1]]])
     report = replica_geometry_report(
-        ReplicaSet(samples=samples, chain_mag=samples.copy(), recorded_sweeps=1, n=4), band
+        ReplicaSet(samples=samples, chain_mag=samples.copy()), band
     )
     inside = [bool(in_band(s, band)) for s in samples]
     assert inside == [True, True, True, False]

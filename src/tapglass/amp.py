@@ -128,19 +128,6 @@ def run_amp(instance: ModelInstance, fp: FixedPoint, t_max: int, seed) -> AmpTra
     )
 
 
-def resolvent_gamma(instance: ModelInstance, fp: FixedPoint) -> np.ndarray:
-    """Dense Gamma = (1-q*)^{-1} (lambda* I - Jbar)^{-1} - I (small n only).
-
-    The exact linear relation y^t = Gamma x^t holds at every step, which makes
-    this the independent check on the factored iteration.
-    """
-    if instance.n > 64:
-        raise ValueError(f"resolvent check is a small-n tool, got n={instance.n}")
-    jbar = instance.dense_coupling()
-    res = np.linalg.inv(fp.lambda_star * np.eye(instance.n) - jbar)
-    return res / (1.0 - fp.q_star) - np.eye(instance.n)
-
-
 @dataclass(frozen=True)
 class SeReport:
     """Largest deviations of empirical Grams from their state-evolution targets."""

@@ -18,16 +18,20 @@ keeps the in-band states, and the pair sum Z_c over them follows it.
 
 Glauber chains run in lockstep, all of them in one loop, drawing their
 uniforms in blocks of sweeps that hold at most 2^20 doubles over all chains.
-The states and fields are stored site-major (Fortran order), so one
-site's values across chains are contiguous, and a site-step is a fixed
-handful of whole-vector numpy calls: the logistic into a preallocated buffer,
-the comparison with that step's uniforms, the spin change d in {-2, 0, 2},
-and one BLAS rank-1 update (dger) of the fields by d times row i of the
-couplings, issued in column blocks that keep each call on one thread.
-The update is exact, so every chain is bit-for-bit the same as with a
-masked update of the moved chains only: d * J[i, k] is an exact product,
-the addition rounds once as before, and adding a zero product changes at
-most the sign of a zero field, which exp(-2 l) cannot see.
+The states and fields are stored site-major (Fortran order), so one site's
+values across chains are contiguous.  When a sweep starts its uniforms u are
+turned, in place, into thresholds 0.5 log(u / (1 - u)), and site i moves up
+when l_i > threshold, which is u < 1/(1 + exp(-2 l_i)) rearranged.  Sites go
+in blocks of 32 with a delayed field update: inside a block, site a+k reads
+its field at block start plus the changes of sites a..a+k-1 times their
+couplings into it (one small matrix-vector product), and when the block ends
+its changes enter the spins and, through one small matrix product, all the
+fields.  A site-step is three whole-vector numpy calls.  The fields equal
+those of a sequential rank-1 update only up to rounding, so a spin decision
+can differ from that of a masked chain-by-chain loop on the same seed only
+when l lies within rounding of its threshold (or when u = 0 and l < -354,
+where the logistic underflows); the test suite checks that the chains match
+such a loop bit for bit.
 
 Band machinery: for a profile m and delta > 0,
 
@@ -47,7 +51,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dger
 from scipy.special import logsumexp
 
 from tapglass.ensemble import ModelInstance
@@ -59,11 +62,7 @@ MAX_MCMC_DENSE_N = 512
 _LOW_BITS = 12
 _BLOCK_STATES = 1 << 13
 _SWEEP_BLOCK_ELEMENTS = 1 << 20  # uniforms drawn at once, over all chains (8 MiB)
-# OpenBLAS runs dger on several threads above 8192 entries; at Glauber sizes
-# that buys no speed, and its spinning workers take cores from numpy's own
-# BLAS threads, so the Glauber field update is issued in column blocks of at
-# most this many entries.
-_GER_BLOCK_ELEMENTS = 1 << 13
+_SITE_BLOCK = 32  # sites per delayed field update
 _PAIR_CHUNK_ROWS = 512
 
 
@@ -245,6 +244,7 @@ class ReplicaSet:
     chain_mag: np.ndarray    # (n_chains, n), time average over the sweeps after burn-in
 
 
+@_one_blas_thread
 def glauber_sample(
     instance: ModelInstance,
     sweeps: int,
@@ -263,16 +263,25 @@ def glauber_sample(
     sigma and the fields l are (chains, n) Fortran-ordered arrays, so column
     i (site i across chains) is contiguous, and the uniforms of a block of
     sweeps are laid out (sweep, site, chain).  A block holds at most
-    _SWEEP_BLOCK_ELEMENTS doubles, or one sweep when a sweep is larger.  A
-    site-step computes the logistic in place, the new spins, their change d
-    in {-2, 0, 2}, and then the fields with one BLAS rank-1 update
-    l += d J_off[i] over all chains, moved or not, issued as one dger call per
-    column block of at most _GER_BLOCK_ELEMENTS fields (one call when
-    chains * n is at most that).  That update is exact: d * J_off[i, k] is an
-    exact product and the sum rounds once, as a masked update of the moved
-    chains would; a zero product leaves a field unchanged up to the sign of a
-    zero, which exp(-2 l) does not see.  Outputs are therefore bit-for-bit
-    those of a chain-by-chain masked loop on the same seed.
+    _SWEEP_BLOCK_ELEMENTS doubles, or one sweep when a sweep is larger.  At
+    the start of a sweep its uniforms become thresholds 0.5 log(u / (1 - u))
+    in place, and site i moves up when l_i > threshold.
+
+    The sites of a sweep go in blocks of _SITE_BLOCK, with a delayed field
+    update.  When a block starts, its fields are subtracted from its
+    thresholds and each old spin is noted as (1 + sigma) / 2.  Site a+k then
+    takes the halved spin changes c = (new - old) / 2, in {-1, 0, 1}, of
+    sites a..a+k-1 into c @ 2 J_off[a:a+k, a+k], its field's change since the
+    block started; it moves up where that exceeds its shifted threshold and
+    writes its own c: three numpy calls in all.  When the block ends,
+    sigma += 2 c and l += c @ 2 J_off[a:b, :], one matrix product.  Each c
+    times 2 J_off is the exact product of a spin change and J_off, but the
+    sums round in another order than a site-by-site rank-1 update, so the
+    fields match that update only up to rounding.  A spin decision can
+    therefore differ from a masked chain-by-chain loop on the same seed when
+    l lies within rounding of its threshold, or when u = 0 and l < -354
+    (where the logistic underflows to 0); no proof of equality is claimed.
+    The test suite checks the two bit for bit on fixed seeds.
     """
     if sweeps < 1 or burn_in < 0 or n_chains < 1:
         raise ValueError("need sweeps >= 1, burn_in >= 0, n_chains >= 1")
@@ -286,15 +295,19 @@ def glauber_sample(
     field = np.asfortranarray(sigma @ j_off + h[None, :])
     sigma = np.asfortranarray(sigma)
     mag_acc = np.zeros((n_chains, n), order="F")
-    prob_up = np.empty(n_chains)
+    j_twice = np.multiply(j_off, 2.0, out=j_off)  # in place: J_off is not read again
+    change = np.zeros((n_chains, _SITE_BLOCK), order="F")  # halved spin changes
+    was_up = np.empty((n_chains, _SITE_BLOCK), order="F")  # (1 + old spin) / 2
+    partial = np.empty(n_chains)
     up = np.empty(n_chains, dtype=bool)
-    delta_s = np.zeros(n_chains)
-    width = max(1, _GER_BLOCK_ELEMENTS // n_chains)
-    blocks = [(field[:, c:c + width], j_off[:, c:c + width]) for c in range(0, n, width)]
-    # the column blocks are views, so dger must update them in place
-    field_0, j_0 = blocks[0]
-    if dger(0.0, delta_s, j_0[0], a=field_0, overwrite_a=1) is not field_0:
-        raise RuntimeError("dger did not update the Glauber fields in place")
+    field_shift = np.empty((n_chains, n), order="F")
+    blocks = []
+    for a in range(0, n, _SITE_BLOCK):
+        b = min(a + _SITE_BLOCK, n)
+        j_into = np.ascontiguousarray(j_twice[a:b, a:b].T)  # row k: 2 J_off[a:b, a+k]
+        c, old = change[:, :b - a], was_up[:, :b - a]
+        steps = [(c[:, :k], j_into[k, :k], old[:, k], c[:, k]) for k in range(b - a)]
+        blocks.append((slice(a, b), sigma[:, a:b], field[:, a:b].T, j_twice[a:b], c, old, steps))
     total = burn_in + sweeps
     block_sweeps = max(1, _SWEEP_BLOCK_ELEMENTS // (n * n_chains))
     # (sweep, site, chain): the uniforms of one site-step are one contiguous row
@@ -303,17 +316,22 @@ def glauber_sample(
         block = min(block_sweeps, total - done)
         np.stack([rng.random((block, n)) for rng in rngs], axis=2, out=uniforms[:block])
         for t in range(block):
-            for i in range(n):
-                np.multiply(field[:, i], -2.0, out=prob_up)
-                np.exp(prob_up, out=prob_up)
-                np.add(prob_up, 1.0, out=prob_up)
-                np.divide(1.0, prob_up, out=prob_up)
-                np.less(uniforms[t, i], prob_up, out=up)
-                sigma_i = sigma[:, i]
-                np.subtract(np.where(up, 1.0, -1.0), sigma_i, out=delta_s)
-                sigma_i += delta_s
-                for field_block, j_block in blocks:
-                    dger(1.0, delta_s, j_block[i], a=field_block, overwrite_a=1)
+            thresholds = uniforms[t]
+            np.divide(thresholds, 1.0 - thresholds, out=thresholds)
+            with np.errstate(divide="ignore"):  # u = 0 gives -inf: the site moves up
+                np.log(thresholds, out=thresholds)
+            thresholds *= 0.5
+            for sites, sigma_block, field_block, j_rows, c, old, steps in blocks:
+                block_thresholds = thresholds[sites]
+                block_thresholds -= field_block
+                np.greater(sigma_block, 0.0, out=old)
+                for threshold, (c_before, j_before, old_i, c_i) in zip(block_thresholds, steps):
+                    np.dot(c_before, j_before, out=partial)
+                    np.greater(partial, threshold, out=up)
+                    np.subtract(up, old_i, out=c_i)
+                sigma_block += 2.0 * c
+                np.matmul(c, j_rows, out=field_shift)
+                field += field_shift
             if done + t >= burn_in:
                 mag_acc += sigma
 

@@ -19,8 +19,7 @@ weights p_i (top atom x_k) write D_i = 1 + w (R - x_i); G(R + 1/w) = w says
 sum_i p_i / D_i = 1, so R is the root of the increasing
 g(R) = sum_i p_i (R - x_i) / D_i, which changes sign on
 [max(x_1, x_k - (1 - p_k)/w), x_k], where every D_i >= p_k > 0.  That one root gives the exact R' = sum p (R-x)^2/D^2 / sum p/D^2 and
-int_0^a R = a R(a) - sum p log1p(a (R(a) - x)).  Bisection on G stays, for
-every law, as the reference route.
+int_0^a R = a R(a) - sum p log1p(a (R(a) - x)).
 
 Temperature enters by scaling the spectrum: if d has law mu then beta * d has
 the transforms
@@ -39,14 +38,6 @@ from scipy.optimize import brentq
 
 SEMICIRCLE = "semicircle"
 EMPIRICAL = "empirical"
-
-INVERSE_TOL = 1e-12
-DERIVATIVE_REL_STEP = 1e-6
-
-_EDGE_OFFSET = 1e-12
-_BRACKET_START = 1e3
-_MAX_BRACKET_GROWTH = 200
-_MAX_BISECT = 500
 
 
 class DomainError(ValueError):
@@ -263,54 +254,6 @@ def _semicircle_cdf(x: float) -> float:
 
 def _semicircle_quantile(p: float) -> float:
     return brentq(lambda x: _semicircle_cdf(x) - p, -2.0, 2.0, xtol=1e-14)
-
-
-def numeric_cauchy_inverse(law: SpectralLaw, w: float, tol: float = INVERSE_TOL) -> float:
-    """Invert G by bisection on (d_plus, inf), to |G(z) - w| < tol.
-
-    Valid for every law; this is the reference route the semicircle's closed
-    forms and the atomic root solve are checked against.  The bracket starts
-    at (d_plus + 1e-12, d_plus + 1e3] and the upper end grows geometrically
-    until it straddles the root (small w puts the root near 1/w, far beyond
-    any fixed cap).
-    """
-    if not (0.0 < w < law.edge_cauchy()):
-        raise DomainError(f"numeric inverse needs w in (0, {law.edge_cauchy()}), got {w}")
-    d = law.d_plus
-    lo = d + _EDGE_OFFSET
-    if not law.cauchy_transform(lo) > w:
-        raise RuntimeError(
-            "bisection bracket does not straddle the root: w is above G at the "
-            "support edge offset (w too close to the edge value)"
-        )
-    hi = d + _BRACKET_START
-    for _ in range(_MAX_BRACKET_GROWTH):
-        if law.cauchy_transform(hi) < w:
-            break
-        hi = d + 2.0 * (hi - d)
-    else:
-        raise RuntimeError("bisection upper bracket failed to straddle the root")
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        g = law.cauchy_transform(mid)
-        if abs(g - w) < tol:
-            return mid
-        if g > w:
-            lo = mid
-        else:
-            hi = mid
-    raise ArithmeticError(f"bisection failed to reach tolerance {tol} for w={w}")
-
-
-def numeric_r_transform(law: SpectralLaw, w: float) -> float:
-    """R(w) through the bisection inverse, independent of any closed form."""
-    return numeric_cauchy_inverse(law, w) - 1.0 / w
-
-
-def numeric_r_derivative(law: SpectralLaw, w: float, rel_step: float = DERIVATIVE_REL_STEP) -> float:
-    """Central difference for R'(w) with step 1e-6 * max(1, |w|)."""
-    h = rel_step * max(1.0, abs(w))
-    return (law.r_transform(w + h) - law.r_transform(w - h)) / (2.0 * h)
 
 
 @dataclass(frozen=True, eq=False)

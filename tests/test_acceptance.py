@@ -42,11 +42,12 @@ from tapglass.gibbs import (
 from tapglass.spectral import (
     RescaledLaw,
     empirical_atoms,
-    numeric_r_transform,
     semicircle,
     two_point,
 )
 from tapglass.tap import tap_residual
+
+from oracles import numeric_r_transform
 
 LAW = semicircle()
 FIELD = constant_field(1.0)

@@ -9,7 +9,6 @@ from tapglass.amp import (
     empirical_vs_theoretical_se,
     init_amp,
     lambda_diag,
-    resolvent_gamma,
     run_amp,
 )
 from tapglass.ensemble import ModelInstance, build_instance, haar_so
@@ -22,6 +21,8 @@ from tapglass.fixed_point import (
     theoretical_delta,
 )
 from tapglass.spectral import semicircle
+
+from oracles import resolvent_gamma
 
 
 def _toy_fixed_point(q_star=0.5, lambda_star=2.0) -> FixedPoint:

@@ -1,13 +1,16 @@
 """Gibbs layer: enumeration against naive listings, band sums, Glauber sampling."""
 
+import ast
 import inspect
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+import tapglass
 from tapglass import gibbs
 from tapglass.ensemble import ModelInstance, build_instance, haar_so
 from tapglass.fixed_point import constant_field, gaussian_field
@@ -351,9 +354,11 @@ def _reference_glauber(instance, sweeps, burn_in, thin, n_chains, seed):
         (1, 5, 20, 3, None),               # a single site
         (6, 1, 30, 4, None),               # a single chain
         (40, _CHAIN_CHUNK + 44, 6, 2, None),  # two reference chunks, one loop
-                                              # here in two column blocks
+                                              # here in two site blocks
         (9, 4, 40, 10, None),              # time average after burn-in
         (16, 3, 30, 5, 192),               # 9 uniform blocks; the reference draws 1
+        (75, 5, 12, 3, None),              # two full site blocks and a partial one
+        (100, 3, 20, 5, 600),              # 13 uniform blocks and 4 site blocks a sweep
     ],
 )
 def test_glauber_matches_masked_reference_bit_for_bit(
@@ -366,6 +371,45 @@ def test_glauber_matches_masked_reference_bit_for_bit(
     samples, chain_mag = _reference_glauber(inst, sweeps, burn_in, 1, n_chains, 40 + n)
     assert np.array_equal(reps.samples, samples)
     assert np.array_equal(reps.chain_mag, chain_mag)
+
+
+def test_glauber_blas_thread_limit(monkeypatch):
+    # the loop's small products run with numpy's OpenBLAS held at one thread,
+    # the previous count is back after it, and the bits are the same either way
+    if gibbs._BLAS_THREADS is None:
+        pytest.skip("numpy is not linked against OpenBLAS")
+    get, _ = gibbs._BLAS_THREADS
+    before = get()
+    seen = []
+
+    def recording_replica_set(**fields):
+        seen.append(get())
+        return ReplicaSet(**fields)
+
+    monkeypatch.setattr(gibbs, "ReplicaSet", recording_replica_set)
+    inst = build_instance(70, 0.4, semicircle(), constant_field(0.8), seed=2)
+    limited = glauber_sample(inst, sweeps=20, burn_in=5, n_chains=96, seed=3)
+    assert get() == before
+    unlimited = glauber_sample.__wrapped__(inst, sweeps=20, burn_in=5, n_chains=96, seed=3)
+    assert seen == [1, before]
+    assert np.array_equal(limited.samples, unlimited.samples)
+    assert np.array_equal(limited.chain_mag, unlimited.chain_mag)
+
+
+def test_gibbs_does_not_use_scipy_linalg():
+    # scipy's BLAS runs in its own OpenBLAS pool, whose spinning workers slow
+    # the Haar draw that follows a Glauber run; Glauber stays in numpy's
+    def modules(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                yield from (alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                yield node.module
+                yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+    path = Path(tapglass.__file__).parent / "gibbs.py"
+    assert not [module for module in modules(ast.parse(path.read_text(encoding="utf-8")))
+                if module.startswith("scipy.linalg")]
 
 
 def test_glauber_validation():

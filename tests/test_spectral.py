@@ -9,12 +9,11 @@ from tapglass.spectral import (
     RescaledLaw,
     empirical_atoms,
     law_from_spec,
-    numeric_cauchy_inverse,
-    numeric_r_derivative,
-    numeric_r_transform,
     semicircle,
     two_point,
 )
+
+from oracles import numeric_cauchy_inverse, numeric_r_derivative, numeric_r_transform
 
 # Hand-derived values used as fixed oracles.
 SEMI_G_AT_2P5 = 0.5               # (2.5 - sqrt(2.25)) / 2

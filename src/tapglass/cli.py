@@ -141,19 +141,23 @@ def _cmd_gibbs_mcmc(args) -> int:
 def _cmd_tap_residual(args) -> int:
     cell = _cell(args)
     fp, inst = cell.fp, cell.instance
+    solver = {}
     if args.source == "amp":
-        m = cell.amp(args.t_max).final.m
+        residual = tap_mod.tap_residual(inst, fp, cell.amp(args.t_max).final.m)
     elif args.source == "exact":
-        m = cell.exact.magnetization
+        residual = tap_mod.tap_residual(inst, fp, cell.exact.magnetization)
     else:
-        m = tap_mod.solve_tap_damped(inst, fp).m
+        sol = tap_mod.solve_tap_damped(inst, fp)
+        residual = sol.residual
+        solver = {"solver_converged": int(sol.converged), "solver_iterations": sol.iterations}
     payload = {
-        "residual": tap_mod.tap_residual(inst, fp, m),
+        "residual": residual,
         "t": args.t_max,
         "beta": args.beta,
         "n": args.n,
         "seed": args.seed,
         "source": args.source,
+        **solver,
     }
     _write_or_print(json.dumps(payload, indent=2) + "\n", args.out)
     return 0

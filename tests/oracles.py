@@ -3,7 +3,8 @@
 Bisection on the Cauchy transform inverts G for every spectral law without
 the semicircle's closed forms or the atomic root solve; a central difference
 gives R'.  resolvent_gamma materializes the dense operator Gamma that AMP
-never forms, for the check y^t = Gamma x^t at small n.
+never forms, for the check y^t = Gamma x^t at small n.  damped_tap_solve is
+the plain damped iteration the Anderson-mixed solver accelerates.
 """
 
 import numpy as np
@@ -11,6 +12,14 @@ import numpy as np
 from tapglass.ensemble import ModelInstance
 from tapglass.fixed_point import FixedPoint
 from tapglass.spectral import DomainError, SpectralLaw
+from tapglass.tap import (
+    DEFAULT_TAP_TOL,
+    TAP_DAMPING,
+    TAP_MAX_ITER,
+    TapSolution,
+    corrected_field,
+    tap_residual,
+)
 
 INVERSE_TOL = 1e-12
 DERIVATIVE_REL_STEP = 1e-6
@@ -80,3 +89,30 @@ def resolvent_gamma(instance: ModelInstance, fp: FixedPoint) -> np.ndarray:
     jbar = instance.dense_coupling()
     res = np.linalg.inv(fp.lambda_star * np.eye(instance.n) - jbar)
     return res / (1.0 - fp.q_star) - np.eye(instance.n)
+
+
+def damped_tap_solve(
+    instance: ModelInstance, fp: FixedPoint, m0: np.ndarray | None = None,
+    tol: float = DEFAULT_TAP_TOL,
+) -> TapSolution:
+    """Plain damped iteration m <- (1 - gamma) m + gamma tanh(h + Jbar m - a* m),
+    gamma = TAP_DAMPING, with the package solver's start and stop rule: from
+    tanh(h) unless m0 is given, until the rms step drops below tol or after
+    TAP_MAX_ITER steps.
+    """
+    n = instance.n
+    m = np.tanh(instance.h) if m0 is None else np.asarray(m0, dtype=float).copy()
+    converged = False
+    iterations = 0
+    for iterations in range(1, TAP_MAX_ITER + 1):
+        target = np.tanh(corrected_field(instance, fp, m))
+        m_new = (1.0 - TAP_DAMPING) * m + TAP_DAMPING * target
+        step = np.sqrt(np.sum((m_new - m) ** 2) / n)
+        m = m_new
+        if step < tol:
+            converged = True
+            break
+    return TapSolution(
+        m=m, converged=converged, iterations=iterations,
+        residual=tap_residual(instance, fp, m),
+    )

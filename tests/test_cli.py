@@ -301,6 +301,22 @@ def test_tap_residual_json_keys(capsys):
     assert payload["residual"] < 1e-6
 
 
+def test_tap_residual_solver_json_keys(capsys):
+    rc, out = _run(
+        capsys,
+        ["tap-residual", "--n", "80", "--beta", "0.15", "--seed", "2",
+         "--source", "solver"],
+    )
+    assert rc == 0
+    payload = json.loads(out)
+    assert set(payload) == {"residual", "t", "beta", "n", "seed", "source",
+                            "solver_converged", "solver_iterations"}
+    assert payload["source"] == "solver"
+    assert payload["solver_converged"] == 1
+    assert 0 < payload["solver_iterations"] <= 20
+    assert payload["residual"] < 1e-18
+
+
 def test_out_flag_writes_file_instead_of_stdout(capsys, tmp_path):
     path = tmp_path / "fp.json"
     rc, out = _run(capsys, ["fixed-point", "--beta", "0.1", "--out", str(path)])

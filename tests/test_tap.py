@@ -2,12 +2,19 @@
 
 import numpy as np
 import pytest
+from oracles import damped_tap_solve
 
+from tapglass import tap as tap_mod
 from tapglass.amp import run_amp
 from tapglass.ensemble import ModelInstance, build_instance, haar_so
-from tapglass.fixed_point import constant_field, product_fixed_point, solve_fixed_point
+from tapglass.fixed_point import (
+    constant_field,
+    gaussian_field,
+    product_fixed_point,
+    solve_fixed_point,
+)
 from tapglass.gibbs import exact_gibbs
-from tapglass.spectral import semicircle
+from tapglass.spectral import semicircle, two_point
 from tapglass.tap import (
     corrected_field,
     magnetization_vs_amp,
@@ -43,6 +50,54 @@ def test_solver_agrees_with_amp_limit():
     assert sol.converged
     rms = np.sqrt(np.sum((sol.m - traj.final.m) ** 2) / 32)
     assert rms < 1e-6
+
+
+@pytest.mark.parametrize("law, field, beta", [
+    (semicircle(), constant_field(1.0), 0.15),
+    (semicircle(), constant_field(1.0), 0.7),
+    (two_point(), gaussian_field(0.3, 0.6), 0.8),
+], ids=["semicircle-0.15", "semicircle-0.7", "two_point-gaussian-0.8"])
+def test_solver_agrees_with_plain_damped_iteration(law, field, beta):
+    fp = solve_fixed_point(beta, law, field)
+    inst = build_instance(400, beta, law, field, seed=0)
+    sol = solve_tap_damped(inst, fp)
+    ref = damped_tap_solve(inst, fp)
+    assert sol.converged and ref.converged
+    assert np.sqrt(np.sum((sol.m - ref.m) ** 2) / 400) < 1e-8
+    assert sol.residual < 1e-18
+
+
+@pytest.mark.parametrize("beta", [1.4, 1.5])
+def test_solver_converges_where_amp_does_not(beta):
+    field = constant_field(1.0)
+    fp = solve_fixed_point(beta, semicircle(), field)
+    inst = build_instance(1000, beta, semicircle(), field, seed=0)
+    sol = solve_tap_damped(inst, fp)
+    assert sol.converged
+    assert sol.residual < 1e-18
+
+
+def test_solver_iteration_count_stays_accelerated():
+    # Measured: 15 iterations at seed 0 (13-16 over seeds 0-9); the plain
+    # damped iteration takes 58-59 here.
+    field = constant_field(1.0)
+    fp = solve_fixed_point(0.15, semicircle(), field)
+    inst = build_instance(500, 0.15, semicircle(), field, seed=0)
+    sol = solve_tap_damped(inst, fp)
+    assert sol.converged
+    assert sol.iterations <= 20
+
+
+def test_solver_reports_the_iteration_cap(monkeypatch):
+    monkeypatch.setattr(tap_mod, "TAP_MAX_ITER", 3)
+    field = constant_field(1.0)
+    fp = solve_fixed_point(0.15, semicircle(), field)
+    inst = build_instance(200, 0.15, semicircle(), field, seed=1)
+    sol = solve_tap_damped(inst, fp)
+    assert not sol.converged
+    assert sol.iterations == 3
+    assert np.all(np.isfinite(sol.m))
+    assert sol.residual == tap_residual(inst, fp, sol.m)
 
 
 def test_solution_unique_across_random_starts():

@@ -45,14 +45,12 @@ KIND_AMP = "amp"
 KIND_GIBBS_EXACT = "gibbs_exact"
 KIND_GIBBS_MCMC = "gibbs_mcmc"
 KIND_TAP_VERIFY = "tap_verify"
-KIND_CONCENTRATION = "concentration"
 KIND_BAND = "band"
 KIND_SE_CHECK = "se_check"
 
 STREAM_INSTANCE = 1
 STREAM_AMP = 2
 STREAM_MCMC = 3
-STREAM_DELTA = 4
 
 BASE_COLUMNS = ("schema_version", "kind", "n", "beta", "seed", "n_replicas")
 TAIL_COLUMNS = ("wall_time", "error")
@@ -88,7 +86,6 @@ class ExperimentConfig:
     burn_in: int
     delta: float
     eta: float
-    mc_samples: int
     out: str | None
 
     def echo(self) -> dict:
@@ -108,7 +105,6 @@ class ExperimentConfig:
             "burn_in": self.burn_in,
             "delta": self.delta,
             "eta": self.eta,
-            "mc_samples": self.mc_samples,
         }
 
 
@@ -132,12 +128,11 @@ def _as_tuple(value, cast, name):
 
 
 # the scalar keys, named as the config fields; each takes its default's type
-_SCALAR_DEFAULTS = {"t_max": 8, "sweeps": 200, "burn_in": 50, "delta": 0.2,
-                    "eta": 0.8, "mc_samples": 200_000}
+_SCALAR_DEFAULTS = {"t_max": 8, "sweeps": 200, "burn_in": 50, "delta": 0.2, "eta": 0.8}
 
 _CONFIG_KEYS = frozenset((
     "kind", "n", "beta", "seeds", "law", "field", "field_mode", "t_max", "n_replicas",
-    "sweeps", "burn_in", "delta", "eta", "mc_samples", "out",
+    "sweeps", "burn_in", "delta", "eta", "out",
 ))
 
 
@@ -195,14 +190,10 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
         raise ConfigError("all seeds must be >= 0")
     if any(r < 1 for r in cfg.replica_counts):
         raise ConfigError("all n_replicas must be >= 1")
-    if len(cfg.replica_counts) > 1 and kind != KIND_CONCENTRATION:
-        raise ConfigError(f"only concentration takes more than one n_replicas entry, not {kind}")
     if cfg.sweeps < 1 or cfg.burn_in < 0:
         raise ConfigError("need sweeps >= 1 and burn_in >= 0")
     if not (cfg.delta > 0 and cfg.eta > 0):
         raise ConfigError("delta and eta must be > 0")
-    if cfg.mc_samples < 2:
-        raise ConfigError("mc_samples must be >= 2")
     return cfg
 
 
@@ -343,13 +334,6 @@ def _cell_tap_verify(cfg, cell, n_rep):
     }
 
 
-def _cell_concentration(cfg, cell, n_rep):
-    mag = cell.exact.magnetization
-    reps = cell.chains(n_rep, cfg.sweeps, cfg.burn_in)
-    est = gibbs_mod.estimate_magnetization(reps, exact_magnetization=mag)
-    return {"distance": est.distance}
-
-
 def _cell_band(cfg, cell, n_rep):
     traj = cell.amp(max(cfg.t_max, 50))
     inst, n = cell.instance, cell.n
@@ -374,11 +358,8 @@ def _cell_band(cfg, cell, n_rep):
 
 def _cell_se_check(cfg, cell, n_rep):
     traj = cell.amp(cfg.t_max)
-    est = theoretical_delta(
-        cell.fp, cfg.field, cfg.t_max, mc_samples=cfg.mc_samples,
-        seed=cell.stream(STREAM_DELTA),
-    )
-    report = amp_mod.empirical_vs_theoretical_se(traj, est.delta)
+    delta = theoretical_delta(cell.fp, cfg.field, cfg.t_max)
+    report = amp_mod.empirical_vs_theoretical_se(traj, delta)
     return {
         "max_dev_xx": report.max_dev_xx,
         "max_dev_yy": report.max_dev_yy,
@@ -393,7 +374,6 @@ _CELL_FUNCTIONS = {
     KIND_GIBBS_EXACT: _cell_gibbs_exact,
     KIND_GIBBS_MCMC: _cell_gibbs_mcmc,
     KIND_TAP_VERIFY: _cell_tap_verify,
-    KIND_CONCENTRATION: _cell_concentration,
     KIND_BAND: _cell_band,
     KIND_SE_CHECK: _cell_se_check,
 }
@@ -401,10 +381,9 @@ EXPERIMENT_KINDS = tuple(_CELL_FUNCTIONS)
 
 
 def _run_cell(cfg: ExperimentConfig, coords) -> list[ResultRow]:
-    """The rows of grid point (n, beta, seed), one per replica count (only
-    concentration has more than one), each with its failure caught.  The rows
-    share one Cell, so the first row to draw an object carries its cost in
-    its wall time."""
+    """The rows of grid point (n, beta, seed), one per replica count, each
+    with its failure caught.  The rows share one Cell, so the first row to
+    draw an object carries its cost in its wall time."""
     n, beta, seed = coords
     cell = Cell(cfg.law, cfg.field, cfg.field_mode, n, beta, seed)
     rows = []

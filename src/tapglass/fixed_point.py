@@ -22,9 +22,9 @@ delta* = q*/(1-q*)^2 and psi_rs = E log 2cosh(H), the product measure, on
 the same arithmetic.  Gaussian expectations use 61-node Gauss-Hermite
 quadrature throughout; the fixed point is found by damped iteration.
 
-`theoretical_delta` grows the message-passing state-evolution covariance
-Delta_t column by column with common random numbers, so that empirical AMP
-Gram matrices have a like-for-like target at finite Monte Carlo size.
+`theoretical_delta` computes the message-passing state-evolution covariance
+Delta column by column by the same quadrature, the deterministic target the
+empirical AMP Gram matrices are checked against.
 """
 
 from __future__ import annotations
@@ -275,77 +275,43 @@ def product_fixed_point(field: FieldLaw) -> FixedPoint:
                              True, 0)
 
 
-@dataclass(frozen=True)
-class DeltaEstimate:
-    """Monte Carlo estimate of the state-evolution covariance, with standard errors."""
+def theoretical_delta(fp: FixedPoint, field: FieldLaw, t_max: int) -> np.ndarray:
+    """The t_max x t_max state-evolution covariance Delta of the effective iterates.
 
-    delta: np.ndarray
-    se: np.ndarray
-
-
-def _semidefinite_cholesky(a: np.ndarray) -> np.ndarray:
-    """Lower-triangular L with L L^T = a for a symmetric positive semidefinite a.
-
-    A pivot whose conditional variance is at rounding level (at most
-    size * eps * max diag) is kept as a zero column instead of failing
-    (Higham 1990).  As the iterates converge, Delta tends to the rank-one
-    delta* 11^T and such pivots are the rule.  The leading s x s block of L
-    depends only on the leading s x s block of a, so factors of nested
-    blocks are nested.
-    """
-    size = a.shape[0]
-    low = np.zeros_like(a)
-    tol = size * np.finfo(float).eps * max(float(np.max(np.diag(a))), 0.0)
-    for j in range(size):
-        pivot = a[j, j] - low[j, :j] @ low[j, :j]
-        if pivot > tol:
-            low[j, j] = np.sqrt(pivot)
-            low[j + 1 :, j] = (a[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / low[j, j]
-    return low
-
-
-def theoretical_delta(
-    fp: FixedPoint,
-    field: FieldLaw,
-    t_max: int,
-    mc_samples: int = 1_000_000,
-    seed: int = 0,
-) -> DeltaEstimate:
-    """Estimate the t_max x t_max covariance Delta of the effective iterates.
-
-    The recursion couples columns: X_s = (1-q*)^{-1} tanh(H + Y_{s-1}) - Y_{s-1}
-    with Y_0 ~ N(0, sigma*^2) and (Y_1, ..., Y_{t-1}) ~ N(0, kappa* Delta_t),
-    Delta_s = E[X X^T] over the first s columns.  Common random numbers: H,
-    Y_0, and the Gaussian innovations behind Y_s are drawn once, and Y_s is
-    produced from the semidefinite Cholesky factor of the current kappa* Delta
-    estimate, so successive columns are maximally correlated and the empirical
-    Grams of a matched AMP run have a stable target.  At beta = 0 the factor
-    is zero, Y vanishes, and every entry estimates E tanh(H)^2 / (1-q*)^2 = delta*.
+    Entry (s, t), counting from 0, is E[X_s X_t] with
+    X_s = (1-q*)^{-1} tanh(H + Y_s) - Y_s.  Y_0 ~ N(0, sigma*^2) is
+    independent of (Y_1, Y_2, ...), whose covariance is kappa* times the
+    leading block of Delta, Cov(Y_s, Y_t) = kappa* Delta[s-1, t-1].  So each
+    entry is a bivariate Gaussian expectation: factor the 2 x 2 covariance of
+    (Y_s, Y_t), with a pivot below zero from rounding clamped at 0, and sum
+    over 61 x 61 Gauss-Hermite nodes and the field's quadrature atoms.
+    Column t needs only columns before it, so Delta is filled column by
+    column and the leading block of a larger t_max is the same array.  The
+    diagonal is delta* (by Stein's lemma E[Y tanh(H + Y)] = sigma*^2 (1-q*));
+    at beta = 0, where sigma* = kappa* = 0, every entry is
+    E tanh(H)^2 / (1-q*)^2 = delta*.
     """
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
-    if mc_samples < 2:
-        raise ValueError(f"mc_samples must be >= 2, got {mc_samples}")
-
-    rng = np.random.default_rng(seed)
-    h = field.sample(rng, mc_samples)
-    y0 = np.sqrt(fp.sigma_star_sq) * rng.standard_normal(mc_samples)
-    # one innovation row per time step, so the first s rows do not depend on t_max
-    xi = rng.standard_normal((t_max, mc_samples))
-
+    h, ph = field.quad_atoms()
+    h = h[:, None, None]
     inv_u = 1.0 / (1.0 - fp.q_star)
-    x_cols = np.empty((mc_samples, t_max))
-    y_prev = y0
-    for s in range(1, t_max + 1):
-        x_cols[:, s - 1] = inv_u * np.tanh(h + y_prev) - y_prev
-        if s == t_max:
-            break
-        block = x_cols[:, :s]
-        delta_s = block.T @ block / mc_samples
-        chol = _semidefinite_cholesky(fp.kappa_star * delta_s)
-        y_prev = chol[s - 1, :] @ xi[:s]
+    g = GAUSS_NODES
 
-    delta = x_cols.T @ x_cols / mc_samples
-    prods_sq_mean = (x_cols**2).T @ (x_cols**2) / mc_samples
-    se = np.sqrt(np.maximum(prods_sq_mean - delta**2, 0.0) / mc_samples)
-    return DeltaEstimate(delta=delta, se=se)
+    def y_cov(s: int, t: int) -> float:
+        if s == 0 or t == 0:
+            return fp.sigma_star_sq if s == t else 0.0
+        return fp.kappa_star * delta[s - 1, t - 1]
+
+    delta = np.empty((t_max, t_max))
+    for t in range(t_max):
+        for s in range(t + 1):
+            a = np.sqrt(y_cov(s, s))
+            b = y_cov(s, t) / a if a > 0 else 0.0
+            c = np.sqrt(max(y_cov(t, t) - b * b, 0.0))
+            y_s = a * g[:, None]
+            y_t = b * g[:, None] + c * g
+            x_s = inv_u * np.tanh(h + y_s) - y_s
+            x_t = inv_u * np.tanh(h + y_t) - y_t
+            delta[s, t] = delta[t, s] = ph @ ((x_s * x_t) @ GAUSS_WEIGHTS @ GAUSS_WEIGHTS)
+    return delta

@@ -5,12 +5,14 @@ the semicircle's closed forms or the atomic root solve; a central difference
 gives R'.  resolvent_gamma materializes the dense operator Gamma that AMP
 never forms, for the check y^t = Gamma x^t at small n.  damped_tap_solve is
 the plain damped iteration the Anderson-mixed solver accelerates.
+monte_carlo_delta estimates the state-evolution covariance by sampling the
+recursion that theoretical_delta integrates by quadrature.
 """
 
 import numpy as np
 
 from tapglass.ensemble import ModelInstance
-from tapglass.fixed_point import FixedPoint
+from tapglass.fixed_point import FieldLaw, FixedPoint
 from tapglass.spectral import DomainError, SpectralLaw
 from tapglass.tap import (
     DEFAULT_TAP_TOL,
@@ -116,3 +118,67 @@ def damped_tap_solve(
         m=m, converged=converged, iterations=iterations,
         residual=tap_residual(instance, fp, m),
     )
+
+
+def _semidefinite_cholesky(a: np.ndarray) -> np.ndarray:
+    """Lower-triangular L with L L^T = a for a symmetric positive semidefinite a.
+
+    A pivot whose conditional variance is at rounding level (at most
+    size * eps * max diag) is kept as a zero column instead of failing
+    (Higham 1990).  As the iterates converge, Delta tends to the rank-one
+    delta* 11^T and such pivots are the rule.  The leading s x s block of L
+    depends only on the leading s x s block of a, so factors of nested
+    blocks are nested.
+    """
+    size = a.shape[0]
+    low = np.zeros_like(a)
+    tol = size * np.finfo(float).eps * max(float(np.max(np.diag(a))), 0.0)
+    for j in range(size):
+        pivot = a[j, j] - low[j, :j] @ low[j, :j]
+        if pivot > tol:
+            low[j, j] = np.sqrt(pivot)
+            low[j + 1 :, j] = (a[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / low[j, j]
+    return low
+
+
+def monte_carlo_delta(
+    fp: FixedPoint, field: FieldLaw, t_max: int, mc_samples: int, seed: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(Delta, its standard errors) from mc_samples draws of the recursion.
+
+    The recursion couples columns: X_s = (1-q*)^{-1} tanh(H + Y_{s-1}) - Y_{s-1}
+    with Y_0 ~ N(0, sigma*^2) and (Y_1, ..., Y_{t-1}) ~ N(0, kappa* Delta_t),
+    Delta_s = E[X X^T] over the first s columns.  Common random numbers: H,
+    Y_0, and the Gaussian innovations behind Y_s are drawn once, and Y_s is
+    produced from the semidefinite Cholesky factor of the current kappa* Delta
+    estimate, so successive columns are maximally correlated.  At beta = 0
+    the factor is zero, Y vanishes, and every entry estimates
+    E tanh(H)^2 / (1-q*)^2 = delta*.
+    """
+    if t_max < 1:
+        raise ValueError(f"t_max must be >= 1, got {t_max}")
+    if mc_samples < 2:
+        raise ValueError(f"mc_samples must be >= 2, got {mc_samples}")
+
+    rng = np.random.default_rng(seed)
+    h = field.sample(rng, mc_samples)
+    y0 = np.sqrt(fp.sigma_star_sq) * rng.standard_normal(mc_samples)
+    # one innovation row per time step, so the first s rows do not depend on t_max
+    xi = rng.standard_normal((t_max, mc_samples))
+
+    inv_u = 1.0 / (1.0 - fp.q_star)
+    x_cols = np.empty((mc_samples, t_max))
+    y_prev = y0
+    for s in range(1, t_max + 1):
+        x_cols[:, s - 1] = inv_u * np.tanh(h + y_prev) - y_prev
+        if s == t_max:
+            break
+        block = x_cols[:, :s]
+        delta_s = block.T @ block / mc_samples
+        chol = _semidefinite_cholesky(fp.kappa_star * delta_s)
+        y_prev = chol[s - 1, :] @ xi[:s]
+
+    delta = x_cols.T @ x_cols / mc_samples
+    prods_sq_mean = (x_cols**2).T @ (x_cols**2) / mc_samples
+    se = np.sqrt(np.maximum(prods_sq_mean - delta**2, 0.0) / mc_samples)
+    return delta, se

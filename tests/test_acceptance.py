@@ -198,7 +198,7 @@ def test_06_magnetization_matches_iterates_and_self_consistency():
 
 def test_07_replica_average_concentration_rate():
     cfg = config_from_dict({
-        "kind": "concentration",
+        "kind": "gibbs_mcmc",
         "n": [12],
         "beta": [0.15],
         "seeds": list(range(10)),
@@ -208,7 +208,7 @@ def test_07_replica_average_concentration_rate():
     assert all(r.error == "" for r in rows)
     counts = (4, 16, 64, 256)
     means = [
-        np.mean([r.metrics["distance"] for r in rows if r.n_replicas == c])
+        np.mean([r.metrics["replica_distance"] for r in rows if r.n_replicas == c])
         for c in counts
     ]
     slope = np.polyfit(np.log(counts), np.log(means), 1)[0]

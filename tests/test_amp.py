@@ -134,8 +134,7 @@ def test_gram_matrices_track_state_evolution():
     fp = solve_fixed_point(0.15, semicircle(), field)
     inst = build_instance(1500, 0.15, semicircle(), field, seed=21)
     traj = run_amp(inst, fp, t_max=4, seed=22)
-    est = theoretical_delta(fp, field, t_max=4, mc_samples=200_000, seed=23)
-    report = empirical_vs_theoretical_se(traj, est.delta)
+    report = empirical_vs_theoretical_se(traj, theoretical_delta(fp, field, t_max=4))
     assert report.max_dev_xx < 0.08
     assert report.max_dev_yy < 0.08
     assert report.max_dev_xy < 0.08

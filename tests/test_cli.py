@@ -364,10 +364,16 @@ def test_experiment_without_out_prints_csv(capsys, tmp_path):
 
 
 def test_bad_config_file_exits_2(capsys, tmp_path):
+    # concentration is a removed kind and mc_samples a removed key; a config
+    # echoed before their removal is rejected, not half run
     bad = tmp_path / "bad.json"
-    bad.write_text('{"kind": "nonsense", "n": [8], "beta": [0.1], "seeds": [0]}')
-    rc, _ = _run(capsys, ["experiment", "--config", str(bad)])
-    assert rc == 2
+    for body in ('{"kind": "nonsense", "n": [8], "beta": [0.1], "seeds": [0]}',
+                 '{"kind": "concentration", "n": [8], "beta": [0.1], "seeds": [0]}',
+                 '{"kind": "se_check", "n": [8], "beta": [0.1], "seeds": [0], '
+                 '"mc_samples": 200000}'):
+        bad.write_text(body)
+        rc, _ = _run(capsys, ["experiment", "--config", str(bad)])
+        assert rc == 2
 
 
 def test_config_with_law_name_exits_2(capsys, tmp_path):

@@ -41,8 +41,10 @@ def test_config_rejects_non_dict():
 
 
 def test_config_rejects_unknown_kind():
-    with pytest.raises(ConfigError, match="kind"):
-        config_from_dict(_minimal(kind="frobnicate"))
+    # concentration was folded into gibbs_mcmc, which takes an n_replicas list
+    for kind in ("frobnicate", "concentration"):
+        with pytest.raises(ConfigError, match="kind"):
+            config_from_dict(_minimal(kind=kind))
 
 
 def test_config_requires_grid_keys():
@@ -116,7 +118,7 @@ def test_default_config_runs_with_atomic_law(kind):
     assert [row.error for row in rows] == [""] * len(rows)
 
 
-@pytest.mark.parametrize("typo", ["n_replica", "sweps", "threads", "thin"])
+@pytest.mark.parametrize("typo", ["n_replica", "sweps", "threads", "thin", "mc_samples"])
 def test_config_rejects_unknown_keys(typo):
     with pytest.raises(ConfigError, match=typo):
         config_from_dict(_minimal(**{typo: 4}))
@@ -130,10 +132,7 @@ def test_config_rejects_unknown_keys(typo):
         ("burn_in", -1),
         ("delta", 0.0),
         ("eta", -0.5),
-        ("mc_samples", 1),
         pytest.param("n_replicas", [0], id="n_replicas-below-1"),
-        # only concentration runs one row per replica count
-        pytest.param("n_replicas", [4, 8], id="n_replicas-several-entries"),
         # json.load accepts NaN and Infinity
         pytest.param("beta", [float("nan")], id="beta-nan"),
         pytest.param("beta", [0.15, float("inf")], id="beta-inf"),
@@ -180,13 +179,12 @@ def test_stream_seed_is_deterministic_and_tagged():
     others = {
         stream_seed(7, 16, 0.15, exp.STREAM_AMP),
         stream_seed(7, 16, 0.15, exp.STREAM_MCMC),
-        stream_seed(7, 16, 0.15, exp.STREAM_DELTA),
         stream_seed(8, 16, 0.15, exp.STREAM_INSTANCE),
         stream_seed(7, 18, 0.15, exp.STREAM_INSTANCE),
         stream_seed(7, 16, 0.2, exp.STREAM_INSTANCE),
     }
     assert a not in others
-    assert len(others) == 6
+    assert len(others) == 5
 
 
 def test_stream_seed_rejects_non_finite_beta():
@@ -304,18 +302,19 @@ def test_concentration_enumerates_each_instance_once(monkeypatch):
         return exact_gibbs(instance, *args, **kwargs)
 
     monkeypatch.setattr(exp.gibbs_mod, "exact_gibbs", counted)
-    obj = _minimal(kind="concentration", n=[8], seeds=[3, 1], n_replicas=[16, 4, 64],
+    # the replica-count grid of gibbs_mcmc: one row per count, one instance per seed
+    obj = _minimal(kind="gibbs_mcmc", n=[8], seeds=[3, 1], n_replicas=[16, 4, 64],
                    sweeps=20, burn_in=5)
     rows = run_experiment(config_from_dict(obj))
     assert len(calls) == 2 and len(set(calls)) == 2
     assert [(r.seed, r.n_replicas) for r in rows] == [
         (1, 4), (1, 16), (1, 64), (3, 4), (3, 16), (3, 64)]
-    assert all(r.error == "" and r.metrics["distance"] >= 0 for r in rows)
+    assert all(r.error == "" and r.metrics["replica_distance"] >= 0 for r in rows)
 
 
 def test_concentration_errors_stay_per_row(monkeypatch):
-    # sampling 16 chains fails its own row only; n = 25 fails the shared
-    # enumeration, so every row of that instance carries the error
+    # sampling 16 chains fails its own row only; beta = 0 fails the shared
+    # instance, so every row of that grid point carries the error
     sample = exp.gibbs_mod.glauber_sample
 
     def failing_at_16(instance, sweeps, burn_in, n_chains, seed):
@@ -325,12 +324,13 @@ def test_concentration_errors_stay_per_row(monkeypatch):
 
     monkeypatch.setattr(exp.gibbs_mod, "glauber_sample", failing_at_16)
     rows = run_experiment(config_from_dict(
-        _minimal(kind="concentration", n=[6, 25], n_replicas=[16, 4], sweeps=10, burn_in=2)
+        _minimal(kind="gibbs_mcmc", n=[6], beta=[0.15, 0.0], n_replicas=[16, 4],
+                 sweeps=10, burn_in=2)
     ))
-    errors = {(r.n, r.n_replicas): r.error for r in rows}
-    assert errors[(6, 4)] == ""
-    assert errors[(6, 16)] == "ValueError: no sampler for 16 chains"
-    assert errors[(25, 16)] == errors[(25, 4)] != ""
+    errors = {(r.beta, r.n_replicas): r.error for r in rows}
+    assert errors[(0.15, 4)] == ""
+    assert errors[(0.15, 16)] == "ValueError: no sampler for 16 chains"
+    assert errors[(0.0, 16)] == errors[(0.0, 4)] != ""
     assert all(r.metrics == {} for r in rows if r.error)
 
 

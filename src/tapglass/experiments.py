@@ -224,9 +224,10 @@ class Cell:
     """Grid cell (n, beta, seed): the one place its random objects are drawn.
 
     Each object draws from the stream keyed by the cell's coordinates.  The
-    fixed point, instance and enumeration are computed on first use and then
-    shared by every caller of the cell; a failure is not kept, so a later
-    caller retries and fails the same way.
+    fixed point, instance, enumeration, AMP run (per t_max) and band
+    enumeration (per band) are computed on first use and then shared by every
+    caller of the cell; a failure is not kept, so a later caller retries and
+    fails the same way.
     """
 
     law: SpectralLaw
@@ -235,6 +236,8 @@ class Cell:
     n: int
     beta: float
     seed: int
+    _amp_runs: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
+    _band_runs: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
 
     def stream(self, tag: int) -> int:
         return stream_seed(self.seed, self.n, self.beta, tag)
@@ -257,8 +260,20 @@ class Cell:
         return gibbs_mod.exact_gibbs(self.instance)
 
     def amp(self, t_max: int):
-        fp = self.fp  # before the instance, so a fixed-point failure is the one reported
-        return amp_mod.run_amp(self.instance, fp, t_max, self.stream(STREAM_AMP))
+        if t_max not in self._amp_runs:
+            fp = self.fp  # before the instance, so a fixed-point failure is the one reported
+            self._amp_runs[t_max] = amp_mod.run_amp(
+                self.instance, fp, t_max, self.stream(STREAM_AMP))
+        return self._amp_runs[t_max]
+
+    def band_exact(self, t_max: int, delta: float, eta: float):
+        """The band (width delta, overlap cut eta) around the AMP output after
+        t_max steps, and the exact pass over it."""
+        key = (t_max, delta, eta)
+        if key not in self._band_runs:
+            band = gibbs_mod.BandSpec(self.amp(t_max).final.m, delta, eta)
+            self._band_runs[key] = band, gibbs_mod.exact_gibbs(self.instance, band)
+        return self._band_runs[key]
 
     def chains(self, n_chains: int, sweeps: int, burn_in: int):
         return gibbs_mod.glauber_sample(
@@ -335,10 +350,8 @@ def _cell_tap_verify(cfg, cell, n_rep):
 
 
 def _cell_band(cfg, cell, n_rep):
-    traj = cell.amp(max(cfg.t_max, 50))
-    inst, n = cell.instance, cell.n
-    band = gibbs_mod.BandSpec(traj.final.m, cfg.delta, cfg.eta)
-    exact = gibbs_mod.exact_gibbs(inst, band)
+    band, exact = cell.band_exact(max(cfg.t_max, 50), cfg.delta, cfg.eta)
+    n = cell.n
     log_z, log_zb, log_zc = exact.log_z, exact.log_z_band, exact.log_z_pairs
     reps = cell.chains(n_rep, cfg.sweeps, cfg.burn_in)
     geometry = gibbs_mod.replica_geometry_report(reps, band)

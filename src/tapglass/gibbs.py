@@ -14,7 +14,9 @@ block is reduced against its own maximum energy (log-sum-exp) to the
 partition function, the magnetization and the band-restricted mass; block
 results are merged in fixed order, so results are bit-stable and independent
 of any thread or chunk setting.  With a band and n <= 12 the same pass also
-keeps the in-band states, and the pair sum Z_c over them follows it.
+keeps the in-band states, and the pair sum Z_c over them follows it, reduced
+by `_logsumexp`, a numpy log-sum-exp with scipy.special.logsumexp's
+arithmetic (so the module does not import scipy).
 
 Glauber chains run in lockstep, all of them in one loop, drawing their
 uniforms in blocks of sweeps that hold at most 2^20 doubles over all chains.
@@ -51,7 +53,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from tapglass.ensemble import ModelInstance
 
@@ -147,6 +148,23 @@ class GibbsExact:
     log_z_pairs: float | None = None
 
 
+def _logsumexp(a) -> float:
+    """log sum exp(a) over a nonempty 1-d array, by the arithmetic of
+    scipy.special.logsumexp (scipy 1.17), so the result is the same double:
+    every entry equal to the max (m of them) leaves the sum s of exp(a - max),
+    and the result is log1p(s / m) + log(m) + max.  A max that is not finite
+    (every entry -inf, or an inf or NaN entry) gives log sum exp(a) directly."""
+    a = np.asarray(a, dtype=float)
+    top = a.max()
+    with np.errstate(divide="ignore", over="ignore"):
+        if not np.isfinite(top):
+            return float(np.log(np.exp(a).sum()))
+        ties = a == top
+        m = np.count_nonzero(ties)
+        s = np.exp(np.where(ties, -np.inf, a) - top).sum()
+    return float(np.log1p(s / m) + np.log(m) + top)
+
+
 def _state_blocks(j_mat: np.ndarray, h: np.ndarray):
     """Yield (states, energies) over all 2^n states in ascending code order
     (bit i of the code is site i), one block at a time.
@@ -221,8 +239,8 @@ def exact_gibbs(instance: ModelInstance, band: BandSpec | None = None) -> GibbsE
             mask = np.abs(centered[chunk] @ centered.T / n) > band.eta
             vals = (e_band[chunk, None] + e_band[None, :])[mask]
             if vals.size:
-                chunk_logs.append(logsumexp(vals))
-        log_z_pairs = float(logsumexp(chunk_logs)) if chunk_logs else -np.inf
+                chunk_logs.append(_logsumexp(vals))
+        log_z_pairs = _logsumexp(chunk_logs) if chunk_logs else -np.inf
     return GibbsExact(
         log_z=float(top + np.log(z)),
         magnetization=total[1 : n + 1] / z,

@@ -21,6 +21,11 @@ g(R) = sum_i p_i (R - x_i) / D_i, which changes sign on
 [max(x_1, x_k - (1 - p_k)/w), x_k], where every D_i >= p_k > 0.  That one root gives the exact R' = sum p (R-x)^2/D^2 / sum p/D^2 and
 int_0^a R = a R(a) - sum p log1p(a (R(a) - x)).
 
+Root solves, these and the semicircle quantiles, go through `_brentq`, a
+step-for-step port of scipy.optimize.brentq that gives the same doubles, so
+importing the module loads numpy only, not scipy.optimize.  The semicircle
+quantile grid is solved once per size and shared read-only.
+
 Temperature enters by scaling the spectrum: if d has law mu then beta * d has
 the transforms
 
@@ -31,10 +36,11 @@ which `RescaledLaw` implements directly.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 SEMICIRCLE = "semicircle"
 EMPIRICAL = "empirical"
@@ -141,8 +147,8 @@ class SpectralLaw:
         """
         x, p = self.atoms[:, 0], self.atoms[:, 1]
         gap = x[-1] - x
-        s = brentq(lambda t: p @ ((t + gap) / (1.0 + w * (t + gap))),
-                   max(-gap[0], -(1.0 - p[-1]) / w), 0.0, xtol=np.finfo(float).tiny)
+        s = _brentq(lambda t: p @ ((t + gap) / (1.0 + w * (t + gap))),
+                    max(-gap[0], -(1.0 - p[-1]) / w), 0.0, np.finfo(float).tiny)
         return float(x[-1] + s), s + gap
 
     def _check_inverse_domain(self, w: float) -> None:
@@ -171,7 +177,7 @@ class SpectralLaw:
     def quantiles(self, n: int) -> np.ndarray:
         """Deterministic quantile grid F^{-1}((i - 1/2)/n), i = 1..n, ascending."""
         if self.kind == SEMICIRCLE:
-            return np.array([_semicircle_quantile(pi) for pi in _quantile_grid(n)])
+            return _semicircle_quantiles(n)
         return _quantile_grid(n, self.atoms)
 
     # ----- (de)serialization ------------------------------------------
@@ -249,11 +255,72 @@ def _semicircle_cdf(x: float) -> float:
         return 0.0
     if x >= 2.0:
         return 1.0
-    return 0.5 + x * np.sqrt(4.0 - x * x) / (4.0 * np.pi) + np.arcsin(x / 2.0) / np.pi
+    return 0.5 + x * math.sqrt(4.0 - x * x) / (4.0 * np.pi) + np.arcsin(x / 2.0) / np.pi
 
 
-def _semicircle_quantile(p: float) -> float:
-    return brentq(lambda x: _semicircle_cdf(x) - p, -2.0, 2.0, xtol=1e-14)
+@functools.lru_cache(maxsize=64)
+def _semicircle_quantiles(n: int) -> np.ndarray:
+    """The semicircle quantile grid of size n, solved once per n; read-only,
+    since every caller shares it."""
+    q = np.array([_brentq(lambda x: _semicircle_cdf(x) - p, -2.0, 2.0, 1e-14)
+                  for p in _quantile_grid(n)])
+    q.flags.writeable = False
+    return q
+
+
+_BRENTQ_RTOL = 4.0 * float(np.finfo(float).eps)
+_BRENTQ_MAXITER = 100
+
+
+def _brentq(f, xa: float, xb: float, xtol: float) -> float:
+    """Root of f on [xa, xb] by Brent's method: a step-for-step port of
+    scipy.optimize.brentq (its C solver, rtol = 4 eps, maxiter = 100), so every
+    root is the same double.  A NaN value of f, or f(xa) and f(xb) of one sign,
+    raise ValueError; no convergence in maxiter steps raises RuntimeError."""
+
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur, xtol = float(xa), float(xb), float(xtol)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_BRENTQ_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep xcur the best end, xblk the other side
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENTQ_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {_BRENTQ_MAXITER} iterations.")
 
 
 @dataclass(frozen=True, eq=False)

@@ -312,6 +312,28 @@ def test_concentration_enumerates_each_instance_once(monkeypatch):
     assert all(r.error == "" and r.metrics["replica_distance"] >= 0 for r in rows)
 
 
+@pytest.mark.parametrize("kind", ["band", "tap_verify"])
+def test_replica_counts_share_amp_run_and_band_enumeration(monkeypatch, kind):
+    calls = {"run_amp": [], "exact_gibbs": []}
+    for mod, name in ((exp.amp_mod, "run_amp"), (exp.gibbs_mod, "exact_gibbs")):
+        def counted(instance, *args, _fn=getattr(mod, name), _name=name, **kwargs):
+            calls[_name].append(instance.seed)
+            return _fn(instance, *args, **kwargs)
+        monkeypatch.setattr(mod, name, counted)
+    obj = _minimal(kind=kind, n=[8], seeds=[3, 1], n_replicas=[4, 8, 16],
+                   sweeps=20, burn_in=5, t_max=5)
+    rows = run_experiment(config_from_dict(obj))
+    assert all(r.error == "" for r in rows) and len(rows) == 6
+    for seeds in calls.values():
+        assert len(seeds) == 2 and len(set(seeds)) == 2
+    # the rows are those of one run per replica count
+    monkeypatch.undo()
+    alone = sorted((row for count in (4, 8, 16) for row in run_experiment(
+        config_from_dict({**obj, "n_replicas": [count]}))),
+        key=lambda r: (r.n, r.beta, r.seed, r.n_replicas))
+    assert content_hash(rows) == content_hash(alone)
+
+
 def test_concentration_errors_stay_per_row(monkeypatch):
     # sampling 16 chains fails its own row only; beta = 0 fails the shared
     # instance, so every row of that grid point carries the error

@@ -151,6 +151,23 @@ def test_band_restriction_matches_listing(n):
     assert exact_gibbs(inst, band=band).log_z_band == log_zb
 
 
+def test_logsumexp_equals_scipy_bit_for_bit():
+    rng = np.random.default_rng(9)
+    arrays = [[3.0], [-np.inf], [-np.inf, -np.inf], [-np.inf, 2.0], [1.0, 1.0],
+              [np.inf, 1.0], [-1e300, 0.0], [-745.0, 0.0, 0.0, -0.5]]
+    for k in range(600):
+        a = rng.normal(size=int(rng.integers(1, 300))) * 10.0 ** rng.uniform(-3.0, 3.0)
+        if k % 3 == 0:
+            a = np.round(a)  # ties at the max
+        if k % 5 == 0:
+            a[rng.random(a.size) < 0.3] = -np.inf
+        arrays.append(a)
+    for a in arrays:
+        got = gibbs._logsumexp(a)
+        assert type(got) is float
+        assert np.float64(got).view(np.int64) == np.float64(logsumexp(a)).view(np.int64), a
+
+
 def test_empty_band_gives_minus_inf():
     inst = _diag_instance(6, np.zeros(6), np.zeros(6))
     m = np.full(6, 0.9)

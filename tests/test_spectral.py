@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tapglass import spectral
 from tapglass.spectral import (
     DegenerateLawError,
     DomainError,
@@ -216,6 +217,79 @@ def test_quantiles():
     # quantile mean/variance approach 0 and 1
     assert abs(q.mean()) < 1e-10
     assert abs(np.mean(q**2) - 1.0) < 1e-2
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def test_semicircle_quantiles_solved_once_per_size_and_read_only():
+    q = semicircle().quantiles(37)
+    assert semicircle().quantiles(37) is q
+    with pytest.raises(ValueError):
+        q[0] = 0.0
+
+
+def test_brentq_port_equals_scipy_on_semicircle_levels():
+    from scipy.optimize import brentq
+
+    def old_cdf(x):  # the CDF as the scipy route evaluated it, with np.sqrt
+        if x <= -2.0:
+            return 0.0
+        if x >= 2.0:
+            return 1.0
+        return 0.5 + x * np.sqrt(4.0 - x * x) / (4.0 * np.pi) + np.arcsin(x / 2.0) / np.pi
+
+    for n in [*range(1, 60), 199, 1000]:
+        levels = (np.arange(1, n + 1) - 0.5) / n
+        expected = [brentq(lambda x: old_cdf(x) - p, -2.0, 2.0, xtol=1e-14) for p in levels]
+        assert np.array_equal(_bits(semicircle().quantiles(n)), _bits(expected)), n
+
+
+def test_brentq_port_equals_scipy_on_atomic_r_solves():
+    from scipy.optimize import brentq
+
+    rng = np.random.default_rng(11)
+    tiny = np.finfo(float).tiny
+    for _ in range(60):
+        k = int(rng.integers(2, 40))
+        law = empirical_atoms(rng.normal(size=k) * rng.uniform(0.1, 5.0),
+                              rng.dirichlet(np.full(k, rng.uniform(0.2, 3.0)))).standardize()
+        x, p = law.atoms[:, 0], law.atoms[:, 1]
+        gap = x[-1] - x
+        for w in 10.0 ** rng.uniform(-8.0, 8.0, size=5):
+            g = lambda t: p @ ((t + gap) / (1.0 + w * (t + gap)))  # noqa: E731
+            left = max(-gap[0], -(1.0 - p[-1]) / w)
+            root = spectral._brentq(g, left, 0.0, tiny)
+            assert type(root) is float
+            assert _bits(root) == _bits(brentq(g, left, 0.0, xtol=tiny))
+            assert _bits(law.r_transform(w)) == _bits(x[-1] + root)
+
+
+@pytest.mark.parametrize("f, a, b, xtol, error", [
+    (lambda x: x + 2.0, 0.0, 1.0, 2e-12, ValueError),                    # no sign change
+    (lambda x: 1e-200 * (x + 1.0), 0.0, 1.0, 2e-12, ValueError),         # f(a) f(b) underflows
+    (lambda x: np.nan if x > 0.5 else x - 0.7, 0.0, 1.0, 2e-12, ValueError),  # NaN value
+    (lambda x: -1.0 if x < 1e-300 else 1.0, -1.0, 1.0, 1e-300, RuntimeError),  # 100 steps
+])
+def test_brentq_port_raises_as_scipy(f, a, b, xtol, error):
+    from scipy.optimize import brentq
+
+    with pytest.raises(error) as expected:
+        brentq(f, a, b, xtol=xtol)
+    with pytest.raises(error) as got:
+        spectral._brentq(f, a, b, xtol)
+    assert str(got.value) == str(expected.value)
+
+
+def test_brentq_port_sign_and_zero_ends_as_scipy():
+    from scipy.optimize import brentq
+
+    for f, a, b in [(lambda x: 1e-200 * (x - 0.3), 0.0, 1.0),   # f(a) f(b) underflows
+                    (lambda x: x - 0.5, 0.5, 1.0),              # root at an end
+                    (lambda x: -1.0 if x < 1 / 3 else 1.0, 0.0, 1.0),
+                    (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0)]:
+        assert _bits(spectral._brentq(f, a, b, 2e-12)) == _bits(brentq(f, a, b))
 
 
 def test_quantile_discretization_approximates_transforms():

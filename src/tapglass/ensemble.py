@@ -39,33 +39,25 @@ FIELD_MODE_QUANTILE = "quantile"
 FIELD_MODE_IID = "iid"
 
 
-def haar_orthogonal(n: int, seed) -> np.ndarray:
-    """Haar-uniform draw from O(n): QR of a Gaussian matrix with the R-diagonal
-    sign convention (unique QR with positive diagonal)."""
-    return _haar(n, seed, special=False)
-
-
 def haar_so(n: int, seed) -> np.ndarray:
-    """Haar-uniform draw from SO(n): the O(n) draw, last column negated if det = -1."""
-    return _haar(n, seed, special=True)
-
-
-def _haar(n: int, seed, special: bool) -> np.ndarray:
+    """Haar-uniform draw from SO(n): QR of a Gaussian matrix with the R-diagonal
+    sign convention (the unique QR with positive diagonal, a Haar draw from
+    O(n)), last column negated if det = -1."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     rng = np.random.default_rng(seed)
-    return _positive_r_q(np.asfortranarray(rng.standard_normal((n, n))), special)
+    return _positive_r_q(np.asfortranarray(rng.standard_normal((n, n))))
 
 
-def _positive_r_q(a: np.ndarray, special: bool) -> np.ndarray:
+def _positive_r_q(a: np.ndarray) -> np.ndarray:
     """Q of the m x k matrix a = QR (complete if m > k), overwriting a, with columns
-    signed so that R's diagonal is positive and, if special, det Q = +1.  These are
-    the geqrf and orgqr calls of `np.linalg.qr`, which copy a Fortran-ordered a the
+    signed so that R's diagonal is positive and det Q = +1.  These are the geqrf
+    and orgqr calls of `np.linalg.qr`, which copy a Fortran-ordered a the
     fastest, so Q is theirs to the bit; a reflector has det -1 unless its tau = 0."""
     m, k = a.shape
     tau = qr_r_raw(a)
     signs = np.append(np.where(np.diagonal(a) < 0, -1.0, 1.0), np.ones(m - k))
-    if special and (np.count_nonzero(tau) + np.count_nonzero(signs < 0)) % 2:
+    if (np.count_nonzero(tau) + np.count_nonzero(signs < 0)) % 2:
         signs[-1] = -signs[-1]
     q = (qr_complete if m > k else qr_reduced)(a, tau)
     return np.multiply(q, signs, out=q)
@@ -203,7 +195,7 @@ def conditional_haar_so(A: np.ndarray, B: np.ndarray, seed) -> np.ndarray:
 def _orthogonal_complement(a: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis of range(a)^perp, a n x k with k < n: the
     last n - k columns of a's complete sign-fixed QR basis, which has det +1."""
-    return _positive_r_q(np.array(a, dtype=float, order="F"), special=True)[:, a.shape[1]:]
+    return _positive_r_q(np.array(a, dtype=float, order="F"))[:, a.shape[1]:]
 
 
 def save_instance(instance: ModelInstance, path) -> None:

@@ -224,10 +224,10 @@ class Cell:
     """Grid cell (n, beta, seed): the one place its random objects are drawn.
 
     Each object draws from the stream keyed by the cell's coordinates.  The
-    fixed point, instance, enumeration, AMP run (per t_max) and band
-    enumeration (per band) are computed on first use and then shared by every
-    caller of the cell; a failure is not kept, so a later caller retries and
-    fails the same way.
+    fixed point, instance, enumeration, TAP solution, AMP run and
+    state-evolution Delta (each per t_max) and band enumeration (per band)
+    are computed on first use and then shared by every caller of the cell; a
+    failure is not kept, so a later caller retries and fails the same way.
     """
 
     law: SpectralLaw
@@ -237,6 +237,7 @@ class Cell:
     beta: float
     seed: int
     _amp_runs: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
+    _se_deltas: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
     _band_runs: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
 
     def stream(self, tag: int) -> int:
@@ -259,12 +260,22 @@ class Cell:
     def exact(self):
         return gibbs_mod.exact_gibbs(self.instance)
 
+    @functools.cached_property
+    def tap_solution(self):
+        return tap_mod.solve_tap_damped(self.instance, self.fp)
+
     def amp(self, t_max: int):
         if t_max not in self._amp_runs:
             fp = self.fp  # before the instance, so a fixed-point failure is the one reported
             self._amp_runs[t_max] = amp_mod.run_amp(
                 self.instance, fp, t_max, self.stream(STREAM_AMP))
         return self._amp_runs[t_max]
+
+    def se_delta(self, t_max: int):
+        """The state-evolution covariance Delta of the AMP run after t_max steps."""
+        if t_max not in self._se_deltas:
+            self._se_deltas[t_max] = theoretical_delta(self.fp, self.field, t_max)
+        return self._se_deltas[t_max]
 
     def band_exact(self, t_max: int, delta: float, eta: float):
         """The band (width delta, overlap cut eta) around the AMP output after
@@ -334,7 +345,7 @@ def _cell_tap_verify(cfg, cell, n_rep):
     traj = cell.amp(cfg.t_max)
     inst = cell.instance
     d = tap_mod.magnetization_vs_amp(mag, traj)
-    sol = tap_mod.solve_tap_damped(inst, fp)
+    sol = cell.tap_solution
     return {
         "d_first": float(d[0]),
         "d_final": float(d[-1]),
@@ -371,7 +382,7 @@ def _cell_band(cfg, cell, n_rep):
 
 def _cell_se_check(cfg, cell, n_rep):
     traj = cell.amp(cfg.t_max)
-    delta = theoretical_delta(cell.fp, cfg.field, cfg.t_max)
+    delta = cell.se_delta(cfg.t_max)
     report = amp_mod.empirical_vs_theoretical_se(traj, delta)
     return {
         "max_dev_xx": report.max_dev_xx,

@@ -6,14 +6,19 @@ in H (a constant shift of log Z, since sigma_i^2 = 1) but never enters the
 single-site conditionals, which depend on the off-diagonal field
 l = (Jbar - diag Jbar) sigma + h only.
 
-Exact enumeration lists the 2^n states in blocks of fixed size: the full
-listing of the low min(n, 12) sites crossed with a few high-site
-configurations.  Energies split as E = E_low + s_low . (J_lh s_high) + E_high,
-so a block costs one small matrix product and no per-state Python step.  Each
-block is reduced against its own maximum energy (log-sum-exp) to the
+Exact enumeration goes over the 2^n states in blocks of fixed size: the
+full listing of the low min(n, 12) sites crossed with a few high-site
+configurations.  No array of states is built.  Energies split as
+E = E_low + s_low . (J_lh s_high) + E_high, so a block costs one small matrix
+product and no per-state Python step, and a block's weights w, laid out
+(high, low), give its magnetization mass as [w.sum(0) @ low, w.sum(1) @ high].
+Each block is reduced against its own maximum energy (log-sum-exp) to the
 partition function, the magnetization and the band-restricted mass; block
 results are merged in fixed order, so results are bit-stable and independent
-of any thread or chunk setting.  With a band and n <= 12 the same pass also
+of any thread or chunk setting.  The band projection sigma . m is summed as
+a high-site plus a low-site part, so it can differ by rounding from one dot
+product over all sites, and a state within rounding of the band edge can
+fall on either side of it.  With a band and n <= 12 the same pass also
 keeps the in-band states, and the pair sum Z_c over them follows it, reduced
 by `_logsumexp`, a numpy log-sum-exp with scipy.special.logsumexp's
 arithmetic (so the module does not import scipy).
@@ -117,11 +122,6 @@ class BandSpec:
         if not self.eta > 0:
             raise ValueError(f"eta must be > 0, got {self.eta}")
 
-    @property
-    def has_pair_margin(self) -> bool:
-        """eta > 3 delta, the separation the two-scale pair arguments need."""
-        return self.eta > 3.0 * self.delta
-
 
 def in_band(sigma: np.ndarray, band: BandSpec):
     """|m . (sigma - m)| / n < delta, elementwise over a stack of states."""
@@ -165,40 +165,51 @@ def _logsumexp(a) -> float:
     return float(np.log1p(s / m) + np.log(m) + top)
 
 
-def _state_blocks(j_mat: np.ndarray, h: np.ndarray):
-    """Yield (states, energies) over all 2^n states in ascending code order
-    (bit i of the code is site i), one block at a time.
+def _state_blocks(j_mat: np.ndarray, h: np.ndarray, center: np.ndarray | None):
+    """Yield (low, high, energies, proj) over all 2^n states in ascending code
+    order (bit i of the code is site i), one block at a time.  No state array
+    is built: entry [a, b] of a block is the state with high[a] on the high
+    sites and low[b] on the low ones.
 
     A block is the full listing of the low k = min(n, _LOW_BITS) sites
     crossed with a run of high-site configurations, and its energies come
-    from E = E_low + s_low . (J_lh s_high) + E_high.
+    from E = E_low + s_low . (J_lh s_high) + E_high.  With a center c, proj is
+    the projection sigma . c summed as high[a] . c[k:] + low[b] . c[:k]
+    (None without a center); it can differ from a single dot product over
+    all n sites by rounding.
     """
     n = h.size
     k = min(n, _LOW_BITS)
     low = ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1) * 2.0 - 1.0
     e_low = 0.5 * np.einsum("ij,ij->i", low @ j_mat[:k, :k], low) + low @ h[:k]
     j_cross = 0.5 * (j_mat[:k, k:] + j_mat[k:, :k].T)
-    n_high = 1 << (n - k)
+    highs = ((np.arange(1 << (n - k))[:, None] >> np.arange(n - k)) & 1) * 2.0 - 1.0
+    if center is not None:
+        proj_low, proj_high = low @ center[:k], highs @ center[k:]
     per_block = max(1, _BLOCK_STATES >> k)
-    for start in range(0, n_high, per_block):
-        codes = np.arange(start, min(start + per_block, n_high))
-        high = ((codes[:, None] >> np.arange(n - k)) & 1) * 2.0 - 1.0
+    for start in range(0, highs.shape[0], per_block):
+        block = slice(start, start + per_block)
+        high = highs[block]
         e_high = 0.5 * np.einsum("ij,ij->i", high @ j_mat[k:, k:], high) + high @ h[k:]
-        energies = e_high[:, None] + (high @ j_cross.T) @ low.T + e_low[None, :]
-        states = np.empty((codes.size, low.shape[0], n))
-        states[:, :, :k] = low
-        states[:, :, k:] = high[:, None, :]
-        yield states.reshape(-1, n), energies.ravel()
+        energies = (high @ j_cross.T) @ low.T  # then + E_high + E_low, in that order
+        energies += e_high[:, None]
+        energies += e_low
+        proj = None if center is None else proj_high[block, None] + proj_low
+        yield low, high, energies, proj
 
 
 @_one_blas_thread
 def exact_gibbs(instance: ModelInstance, band: BandSpec | None = None) -> GibbsExact:
     """Full enumeration of the 2^n states (n <= 24) in one pass over the state
-    blocks.  Each block is weighted by exp(E - block max) and reduced to one
-    row [Z, magnetization mass, band mass]; the rows are merged in block order
-    against the global max, so results are bit-stable.
+    blocks, without building an array of states.  Each block is weighted by
+    exp(E - block max) and reduced to one row [Z, magnetization mass, band
+    mass]; the rows are merged in block order against the global max, so
+    results are bit-stable.
 
-    With a band, log_z_band is log Z_B (-inf when the band is empty).  With a
+    With a band, log_z_band is log Z_B (-inf when the band is empty).  A
+    state's band test reads its projection summed as high + low parts, so a
+    state within rounding of the band edge can fall on either side of it
+    (`in_band` sums the projection in one dot product).  With a
     band and n <= MAX_PAIR_ENUMERATION_N, the pass also keeps the in-band
     states of each block and sums exp(H(s) + H(t)) over ordered pairs of them
     whose centered overlap is above eta, diagonal pairs included when they
@@ -210,16 +221,20 @@ def exact_gibbs(instance: ModelInstance, band: BandSpec | None = None) -> GibbsE
     pairs = band is not None and n <= MAX_PAIR_ENUMERATION_N
     if band is not None and band.center.size != n:
         raise ValueError("band center length must match the instance size")
+    center = None if band is None else band.center
     tops, rows, band_states, band_energies = [], [], [], []
-    for states, energies in _state_blocks(instance.dense_coupling(), instance.h):
+    for low, high, energies, proj in _state_blocks(instance.dense_coupling(), instance.h, center):
         top = energies.max()
         w = np.exp(energies - top)
-        row = [[w.sum()], w @ states]
+        row = [[w.sum()], w.sum(0) @ low, w.sum(1) @ high]
         if band is not None:
-            keep = in_band(states, band)
+            proj -= center @ center
+            np.abs(proj, out=proj)
+            proj /= n
+            keep = proj < band.delta
             row.append([w[keep].sum()])
-            if pairs:
-                band_states.append(states[keep])
+            if pairs:  # one block, with no high sites: low lists the whole states
+                band_states.append(low[keep[0]])
                 band_energies.append(energies[keep])
         tops.append(top)
         rows.append(np.concatenate(row))

@@ -6,13 +6,16 @@ gives R'.  resolvent_gamma materializes the dense operator Gamma that AMP
 never forms, for the check y^t = Gamma x^t at small n.  damped_tap_solve is
 the plain damped iteration the Anderson-mixed solver accelerates.
 monte_carlo_delta estimates the state-evolution covariance by sampling the
-recursion that theoretical_delta integrates by quadrature.
+recursion that theoretical_delta integrates by quadrature.  haar_orthogonal
+is the unconstrained O(n) draw that haar_so's determinant fix is compared
+with, and has_pair_margin the band separation the pair arguments assume.
 """
 
 import numpy as np
 
 from tapglass.ensemble import ModelInstance
 from tapglass.fixed_point import FieldLaw, FixedPoint
+from tapglass.gibbs import BandSpec
 from tapglass.spectral import DomainError, SpectralLaw
 from tapglass.tap import (
     DEFAULT_TAP_TOL,
@@ -182,3 +185,15 @@ def monte_carlo_delta(
     prods_sq_mean = (x_cols**2).T @ (x_cols**2) / mc_samples
     se = np.sqrt(np.maximum(prods_sq_mean - delta**2, 0.0) / mc_samples)
     return delta, se
+
+
+def haar_orthogonal(n: int, seed) -> np.ndarray:
+    """Haar-uniform draw from O(n): numpy's QR of a Gaussian matrix with the
+    R-diagonal sign convention (unique QR with positive diagonal)."""
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    return q * np.where(np.diag(r) < 0, -1.0, 1.0)
+
+
+def has_pair_margin(band: BandSpec) -> bool:
+    """eta > 3 delta, the separation the two-scale pair arguments need."""
+    return band.eta > 3.0 * band.delta

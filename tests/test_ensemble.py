@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import haar_orthogonal
 from scipy.stats import ks_2samp
 
 import tapglass
@@ -14,7 +15,6 @@ from tapglass.ensemble import (
     _orthogonal_complement,
     build_instance,
     conditional_haar_so,
-    haar_orthogonal,
     haar_so,
     load_instance,
     save_instance,
@@ -60,7 +60,6 @@ def test_haar_draws_compute_no_determinant(monkeypatch):
     monkeypatch.setattr(np.linalg, "slogdet", refuse)
     monkeypatch.setattr(np.linalg, "det", refuse)
     haar_so(7, 0)
-    haar_orthogonal(7, 0)
     b = np.random.default_rng(1).standard_normal((7, 2))
     conditional_haar_so(haar_so(7, 2) @ b, b, seed=3)
 

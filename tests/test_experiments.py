@@ -334,6 +334,30 @@ def test_replica_counts_share_amp_run_and_band_enumeration(monkeypatch, kind):
     assert content_hash(rows) == content_hash(alone)
 
 
+@pytest.mark.parametrize("kind, mod, name", [
+    ("tap_verify", exp.tap_mod, "solve_tap_damped"), ("se_check", exp, "theoretical_delta"),
+], ids=["tap_verify", "se_check"])
+def test_replica_counts_share_tap_solve_and_se_delta(monkeypatch, kind, mod, name):
+    # kinds that ignore the replica count compute their row's object once per cell
+    calls = []
+    fn = getattr(mod, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(mod, name, counted)
+    obj = _minimal(kind=kind, n=[8], seeds=[3, 1], n_replicas=[4, 8, 16], t_max=5)
+    rows = run_experiment(config_from_dict(obj))
+    assert all(r.error == "" for r in rows) and len(rows) == 6
+    assert len(calls) == 2
+    monkeypatch.undo()
+    alone = sorted((row for count in (4, 8, 16) for row in run_experiment(
+        config_from_dict({**obj, "n_replicas": [count]}))),
+        key=lambda r: (r.n, r.beta, r.seed, r.n_replicas))
+    assert content_hash(rows) == content_hash(alone)
+
+
 def test_concentration_errors_stay_per_row(monkeypatch):
     # sampling 16 chains fails its own row only; beta = 0 fails the shared
     # instance, so every row of that grid point carries the error

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import has_pair_margin
 from scipy.special import logsumexp
 
 import tapglass
@@ -90,6 +91,35 @@ def test_enumeration_matches_listing_across_segments():
     res = exact_gibbs(inst)
     assert abs(res.log_z - log_z) < 1e-11
     assert np.abs(res.magnetization - mag).max() < 1e-11
+
+
+def test_band_enumeration_matches_listing_across_eight_blocks():
+    # n = 16 spans eight blocks (each 2^12 low states x 2 high); an iid field
+    # and a band centred on the exact magnetization give the low and the high
+    # sites different centre entries
+    inst = build_instance(16, 0.2, semicircle(), gaussian_field(0.2, 0.6), seed=5,
+                          field_mode="iid")
+    states, energies, log_z, mag = _naive_listing(inst)
+    band = BandSpec(mag, 0.1, 1.0)
+    res = exact_gibbs(inst, band)
+    assert abs(res.log_z - log_z) < 1e-11
+    assert np.abs(res.magnetization - mag).max() < 1e-11
+    keep = in_band(states, band)
+    assert 0 < keep.sum() < keep.size
+    assert abs(res.log_z_band - float(logsumexp(energies[keep]))) < 1e-12
+
+
+def test_enumeration_builds_no_state_array():
+    # a (2^13, 20) block of states alone is 1.25 MiB
+    inst = build_instance(20, 0.2, semicircle(), constant_field(0.5), seed=1)
+    band = BandSpec(np.full(20, 0.3), 0.2, 0.5)
+    tracemalloc.start()
+    try:
+        exact_gibbs(inst, band)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * (1 << 20)
 
 
 def test_decoupled_instance_is_exact_product():
@@ -284,8 +314,8 @@ def test_band_spec_validation():
         BandSpec(np.zeros(3), 0.0, 0.4)
     with pytest.raises(ValueError):
         BandSpec(np.zeros(3), 0.1, -0.4)
-    assert BandSpec(np.zeros(3), 0.1, 0.4).has_pair_margin
-    assert not BandSpec(np.zeros(3), 0.2, 0.5).has_pair_margin
+    assert has_pair_margin(BandSpec(np.zeros(3), 0.1, 0.4))
+    assert not has_pair_margin(BandSpec(np.zeros(3), 0.2, 0.5))
 
 
 def test_glauber_histogram_matches_exact_distribution():

@@ -147,7 +147,7 @@ def _cmd_tap_residual(args) -> int:
     elif args.source == "exact":
         residual = tap_mod.tap_residual(inst, fp, cell.exact.magnetization)
     else:
-        sol = tap_mod.solve_tap_damped(inst, fp)
+        sol = cell.tap_solution
         residual = sol.residual
         solver = {"solver_converged": int(sol.converged), "solver_iterations": sol.iterations}
     payload = {

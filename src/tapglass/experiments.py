@@ -492,9 +492,21 @@ def content_hash(rows: list[ResultRow]) -> str:
     return hashlib.sha256(_stable_text(rows).encode()).hexdigest()
 
 
+def _aggregate(values: list[float]) -> dict:
+    """mean/sd/count over the finite values; nonfinite counts the others (inf,
+    -inf, NaN), which are left out.  mean and sd are None when none is finite."""
+    finite = [v for v in values if np.isfinite(v)]
+    out = {"mean": None, "sd": None, "count": len(finite), "nonfinite": len(values) - len(finite)}
+    if finite:
+        out["mean"] = float(np.mean(finite))
+        out["sd"] = float(np.std(finite, ddof=1)) if len(finite) > 1 else 0.0
+    return out
+
+
 def emit_json_summary(rows: list[ResultRow], cfg: ExperimentConfig) -> dict:
     """Config echo, a content hash of the stable CSV text, and per-(n, beta)
-    mean/sd aggregates of every metric over seeds (and replica counts)."""
+    aggregates of every metric over seeds (and replica counts): mean/sd of
+    its finite values and a count of the non-finite ones."""
     aggregates = {}
     for row in rows:
         if row.error:
@@ -502,17 +514,10 @@ def emit_json_summary(rows: list[ResultRow], cfg: ExperimentConfig) -> dict:
         key = f"n={row.n},beta={row.beta}"
         bucket = aggregates.setdefault(key, {})
         for name, value in row.metrics.items():
-            if isinstance(value, (int, float)) and np.isfinite(value):
+            if isinstance(value, (int, float)):
                 bucket.setdefault(name, []).append(float(value))
     summary_aggregates = {
-        key: {
-            name: {
-                "mean": float(np.mean(vals)),
-                "sd": float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0,
-                "count": len(vals),
-            }
-            for name, vals in sorted(bucket.items())
-        }
+        key: {name: _aggregate(vals) for name, vals in sorted(bucket.items())}
         for key, bucket in sorted(aggregates.items())
     }
     return {

@@ -14,14 +14,13 @@ product and no per-state Python step, and a block's weights w, laid out
 (high, low), give its magnetization mass as [w.sum(0) @ low, w.sum(1) @ high].
 Each block is reduced against its own maximum energy (log-sum-exp) to the
 partition function, the magnetization and the band-restricted mass; block
-results are merged in fixed order, so results are bit-stable and independent
-of any thread or chunk setting.  The band projection sigma . m is summed as
-a high-site plus a low-site part, so it can differ by rounding from one dot
-product over all sites, and a state within rounding of the band edge can
-fall on either side of it.  With a band and n <= 12 the same pass also
-keeps the in-band states, and the pair sum Z_c over them follows it, reduced
-by `_logsumexp`, a numpy log-sum-exp with scipy.special.logsumexp's
-arithmetic (so the module does not import scipy).
+results are merged in fixed order, so results are bit-stable.  The band
+projection sigma . m is summed as a high-site plus a low-site part, so it
+can differ by rounding from one dot product over all sites, and a state
+within rounding of the band edge can fall on either side of it.  With a
+band and n <= 12 the same pass also keeps the in-band states, and the pair
+sum Z_c over them follows it, reduced the same way: each chunk of pair rows
+against its own maximum, the chunks merged against the top one.
 
 Glauber chains run in lockstep, all of them in one loop, drawing their
 uniforms in blocks of sweeps that hold at most 2^20 doubles over all chains.
@@ -52,9 +51,6 @@ smaller, which is what the replica geometry tests probe.
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,40 +66,6 @@ _BLOCK_STATES = 1 << 13
 _SWEEP_BLOCK_ELEMENTS = 1 << 20  # uniforms drawn at once, over all chains (8 MiB)
 _SITE_BLOCK = 32  # sites per delayed field update
 _PAIR_CHUNK_ROWS = 512
-
-
-try:  # numpy's OpenBLAS thread count as (get, set); None under another BLAS build
-    _blas = ctypes.CDLL(np._core._multiarray_umath.__file__)
-    _BLAS_THREADS = (_blas.scipy_openblas_get_num_threads64_,
-                     _blas.scipy_openblas_set_num_threads64_)
-except (AttributeError, OSError):
-    _BLAS_THREADS = None
-else:
-    _BLAS_THREADS[0].argtypes, _BLAS_THREADS[0].restype = [], ctypes.c_int
-    _BLAS_THREADS[1].argtypes, _BLAS_THREADS[1].restype = [ctypes.c_int], None
-
-
-def _one_blas_thread(fn):
-    """fn with numpy's OpenBLAS held at one thread.  Enumeration products are
-    big enough for OpenBLAS to split and too small to gain; its workers then
-    spin and take a core from the Glauber loop that follows.  The count is
-    process-wide and a product's rounding can depend on it, so it is held only
-    while the caller is the process's one thread (not while another Python
-    thread runs)."""
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        if _BLAS_THREADS is None or threading.active_count() > 1:
-            return fn(*args, **kwargs)
-        get, set_ = _BLAS_THREADS
-        previous = get()
-        set_(1)
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            set_(previous)
-
-    return wrapper
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,23 +110,6 @@ class GibbsExact:
     log_z_pairs: float | None = None
 
 
-def _logsumexp(a) -> float:
-    """log sum exp(a) over a nonempty 1-d array, by the arithmetic of
-    scipy.special.logsumexp (scipy 1.17), so the result is the same double:
-    every entry equal to the max (m of them) leaves the sum s of exp(a - max),
-    and the result is log1p(s / m) + log(m) + max.  A max that is not finite
-    (every entry -inf, or an inf or NaN entry) gives log sum exp(a) directly."""
-    a = np.asarray(a, dtype=float)
-    top = a.max()
-    with np.errstate(divide="ignore", over="ignore"):
-        if not np.isfinite(top):
-            return float(np.log(np.exp(a).sum()))
-        ties = a == top
-        m = np.count_nonzero(ties)
-        s = np.exp(np.where(ties, -np.inf, a) - top).sum()
-    return float(np.log1p(s / m) + np.log(m) + top)
-
-
 def _state_blocks(j_mat: np.ndarray, h: np.ndarray, center: np.ndarray | None):
     """Yield (low, high, energies, proj) over all 2^n states in ascending code
     order (bit i of the code is site i), one block at a time.  No state array
@@ -198,7 +143,6 @@ def _state_blocks(j_mat: np.ndarray, h: np.ndarray, center: np.ndarray | None):
         yield low, high, energies, proj
 
 
-@_one_blas_thread
 def exact_gibbs(instance: ModelInstance, band: BandSpec | None = None) -> GibbsExact:
     """Full enumeration of the 2^n states (n <= 24) in one pass over the state
     blocks, without building an array of states.  Each block is weighted by
@@ -214,7 +158,8 @@ def exact_gibbs(instance: ModelInstance, band: BandSpec | None = None) -> GibbsE
     states of each block and sums exp(H(s) + H(t)) over ordered pairs of them
     whose centered overlap is above eta, diagonal pairs included when they
     qualify: log_z_pairs is log Z_c, -inf when no pair qualifies, so
-    Z_c <= Z_B^2 still holds."""
+    Z_c <= Z_B^2 still holds.  The pairs go in chunks of _PAIR_CHUNK_ROWS
+    rows, each reduced against its own maximum and merged like the blocks."""
     n = instance.n
     if n > MAX_ENUMERATION_N:
         raise ValueError(f"exact enumeration is capped at n = {MAX_ENUMERATION_N}, got {n}")
@@ -248,14 +193,19 @@ def exact_gibbs(instance: ModelInstance, band: BandSpec | None = None) -> GibbsE
     if pairs:
         centered = np.concatenate(band_states) - band.center
         e_band = np.concatenate(band_energies)
-        chunk_logs = []
+        pair_tops, pair_sums = [], []
         for start in range(0, e_band.size, _PAIR_CHUNK_ROWS):
             chunk = slice(start, start + _PAIR_CHUNK_ROWS)
             mask = np.abs(centered[chunk] @ centered.T / n) > band.eta
             vals = (e_band[chunk, None] + e_band[None, :])[mask]
             if vals.size:
-                chunk_logs.append(_logsumexp(vals))
-        log_z_pairs = _logsumexp(chunk_logs) if chunk_logs else -np.inf
+                pair_tops.append(vals.max())
+                pair_sums.append(np.exp(vals - pair_tops[-1]).sum())
+        log_z_pairs = -np.inf
+        if pair_tops:
+            top_pairs = max(pair_tops)
+            weights = np.exp(np.array(pair_tops) - top_pairs)
+            log_z_pairs = float(top_pairs + np.log(weights @ pair_sums))
     return GibbsExact(
         log_z=float(top + np.log(z)),
         magnetization=total[1 : n + 1] / z,
@@ -277,7 +227,6 @@ class ReplicaSet:
     chain_mag: np.ndarray    # (n_chains, n), time average over the sweeps after burn-in
 
 
-@_one_blas_thread
 def glauber_sample(
     instance: ModelInstance,
     sweeps: int,

@@ -305,3 +305,34 @@ def test_10_sampler_matches_exact_distribution():
                           seed=stream_seed(0, n, beta, STREAM_MCMC))
     est = estimate_magnetization(reps, use_time_average=True)
     assert np.abs(est.mean - exact_mag).max() < 0.02
+
+
+def test_11_zero_field_free_energy_tells_laws_apart():
+    # At zero field q* = 0, the spread of log Z / n falls like 1/n, and the
+    # finite-size gap is c/n: a weighted fit of the size means on (1, 1/n)
+    # pins psi_rs, which this checks through r_integral and enumeration.
+    # The semicircle's log Z / n spreads wider, so it takes more instances:
+    # over four disjoint seed sets its intercept lay 4.2-7.6 SE from the
+    # two-point psi_rs with 40 instances per size, 2.2-7.3 SE with 20.
+    beta, sizes, field = 0.6, (14, 18, 22), constant_field(0.0)
+    laws = {"semicircle": (semicircle(), 40), "two_point": (two_point(), 20)}
+    psi = {name: solve_fixed_point(beta, law, field).psi_rs for name, (law, _) in laws.items()}
+    for name, (law, count) in laws.items():
+        means, ses = [], []
+        for n in sizes:
+            vals = [
+                exact_gibbs(build_instance(
+                    n, beta, law, field, seed=stream_seed(s, n, beta, STREAM_INSTANCE)
+                )).log_z / n
+                for s in range(count)
+            ]
+            means.append(np.mean(vals))
+            ses.append(np.std(vals, ddof=1) / np.sqrt(count))
+        x = np.column_stack([np.ones(len(sizes)), 1.0 / np.array(sizes)])
+        w = 1.0 / np.array(ses) ** 2
+        cov = np.linalg.inv(x.T @ (w[:, None] * x))
+        intercept = (cov @ (x.T @ (w * np.array(means))))[0]
+        z = {other: (intercept - value) / np.sqrt(cov[0, 0]) for other, value in psi.items()}
+        report = f"{name}: intercept {intercept:.5f}, z against each psi_rs {z}"
+        assert abs(z[name]) < 3.0, report
+        assert all(abs(v) > 3.0 for other, v in z.items() if other != name), report

@@ -197,6 +197,13 @@ def _default_cell(kind, n, seed):
     return Cell(cfg.law, cfg.field, cfg.field_mode, n, cfg.beta_values[0], seed)
 
 
+def _solver_metrics(out):
+    payload = json.loads(out)
+    return {"solver_residual": payload["residual"],
+            "solver_converged": payload["solver_converged"],
+            "solver_iterations": payload["solver_iterations"]}
+
+
 def _marginal_max_abs_err(out):
     mags = np.array([float(line.split(",")[1]) for line in out.strip().splitlines()[1:]])
     exact = _default_cell("gibbs_mcmc", 12, 1).exact.magnetization
@@ -213,6 +220,8 @@ CLI_RUNNER_CASES = {
     "tap-residual": (["tap-residual", "--n", "12", "--beta", "0.15", "--seed", "1",
                       "--source", "amp", "--t-max", "8"],
                      "amp", lambda out: {"tap_residual": json.loads(out)["residual"]}),
+    "tap-residual-solver": (["tap-residual", "--n", "12", "--beta", "0.15", "--seed", "1",
+                             "--source", "solver"], "tap_verify", _solver_metrics),
     "gibbs-mcmc": (["gibbs-mcmc", "--n", "12", "--seed", "1", "--chains", "8"],
                    "gibbs_mcmc", _marginal_max_abs_err),
 }

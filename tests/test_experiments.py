@@ -234,8 +234,8 @@ def test_only_experiments_reads_the_streams():
 
 
 def test_package_starts_no_threads_or_processes():
-    # cells run one after another in one thread; gibbs._one_blas_thread sets a
-    # process-wide BLAS thread count, which is only safe while that holds
+    # cells run one after another in one thread, and no module reaches into a
+    # native library's settings: no pool, no thread and no ctypes import
     def modules(tree):
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
@@ -246,9 +246,9 @@ def test_package_starts_no_threads_or_processes():
     importers = sorted(
         path.name
         for path in Path(tapglass.__file__).parent.glob("*.py")
-        if any(module.startswith(pool)
+        if any(module.startswith(banned)
                for module in modules(ast.parse(path.read_text(encoding="utf-8")))
-               for pool in ("concurrent.futures", "multiprocessing"))
+               for banned in ("concurrent.futures", "multiprocessing", "threading", "ctypes"))
     )
     assert importers == []
 
@@ -491,8 +491,26 @@ def test_summary_aggregates_match_recomputation():
     bucket = summary["aggregates"]["n=24,beta=0.15"]
     vals = [r.metrics["tap_residual"] for r in rows]
     assert bucket["tap_residual"]["count"] == 3
+    assert bucket["tap_residual"]["nonfinite"] == 0
     assert bucket["tap_residual"]["mean"] == pytest.approx(np.mean(vals))
     assert bucket["tap_residual"]["sd"] == pytest.approx(np.std(vals, ddof=1))
+
+
+def test_summary_counts_nonfinite_values_per_metric():
+    # -inf (an empty pair sum), inf and NaN are left out of mean and sd, and
+    # each metric says how many of its values were
+    def row(seed, **metrics):
+        return ResultRow(schema_version=exp.SCHEMA_VERSION, kind="band", n=16, beta=0.15,
+                         seed=seed, n_replicas=8, metrics=metrics, wall_time=0.0)
+
+    rows = [row(0, gap=0.25, margin=-np.inf), row(1, gap=np.nan, margin=-np.inf),
+            row(2, gap=0.75, margin=-np.inf), row(3, gap=np.inf, margin=-np.inf)]
+    summary = emit_json_summary(rows, config_from_dict(_minimal(kind="band", n=[16])))
+    bucket = summary["aggregates"]["n=16,beta=0.15"]
+    assert bucket["gap"] == {"mean": 0.5, "sd": pytest.approx(np.sqrt(0.125)),
+                             "count": 2, "nonfinite": 2}
+    assert bucket["margin"] == {"mean": None, "sd": None, "count": 0, "nonfinite": 4}
+    json.loads(json.dumps(summary, allow_nan=False))
 
 
 def test_summary_is_json_serializable():

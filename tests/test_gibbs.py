@@ -2,7 +2,6 @@
 
 import ast
 import inspect
-import threading
 import tracemalloc
 from pathlib import Path
 
@@ -181,23 +180,6 @@ def test_band_restriction_matches_listing(n):
     assert exact_gibbs(inst, band=band).log_z_band == log_zb
 
 
-def test_logsumexp_equals_scipy_bit_for_bit():
-    rng = np.random.default_rng(9)
-    arrays = [[3.0], [-np.inf], [-np.inf, -np.inf], [-np.inf, 2.0], [1.0, 1.0],
-              [np.inf, 1.0], [-1e300, 0.0], [-745.0, 0.0, 0.0, -0.5]]
-    for k in range(600):
-        a = rng.normal(size=int(rng.integers(1, 300))) * 10.0 ** rng.uniform(-3.0, 3.0)
-        if k % 3 == 0:
-            a = np.round(a)  # ties at the max
-        if k % 5 == 0:
-            a[rng.random(a.size) < 0.3] = -np.inf
-        arrays.append(a)
-    for a in arrays:
-        got = gibbs._logsumexp(a)
-        assert type(got) is float
-        assert np.float64(got).view(np.int64) == np.float64(logsumexp(a)).view(np.int64), a
-
-
 def test_empty_band_gives_minus_inf():
     inst = _diag_instance(6, np.zeros(6), np.zeros(6))
     m = np.full(6, 0.9)
@@ -205,13 +187,15 @@ def test_empty_band_gives_minus_inf():
     assert exact_gibbs(inst, band=BandSpec(m, 0.01, 1.0)).log_z_band == -np.inf
 
 
-def test_nonorth_pairs_match_brute_force():
-    inst = build_instance(8, 0.2, semicircle(), constant_field(0.8), seed=4)
+def _check_nonorth_pairs(n, beta, field, delta, eta):
+    """log Z_c against scipy's logsumexp over a naive pair listing; returns
+    the number of in-band states."""
+    inst = build_instance(n, beta, semicircle(), constant_field(field), seed=4)
     states, energies, _, mag = _naive_listing(inst)
-    band = BandSpec(mag, 0.4, 0.3)
-    keep = np.abs((states - mag) @ mag) / 8 < band.delta
+    band = BandSpec(mag, delta, eta)
+    keep = np.abs((states - mag) @ mag) / n < band.delta
     sb, eb = states[keep] - mag, energies[keep]
-    overlaps = sb @ sb.T / 8
+    overlaps = sb @ sb.T / n
     mask = np.abs(overlaps) > band.eta
     expected = float(logsumexp((eb[:, None] + eb[None, :])[mask]))
     exact = exact_gibbs(inst, band=band)
@@ -219,6 +203,25 @@ def test_nonorth_pairs_match_brute_force():
     assert got == pytest.approx(expected, abs=1e-10)
     # the pair sum can never exceed the full band square
     assert got <= 2 * exact.log_z_band + 1e-12
+    return int(keep.sum())
+
+
+def test_nonorth_pairs_match_brute_force():
+    _check_nonorth_pairs(8, 0.2, 0.8, 0.4, 0.3)
+
+
+@pytest.mark.parametrize(
+    "beta, field, delta, eta",
+    [
+        (0.3, 0.8, 0.6, 0.05),   # 3,255 in-band states
+        # 1,586 in-band states; the qualifying pair energies reach 801 and
+        # span 644, so exp without a shift overflows
+        (0.2, 40.0, 0.9, 0.05),
+    ],
+)
+def test_nonorth_pairs_merge_chunks(beta, field, delta, eta):
+    # several chunks of pair rows, each reduced against its own max
+    assert _check_nonorth_pairs(12, beta, field, delta, eta) > 2 * gibbs._PAIR_CHUNK_ROWS
 
 
 def test_nonorth_pairs_empty_cases():
@@ -230,35 +233,6 @@ def test_nonorth_pairs_empty_cases():
     inst0 = _diag_instance(6, np.zeros(6), np.zeros(6))
     band = BandSpec(np.full(6, 0.9), 0.01, 0.5)
     assert exact_gibbs(inst0, band=band).log_z_pairs == -np.inf
-
-
-def test_enumeration_blas_thread_limit():
-    # one BLAS thread inside the enumeration, the previous count after it,
-    # no change while another thread runs, and the same bits either way
-    if gibbs._BLAS_THREADS is None:
-        pytest.skip("numpy is not linked against OpenBLAS")
-    get, _ = gibbs._BLAS_THREADS
-    before = get()
-    seen = gibbs._one_blas_thread(get)()
-    assert get() == before
-    assert seen == 1
-    release = threading.Event()
-    other = threading.Thread(target=release.wait)
-    other.start()
-    try:
-        assert gibbs._one_blas_thread(get)() == before
-    finally:
-        release.set()
-        other.join()
-    for n in (12, 20):
-        inst = build_instance(n, 0.3, semicircle(), constant_field(0.8), seed=2)
-        band = BandSpec(exact_gibbs(inst).magnetization, 0.3, 0.1)
-        limited = exact_gibbs(inst, band)
-        unlimited = exact_gibbs.__wrapped__(inst, band)
-        assert limited.log_z == unlimited.log_z
-        assert limited.log_z_band == unlimited.log_z_band
-        assert np.array_equal(limited.magnetization, unlimited.magnetization)
-        assert limited.log_z_pairs == unlimited.log_z_pairs
 
 
 def test_sampled_nonorth_pairs_against_exact():
@@ -418,29 +392,6 @@ def test_glauber_matches_masked_reference_bit_for_bit(
     samples, chain_mag = _reference_glauber(inst, sweeps, burn_in, 1, n_chains, 40 + n)
     assert np.array_equal(reps.samples, samples)
     assert np.array_equal(reps.chain_mag, chain_mag)
-
-
-def test_glauber_blas_thread_limit(monkeypatch):
-    # the loop's small products run with numpy's OpenBLAS held at one thread,
-    # the previous count is back after it, and the bits are the same either way
-    if gibbs._BLAS_THREADS is None:
-        pytest.skip("numpy is not linked against OpenBLAS")
-    get, _ = gibbs._BLAS_THREADS
-    before = get()
-    seen = []
-
-    def recording_replica_set(**fields):
-        seen.append(get())
-        return ReplicaSet(**fields)
-
-    monkeypatch.setattr(gibbs, "ReplicaSet", recording_replica_set)
-    inst = build_instance(70, 0.4, semicircle(), constant_field(0.8), seed=2)
-    limited = glauber_sample(inst, sweeps=20, burn_in=5, n_chains=96, seed=3)
-    assert get() == before
-    unlimited = glauber_sample.__wrapped__(inst, sweeps=20, burn_in=5, n_chains=96, seed=3)
-    assert seen == [1, before]
-    assert np.array_equal(limited.samples, unlimited.samples)
-    assert np.array_equal(limited.chain_mag, unlimited.chain_mag)
 
 
 def test_gibbs_does_not_use_scipy_linalg():

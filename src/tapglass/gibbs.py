@@ -24,20 +24,22 @@ against its own maximum, the chunks merged against the top one.
 
 Glauber chains run in lockstep, all of them in one loop, drawing their
 uniforms in blocks of sweeps that hold at most 2^20 doubles over all chains.
-The states and fields are stored site-major (Fortran order), so one site's
-values across chains are contiguous.  When a sweep starts its uniforms u are
-turned, in place, into thresholds 0.5 log(u / (1 - u)), and site i moves up
-when l_i > threshold, which is u < 1/(1 + exp(-2 l_i)) rearranged.  Sites go
-in blocks of 32 with a delayed field update: inside a block, site a+k reads
-its field at block start plus the changes of sites a..a+k-1 times their
-couplings into it (one small matrix-vector product), and when the block ends
-its changes enter the spins and, through one small matrix product, all the
-fields.  A site-step is three whole-vector numpy calls.  The fields equal
-those of a sequential rank-1 update only up to rounding, so a spin decision
-can differ from that of a masked chain-by-chain loop on the same seed only
-when l lies within rounding of its threshold (or when u = 0 and l < -354,
-where the logistic underflows); the test suite checks that the chains match
-such a loop bit for bit.
+Each chain draws into its own contiguous row of the block, and the row's
+uniforms u are turned, in place, into thresholds 0.5 log(u / (1 - u)); site
+i moves up when l_i > threshold, which is u < 1/(1 + exp(-2 l_i))
+rearranged.  Sites go in blocks of 32 with a delayed field update.  Inside a
+block the new spins solve a strictly triangular system: site a+k moves up
+when its field at block start plus the changes of sites a..a+k-1 times their
+couplings into it exceeds its threshold.  It is solved exactly as a fixed
+point, each iteration a few whole-block numpy calls over all chains (one
+small matrix product gives every site's partial field), until the spins
+repeat: at most block width + 1 iterations.  When the block ends its changes
+enter the spins and, through one small matrix product, all the fields.  The
+fields equal those of a sequential rank-1 update only up to rounding, so a
+spin decision can differ from that of a masked chain-by-chain loop on the
+same seed only when l lies within rounding of its threshold (or when u = 0
+and l < -354, where the logistic underflows); the test suite checks that the
+chains match such a loop bit for bit.
 
 Band machinery: for a profile m and delta > 0,
 
@@ -242,28 +244,38 @@ def glauber_sample(
     depend on how the uniforms are blocked.  Every sweep after burn_in enters
     the per-chain time average.
 
-    sigma and the fields l are (chains, n) Fortran-ordered arrays, so column
-    i (site i across chains) is contiguous, and the uniforms of a block of
-    sweeps are laid out (sweep, site, chain).  A block holds at most
-    _SWEEP_BLOCK_ELEMENTS doubles, or one sweep when a sweep is larger.  At
-    the start of a sweep its uniforms become thresholds 0.5 log(u / (1 - u))
-    in place, and site i moves up when l_i > threshold.
+    The uniforms of a block of sweeps are laid out (chain, sweep, site), so
+    each chain draws its share into one contiguous row.  A block holds at
+    most _SWEEP_BLOCK_ELEMENTS doubles, or one sweep when a sweep is larger,
+    and one chain's share more is kept for 1 - u.  Each row becomes the
+    thresholds 0.5 log(u / (1 - u)) in place, once per block, and site i
+    moves up when l_i > threshold.
 
     The sites of a sweep go in blocks of _SITE_BLOCK, with a delayed field
-    update.  When a block starts, its fields are subtracted from its
-    thresholds and each old spin is noted as (1 + sigma) / 2.  Site a+k then
-    takes the halved spin changes c = (new - old) / 2, in {-1, 0, 1}, of
-    sites a..a+k-1 into c @ 2 J_off[a:a+k, a+k], its field's change since the
-    block started; it moves up where that exceeds its shifted threshold and
-    writes its own c: three numpy calls in all.  When the block ends,
+    update.  When a block [a, b) starts, its fields are subtracted from its
+    thresholds, giving s, and each old spin is noted as (1 + sigma) / 2.  The
+    new spins u (0/1) then solve the strictly triangular system
+
+        u_k = [sum_{j<k} 2 J_off[a+j, a+k] c_j > s_k],  c = u - old,
+
+    where c, in {-1, 0, 1}, is the halved spin change.  Starting from
+    u = [0 > s], each iteration sets c = u - old and u = [c @ T > s], with T
+    the strictly upper triangle of 2 J_off[a:b, a:b]: four numpy calls on
+    (chains, b - a) arrays.  Column k of c @ T reads only c_j for j < k: the
+    other terms, like those of unchanged sites, are exact zeros.  After t
+    iterations the first t sites are therefore final, and a u that repeats
+    is the system's one solution, so the iteration stops after at most
+    b - a + 1 iterations with the decisions of a site-by-site pass over the
+    block that reads the same partial sums.  When the block ends,
     sigma += 2 c and l += c @ 2 J_off[a:b, :], one matrix product.  Each c
     times 2 J_off is the exact product of a spin change and J_off, but the
-    sums round in another order than a site-by-site rank-1 update, so the
-    fields match that update only up to rounding.  A spin decision can
-    therefore differ from a masked chain-by-chain loop on the same seed when
-    l lies within rounding of its threshold, or when u = 0 and l < -354
-    (where the logistic underflows to 0); no proof of equality is claimed.
-    The test suite checks the two bit for bit on fixed seeds.
+    partial sums and the field sums round in another order than a
+    site-by-site rank-1 update, so the fields match that update only up to
+    rounding.  A spin decision can therefore differ from a masked
+    chain-by-chain loop on the same seed when l lies within rounding of its
+    threshold, or when u = 0 and l < -354 (where the logistic underflows to
+    0); no proof of equality is claimed.  The test suite checks the two bit
+    for bit on fixed seeds.
     """
     if sweeps < 1 or burn_in < 0 or n_chains < 1:
         raise ValueError("need sweeps >= 1, burn_in >= 0, n_chains >= 1")
@@ -274,53 +286,60 @@ def glauber_sample(
 
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n_chains)]
     sigma = np.array([rng.integers(0, 2, n) * 2 - 1 for rng in rngs], dtype=float)
-    field = np.asfortranarray(sigma @ j_off + h[None, :])
-    sigma = np.asfortranarray(sigma)
-    mag_acc = np.zeros((n_chains, n), order="F")
+    field = sigma @ j_off + h[None, :]
+    mag_acc = np.zeros((n_chains, n))
     j_twice = np.multiply(j_off, 2.0, out=j_off)  # in place: J_off is not read again
-    change = np.zeros((n_chains, _SITE_BLOCK), order="F")  # halved spin changes
-    was_up = np.empty((n_chains, _SITE_BLOCK), order="F")  # (1 + old spin) / 2
-    partial = np.empty(n_chains)
-    up = np.empty(n_chains, dtype=bool)
-    field_shift = np.empty((n_chains, n), order="F")
+    field_shift = np.empty((n_chains, n))
+    # per block width: thresholds less fields, old spins as 0/1, halved
+    # changes, partial fields, and two guesses of the new spins
+    scratch = {
+        w: [np.empty((n_chains, w)) for _ in range(4)]
+        + [np.empty((n_chains, w), dtype=bool) for _ in range(2)]
+        for w in {min(_SITE_BLOCK, n - a) for a in range(0, n, _SITE_BLOCK)}
+    }
     blocks = []
     for a in range(0, n, _SITE_BLOCK):
         b = min(a + _SITE_BLOCK, n)
-        j_into = np.ascontiguousarray(j_twice[a:b, a:b].T)  # row k: 2 J_off[a:b, a+k]
-        c, old = change[:, :b - a], was_up[:, :b - a]
-        steps = [(c[:, :k], j_into[k, :k], old[:, k], c[:, k]) for k in range(b - a)]
-        blocks.append((slice(a, b), sigma[:, a:b], field[:, a:b].T, j_twice[a:b], c, old, steps))
+        # column k holds 2 J_off[a+j, a+k] for j < k, zeros from the diagonal down
+        j_within = np.triu(j_twice[a:b, a:b], 1)
+        blocks.append((slice(a, b), sigma[:, a:b], field[:, a:b], j_within, j_twice[a:b],
+                       scratch[b - a]))
     total = burn_in + sweeps
     block_sweeps = max(1, _SWEEP_BLOCK_ELEMENTS // (n * n_chains))
-    # (sweep, site, chain): the uniforms of one site-step are one contiguous row
-    uniforms = np.empty((min(block_sweeps, total), n, n_chains))
+    # (chain, sweep, site): each chain draws its uniforms into one contiguous row
+    uniforms = np.empty((n_chains, min(block_sweeps, total), n))
+    one_minus = np.empty(uniforms.shape[1:])  # 1 - u of one chain
     for done in range(0, total, block_sweeps):
         block = min(block_sweeps, total - done)
-        np.stack([rng.random((block, n)) for rng in rngs], axis=2, out=uniforms[:block])
-        for t in range(block):
-            thresholds = uniforms[t]
-            np.divide(thresholds, 1.0 - thresholds, out=thresholds)
+        for rng, row in zip(rngs, uniforms):
+            row, rest = row[:block], one_minus[:block]
+            rng.random(out=row)
+            np.subtract(1.0, row, out=rest)
+            np.divide(row, rest, out=row)
             with np.errstate(divide="ignore"):  # u = 0 gives -inf: the site moves up
-                np.log(thresholds, out=thresholds)
-            thresholds *= 0.5
-            for sites, sigma_block, field_block, j_rows, c, old, steps in blocks:
-                block_thresholds = thresholds[sites]
-                block_thresholds -= field_block
+                np.log(row, out=row)
+            row *= 0.5
+        for t in range(block):
+            thresholds = uniforms[:, t]
+            for sites, sigma_block, field_block, j_within, j_rows, work in blocks:
+                shifted, old, c, partial, up, guess = work
+                np.subtract(thresholds[:, sites], field_block, out=shifted)
                 np.greater(sigma_block, 0.0, out=old)
-                for threshold, (c_before, j_before, old_i, c_i) in zip(block_thresholds, steps):
-                    np.dot(c_before, j_before, out=partial)
-                    np.greater(partial, threshold, out=up)
-                    np.subtract(up, old_i, out=c_i)
+                np.less(shifted, 0.0, out=up)
+                while True:
+                    np.subtract(up, old, out=c)
+                    np.matmul(c, j_within, out=partial)
+                    np.greater(partial, shifted, out=guess)
+                    if guess.tobytes() == up.tobytes():
+                        break
+                    up, guess = guess, up
                 sigma_block += 2.0 * c
                 np.matmul(c, j_rows, out=field_shift)
                 field += field_shift
             if done + t >= burn_in:
                 mag_acc += sigma
 
-    return ReplicaSet(
-        samples=np.ascontiguousarray(sigma),
-        chain_mag=np.ascontiguousarray(mag_acc / sweeps),
-    )
+    return ReplicaSet(samples=sigma, chain_mag=mag_acc / sweeps)
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,7 +6,9 @@ gives R'.  resolvent_gamma materializes the dense operator Gamma that AMP
 never forms, for the check y^t = Gamma x^t at small n.  damped_tap_solve is
 the plain damped iteration the Anderson-mixed solver accelerates.
 monte_carlo_delta estimates the state-evolution covariance by sampling the
-recursion that theoretical_delta integrates by quadrature.  haar_orthogonal
+recursion that theoretical_delta integrates by quadrature.  masked_glauber is
+the chain-by-chain Glauber loop with a masked rank-1 field update, which the
+lockstep block sampler is checked against bit for bit.  haar_orthogonal
 is the unconstrained O(n) draw that haar_so's determinant fix is compared
 with, and has_pair_margin the band separation the pair arguments assume.
 """
@@ -15,7 +17,7 @@ import numpy as np
 
 from tapglass.ensemble import ModelInstance
 from tapglass.fixed_point import FieldLaw, FixedPoint
-from tapglass.gibbs import BandSpec
+from tapglass.gibbs import _SWEEP_BLOCK_ELEMENTS, MAX_MCMC_DENSE_N, BandSpec
 from tapglass.spectral import DomainError, SpectralLaw
 from tapglass.tap import (
     DEFAULT_TAP_TOL,
@@ -28,6 +30,8 @@ from tapglass.tap import (
 
 INVERSE_TOL = 1e-12
 DERIVATIVE_REL_STEP = 1e-6
+
+MASKED_CHAIN_CHUNK = 256  # masked_glauber's chains per pass
 
 _EDGE_OFFSET = 1e-12
 _BRACKET_START = 1e3
@@ -185,6 +189,48 @@ def monte_carlo_delta(
     prods_sq_mean = (x_cols**2).T @ (x_cols**2) / mc_samples
     se = np.sqrt(np.maximum(prods_sq_mean - delta**2, 0.0) / mc_samples)
     return delta, se
+
+
+def masked_glauber(
+    instance: ModelInstance, sweeps: int, burn_in: int, n_chains: int, seed: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(final states, time-averaged magnetizations) of chain-major Glauber
+    chains, run MASKED_CHAIN_CHUNK chains at a time.  Site i moves up where
+    u < 1/(1 + exp(-2 l_i)), and only the chains whose spin changed get the
+    rank-1 field update l += (new - old) J_off[i].  Chain c draws from child c
+    of the seed, at most _SWEEP_BLOCK_ELEMENTS uniforms a chain at a time."""
+    n = instance.n
+    j_off = instance.dense_coupling(max_n=MAX_MCMC_DENSE_N)
+    np.fill_diagonal(j_off, 0.0)
+    h = instance.h
+    children = np.random.SeedSequence(seed).spawn(n_chains)
+    samples = np.empty((n_chains, n))
+    chain_mag = np.zeros((n_chains, n))
+    total = burn_in + sweeps
+    block_sweeps = max(1, _SWEEP_BLOCK_ELEMENTS // n)
+    for chunk_start in range(0, n_chains, MASKED_CHAIN_CHUNK):
+        chunk = slice(chunk_start, min(chunk_start + MASKED_CHAIN_CHUNK, n_chains))
+        rngs = [np.random.default_rng(c) for c in children[chunk]]
+        sigma = np.array([rng.integers(0, 2, n) * 2 - 1 for rng in rngs], dtype=float)
+        field = sigma @ j_off + h[None, :]
+        mag_acc = np.zeros((len(rngs), n))
+        for done in range(0, total, block_sweeps):
+            block = min(block_sweeps, total - done)
+            uniforms = np.stack([rng.random((block, n)) for rng in rngs])
+            for t in range(block):
+                for i in range(n):
+                    prob_up = 1.0 / (1.0 + np.exp(-2.0 * field[:, i]))
+                    new = np.where(uniforms[:, t, i] < prob_up, 1.0, -1.0)
+                    delta_s = new - sigma[:, i]
+                    moved = delta_s != 0.0
+                    if moved.any():
+                        field[moved] += delta_s[moved, None] * j_off[i][None, :]
+                        sigma[moved, i] = new[moved]
+                if done + t >= burn_in:
+                    mag_acc += sigma
+        samples[chunk] = sigma
+        chain_mag[chunk] = mag_acc / sweeps
+    return samples, chain_mag
 
 
 def haar_orthogonal(n: int, seed) -> np.ndarray:

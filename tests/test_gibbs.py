@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import has_pair_margin
+from oracles import MASKED_CHAIN_CHUNK, has_pair_margin, masked_glauber
 from scipy.special import logsumexp
 
 import tapglass
@@ -15,8 +15,6 @@ from tapglass import gibbs
 from tapglass.ensemble import ModelInstance, build_instance, haar_so
 from tapglass.fixed_point import constant_field, gaussian_field
 from tapglass.gibbs import (
-    _SWEEP_BLOCK_ELEMENTS,
-    MAX_MCMC_DENSE_N,
     BandSpec,
     ReplicaSet,
     estimate_magnetization,
@@ -324,74 +322,55 @@ def test_glauber_deterministic_and_seed_sensitive():
     assert not np.array_equal(a.samples, c.samples)
 
 
-_CHAIN_CHUNK = 256  # the reference's chain chunk; the sampler runs all chains at once
-
-
-def _reference_glauber(instance, sweeps, burn_in, thin, n_chains, seed):
-    """The chain-major Glauber loop with a masked field update of the moved
-    chains only, transcribed as the reference for bit-for-bit checks."""
-    n = instance.n
-    j_off = instance.dense_coupling(max_n=MAX_MCMC_DENSE_N).copy()
-    np.fill_diagonal(j_off, 0.0)
-    h = instance.h
-    children = np.random.SeedSequence(seed).spawn(n_chains)
-    samples = np.empty((n_chains, n))
-    chain_mag = np.zeros((n_chains, n))
-    total = burn_in + sweeps
-    recorded = len(range(burn_in, total, thin))
-    block_sweeps = max(1, _SWEEP_BLOCK_ELEMENTS // n)
-    for chunk_start in range(0, n_chains, _CHAIN_CHUNK):
-        chunk = slice(chunk_start, min(chunk_start + _CHAIN_CHUNK, n_chains))
-        rngs = [np.random.default_rng(c) for c in children[chunk]]
-        n_c = len(rngs)
-        sigma = np.array([rng.integers(0, 2, n) * 2 - 1 for rng in rngs], dtype=float)
-        field = sigma @ j_off + h[None, :]
-        mag_acc = np.zeros((n_c, n))
-        done = 0
-        while done < total:
-            block = min(block_sweeps, total - done)
-            uniforms = np.stack([rng.random((block, n)) for rng in rngs])
-            for t in range(block):
-                for i in range(n):
-                    prob_up = 1.0 / (1.0 + np.exp(-2.0 * field[:, i]))
-                    new = np.where(uniforms[:, t, i] < prob_up, 1.0, -1.0)
-                    delta_s = new - sigma[:, i]
-                    moved = delta_s != 0.0
-                    if moved.any():
-                        field[moved] += delta_s[moved, None] * j_off[i][None, :]
-                        sigma[moved, i] = new[moved]
-                sweep_index = done + t
-                if sweep_index >= burn_in and (sweep_index - burn_in) % thin == 0:
-                    mag_acc += sigma
-            done += block
-        samples[chunk] = sigma
-        chain_mag[chunk] = mag_acc / recorded
-    return samples, chain_mag
+def _masked_case(n, n_chains, sweeps, burn_in, block_elements=None, beta=0.4):
+    """One row of the bit-for-bit check; the id names beta only when it is
+    not the base 0.4."""
+    ident = f"{n}-{n_chains}-{sweeps}-{burn_in}-{block_elements}"
+    return pytest.param(n, n_chains, sweeps, burn_in, block_elements, beta,
+                        id=ident if beta == 0.4 else f"{ident}-beta{beta}")
 
 
 @pytest.mark.parametrize(
-    "n, n_chains, sweeps, burn_in, block_elements",
+    "n, n_chains, sweeps, burn_in, block_elements, beta",
     [
-        (1, 5, 20, 3, None),               # a single site
-        (6, 1, 30, 4, None),               # a single chain
-        (40, _CHAIN_CHUNK + 44, 6, 2, None),  # two reference chunks, one loop
-                                              # here in two site blocks
-        (9, 4, 40, 10, None),              # time average after burn-in
-        (16, 3, 30, 5, 192),               # 9 uniform blocks; the reference draws 1
-        (75, 5, 12, 3, None),              # two full site blocks and a partial one
-        (100, 3, 20, 5, 600),              # 13 uniform blocks and 4 site blocks a sweep
+        _masked_case(1, 5, 20, 3),               # a single site
+        _masked_case(6, 1, 30, 4),               # a single chain
+        _masked_case(40, MASKED_CHAIN_CHUNK + 44, 6, 2),  # two reference chunks, one
+                                                          # loop here in two site blocks
+        _masked_case(9, 4, 40, 10),              # time average after burn-in
+        _masked_case(16, 3, 30, 5, 192),         # 9 uniform blocks; the reference draws 1
+        _masked_case(75, 5, 12, 3),              # two full site blocks and a partial one
+        _masked_case(100, 3, 20, 5, 600),        # 13 uniform blocks and 4 site blocks a sweep
+        _masked_case(64, 16, 20, 5, beta=2.0),   # strong coupling: in-block cascades
+                                                 # take up to 6 fixed-point iterations
+        _masked_case(32, 4, 20, 5),              # one full site block
+        _masked_case(33, 4, 20, 5),              # a full site block, then a 1-site block
     ],
 )
 def test_glauber_matches_masked_reference_bit_for_bit(
-    monkeypatch, n, n_chains, sweeps, burn_in, block_elements
+    monkeypatch, n, n_chains, sweeps, burn_in, block_elements, beta
 ):
-    inst = build_instance(n, 0.4, semicircle(), gaussian_field(0.3, 0.8), seed=20 + n)
+    inst = build_instance(n, beta, semicircle(), gaussian_field(0.3, 0.8), seed=20 + n)
     if block_elements is not None:
         monkeypatch.setattr(gibbs, "_SWEEP_BLOCK_ELEMENTS", block_elements)
     reps = glauber_sample(inst, sweeps=sweeps, burn_in=burn_in, n_chains=n_chains, seed=40 + n)
-    samples, chain_mag = _reference_glauber(inst, sweeps, burn_in, 1, n_chains, 40 + n)
+    samples, chain_mag = masked_glauber(inst, sweeps, burn_in, n_chains, 40 + n)
     assert np.array_equal(reps.samples, samples)
     assert np.array_equal(reps.chain_mag, chain_mag)
+
+
+def test_glauber_site_block_width_changes_no_decision(monkeypatch):
+    # the width sets how the in-block fixed point is reached (1: no fixed
+    # point, each site's field updated before the next; 7: six blocks and a
+    # 5-site one), not the spins it reaches
+    inst = build_instance(47, 1.2, semicircle(), gaussian_field(0.3, 0.8), seed=9)
+    runs = []
+    for width in (1, 7, 32):
+        monkeypatch.setattr(gibbs, "_SITE_BLOCK", width)
+        runs.append(glauber_sample(inst, sweeps=25, burn_in=5, n_chains=12, seed=17))
+    for reps in runs[1:]:
+        assert np.array_equal(reps.samples, runs[0].samples)
+        assert np.array_equal(reps.chain_mag, runs[0].chain_mag)
 
 
 def test_gibbs_does_not_use_scipy_linalg():
@@ -438,6 +417,21 @@ def test_glauber_uniform_block_is_bounded_over_all_chains(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2 << 20
+
+
+def test_glauber_memory_is_one_uniform_block_and_the_coupling():
+    # the glauber_grid benchmark shape: 64 chains of n = 200 draw all 60
+    # sweeps in one 6 MiB block; a second buffer of that size (for 1 - u, or
+    # the per-chain draws before they are stacked) would double the peak
+    n, n_chains, sweeps, burn_in = 200, 64, 50, 10
+    inst = build_instance(n, 0.15, semicircle(), constant_field(1.0), seed=3)
+    tracemalloc.start()
+    try:
+        glauber_sample(inst, sweeps=sweeps, burn_in=burn_in, n_chains=n_chains, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 8 * (n_chains * (sweeps + burn_in) * n + n * n)
 
 
 def test_estimate_magnetization_from_final_states():

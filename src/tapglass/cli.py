@@ -130,10 +130,10 @@ def _cmd_gibbs_exact(args) -> int:
 def _cmd_gibbs_mcmc(args) -> int:
     cell = _cell(args)
     reps = cell.chains(args.chains, args.sweeps, args.burn_in)
-    est = gibbs_mod.estimate_magnetization(reps, use_time_average=True)
+    mean, se = reps.marginals()
     lines = ["site,magnetization,standard_error"]
     for i in range(cell.n):
-        lines.append(f"{i},{float(est.mean[i])!r},{float(est.se[i])!r}")
+        lines.append(f"{i},{float(mean[i])!r},{float(se[i])!r}")
     _write_or_print("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -199,21 +199,27 @@ def _orthogonal_complement(a: np.ndarray) -> np.ndarray:
 
 
 def save_instance(instance: ModelInstance, path) -> None:
-    """Persist all defining arrays; the coupling matrix itself is re-derivable."""
-    np.savez(
-        Path(path),
-        n=np.array(instance.n),
-        beta=np.array(instance.beta),
-        d_bar=instance.d_bar,
-        O=instance.O,
-        h=instance.h,
-        seed=np.array(instance.seed),
-    )
+    """Persist all defining arrays, as an .npz archive at exactly the given
+    path; the coupling matrix itself is re-derivable."""
+    with open(path, "wb") as fh:  # a path np.savez saw would gain an .npz suffix
+        np.savez(
+            fh,
+            n=np.array(instance.n),
+            beta=np.array(instance.beta),
+            d_bar=instance.d_bar,
+            O=instance.O,
+            h=instance.h,
+            seed=np.array(instance.seed),
+        )
 
 
 def load_instance(path) -> ModelInstance:
     """Read a saved instance; its O comes from outside, so check it is in SO(n)."""
     with np.load(Path(path)) as data:
+        missing = sorted({"n", "beta", "d_bar", "O", "h", "seed"} - set(data.files))
+        if missing:
+            raise ValueError(
+                f"{path} is not a saved instance: missing arrays {', '.join(missing)}")
         inst = ModelInstance(
             n=int(data["n"]),
             beta=float(data["beta"]),

@@ -228,6 +228,15 @@ class ReplicaSet:
     samples: np.ndarray      # (n_chains, n), final state of each chain
     chain_mag: np.ndarray    # (n_chains, n), time average over the sweeps after burn-in
 
+    def marginals(self) -> tuple[np.ndarray, np.ndarray]:
+        """The single-site marginals: the across-chain mean of the time
+        averages and its per-site standard error (NaN for a single chain)."""
+        n_chains = self.chain_mag.shape[0]
+        mean = self.chain_mag.mean(axis=0)
+        if n_chains == 1:
+            return mean, np.full(mean.size, np.nan)
+        return mean, self.chain_mag.std(axis=0, ddof=1) / np.sqrt(n_chains)
+
 
 def glauber_sample(
     instance: ModelInstance,
@@ -342,48 +351,18 @@ def glauber_sample(
     return ReplicaSet(samples=sigma, chain_mag=mag_acc / sweeps)
 
 
-@dataclass(frozen=True, eq=False)
-class MagnetizationEstimate:
-    """Replica-averaged magnetization with per-site standard errors."""
-
-    mean: np.ndarray
-    se: np.ndarray
-    distance: float | None
-
-
-def estimate_magnetization(
-    replicas: ReplicaSet,
-    exact_magnetization: np.ndarray | None = None,
-    use_time_average: bool = False,
-) -> MagnetizationEstimate:
-    """Average over chains; distance is (1/n) || mean - exact ||^2 when a
-    reference is supplied.  The time-averaged variant has far lower variance
-    per chain and is the right estimator for single-site marginals."""
-    source = replicas.chain_mag if use_time_average else replicas.samples
-    n_chains = source.shape[0]
-    mean = source.mean(axis=0)
-    if n_chains > 1:
-        se = source.std(axis=0, ddof=1) / np.sqrt(n_chains)
-    else:
-        se = np.full(source.shape[1], np.nan)
-    distance = None
-    if exact_magnetization is not None:
-        distance = float(np.sum((mean - exact_magnetization) ** 2) / mean.size)
-    return MagnetizationEstimate(mean=mean, se=se, distance=distance)
-
-
 @dataclass(frozen=True)
 class ReplicaGeometryReport:
-    """How a replica cloud sits relative to a band.  pairs_in_band counts the
-    ordered pairs of distinct in-band replicas, pairs_violating those among
-    them with centered overlap above eta."""
+    """How a replica cloud sits relative to a band.  log_violating_share is
+    the log of the share of ordered pairs of distinct in-band replicas whose
+    centered overlap is above eta (-inf when none is), so that 2 log Z_B plus
+    it estimates log Z_c, the product band-Gibbs measure being the proposal."""
 
     band_fraction: float
     pair_violation_fraction: float
     in_b_n: bool
     distance: float
-    pairs_in_band: int
-    pairs_violating: int
+    log_violating_share: float
 
 
 def replica_geometry_report(replicas: ReplicaSet, band: BandSpec) -> ReplicaGeometryReport:
@@ -397,37 +376,13 @@ def replica_geometry_report(replicas: ReplicaSet, band: BandSpec) -> ReplicaGeom
     inside = in_band(samples, band)
     distinct = ~np.eye(samples.shape[0], dtype=bool)
     both_inside = distinct & inside[:, None] & inside[None, :]
+    violating = int((both_inside & above).sum())
+    log_share = float(np.log(violating / int(both_inside.sum()))) if violating else -np.inf
     mean = samples.mean(axis=0)
     return ReplicaGeometryReport(
         band_fraction=float(inside.mean()),
         pair_violation_fraction=float(above[distinct].mean()) if inside.size > 1 else 0.0,
         in_b_n=bool(inside.all() and not above[distinct].any()),
         distance=float(np.sum((mean - band.center) ** 2) / band.center.size),
-        pairs_in_band=int(both_inside.sum()),
-        pairs_violating=int((both_inside & above).sum()),
+        log_violating_share=log_share,
     )
-
-
-@dataclass(frozen=True)
-class SampledLogZc:
-    """Sampled estimate of log Z_c from replica pairs, with a delta-method SE."""
-
-    value: float
-    se: float
-
-
-def sampled_logZ_nonorth_pairs(
-    report: ReplicaGeometryReport, log_z_band: float
-) -> SampledLogZc:
-    """Estimate log Z_c ~ 2 log Z_B + log g where g is the violating fraction
-    among ordered pairs of in-band replicas (the product band-Gibbs measure is
-    the proposal), read from the replicas' geometry report.  The SE treats
-    pairs as a binomial count, which understates correlation between pairs
-    sharing a replica; it is a scale indicator."""
-    total, violating = report.pairs_in_band, report.pairs_violating
-    if violating == 0:
-        return SampledLogZc(value=-np.inf, se=np.nan)
-    g = violating / total
-    value = 2.0 * log_z_band + float(np.log(g))
-    se = float(np.sqrt((1.0 - g) / (g * total)))
-    return SampledLogZc(value=value, se=se)

@@ -10,7 +10,6 @@ import pytest
 
 from tapglass.cli import main, parse_field_argument, parse_law_argument
 from tapglass.ensemble import load_instance, save_instance
-from tapglass import gibbs
 from tapglass.experiments import Cell, default_config, run_experiment
 from tapglass.fixed_point import constant_field, solve_fixed_point
 from tapglass.spectral import semicircle
@@ -125,6 +124,28 @@ def test_gibbs_exact_roundtrip_through_saved_instance(capsys, tmp_path):
         direct["log_z_per_site"], abs=1e-14
     )
     assert reloaded["magnetization"] == direct["magnetization"]
+
+
+def test_saved_instance_reloads_from_a_suffixless_path(capsys, tmp_path):
+    # the instance goes to exactly the path given, with no .npz appended
+    inst_path = tmp_path / "inst"
+    argv = ["gibbs-exact", "--n", "6", "--seed", "2"]
+    rc, direct = _run(capsys, [*argv, "--save-instance", str(inst_path)])
+    assert rc == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["inst"]
+    rc, reloaded = _run(capsys, ["gibbs-exact", "--load-instance", str(inst_path)])
+    assert rc == 0
+    assert json.loads(reloaded)["magnetization"] == json.loads(direct)["magnetization"]
+
+
+def test_load_instance_names_missing_arrays(capsys, tmp_path):
+    # an archive without the instance arrays is bad input, not a runtime failure
+    inst_path = tmp_path / "other.npz"
+    np.savez(inst_path, n=np.array(6), h=np.zeros(6))
+    assert main(["gibbs-exact", "--load-instance", str(inst_path)]) == 2
+    err = capsys.readouterr().err
+    assert "not a saved instance" in err
+    assert "missing arrays O, beta, d_bar, seed" in err
 
 
 def test_gibbs_exact_loaded_instance_reports_no_seed(capsys, tmp_path):
@@ -261,9 +282,8 @@ def test_gibbs_mcmc_prints_time_averaged_marginals(capsys):
                             "--sweeps", "30", "--burn-in", "10"])
     assert rc == 0
     reps = _default_cell("gibbs_mcmc", 10, 3).chains(5, 30, 10)
-    est = gibbs.estimate_magnetization(reps, use_time_average=True)
     expected = [f"{i},{float(m)!r},{float(se)!r}"
-                for i, (m, se) in enumerate(zip(est.mean, est.se))]
+                for i, (m, se) in enumerate(zip(*reps.marginals()))]
     assert out.strip().splitlines()[1:] == expected
 
 

@@ -17,12 +17,10 @@ from tapglass.fixed_point import constant_field, gaussian_field
 from tapglass.gibbs import (
     BandSpec,
     ReplicaSet,
-    estimate_magnetization,
     exact_gibbs,
     glauber_sample,
     in_band,
     replica_geometry_report,
-    sampled_logZ_nonorth_pairs,
 )
 from tapglass.spectral import semicircle
 
@@ -241,15 +239,13 @@ def test_sampled_nonorth_pairs_against_exact():
     exact, log_zb = enumerated.log_z_pairs, enumerated.log_z_band
     replicas = glauber_sample(inst, sweeps=60, burn_in=30, n_chains=400, seed=31)
     report = replica_geometry_report(replicas, band)
-    est = sampled_logZ_nonorth_pairs(report, log_zb)
-    assert report.pairs_in_band > 0
-    assert np.isfinite(est.value)
-    assert abs(est.value - exact) < 0.3
+    sampled = 2.0 * log_zb + report.log_violating_share
+    assert np.isfinite(sampled)
+    assert abs(sampled - exact) < 0.3
     # the degenerate no-pair outcome keeps the inequality direction
     empty_report = replica_geometry_report(replicas, BandSpec(m, 0.5, 49.0))
-    assert empty_report.pairs_violating == 0
-    empty = sampled_logZ_nonorth_pairs(empty_report, log_zb)
-    assert empty.value == -np.inf
+    assert empty_report.log_violating_share == -np.inf
+    assert 2.0 * log_zb + empty_report.log_violating_share == -np.inf
 
 
 def test_band_predicates():
@@ -307,9 +303,9 @@ def test_glauber_time_average_matches_marginals():
     inst = build_instance(6, 0.15, semicircle(), constant_field(1.0), seed=14)
     exact = exact_gibbs(inst).magnetization
     reps = glauber_sample(inst, sweeps=4000, burn_in=400, n_chains=8, seed=15)
-    est = estimate_magnetization(reps, exact_magnetization=exact, use_time_average=True)
-    assert np.abs(est.mean - exact).max() < 0.02
-    assert est.distance < 1e-3
+    mean, _ = reps.marginals()
+    assert np.abs(mean - exact).max() < 0.02
+    assert np.sum((mean - exact) ** 2) / mean.size < 1e-3
 
 
 def test_glauber_deterministic_and_seed_sensitive():
@@ -434,18 +430,21 @@ def test_glauber_memory_is_one_uniform_block_and_the_coupling():
     assert peak < 1.25 * 8 * (n_chains * (sweeps + burn_in) * n + n * n)
 
 
-def test_estimate_magnetization_from_final_states():
+def test_final_state_distance_and_marginals():
     inst = build_instance(4, 0.2, semicircle(), constant_field(1.0), seed=5)
     exact = exact_gibbs(inst).magnetization
     reps = glauber_sample(inst, sweeps=50, burn_in=20, n_chains=600, seed=16)
-    est = estimate_magnetization(reps, exact_magnetization=exact)
-    assert est.mean.shape == (4,)
-    assert np.all(np.isfinite(est.se))
-    assert est.distance < 0.02
+    final_mean = reps.samples.mean(axis=0)
+    assert final_mean.shape == (4,)
+    assert np.sum((final_mean - exact) ** 2) / final_mean.size < 0.02
+    mean, se = reps.marginals()
+    assert np.array_equal(mean, reps.chain_mag.mean(axis=0))
+    assert np.array_equal(se, reps.chain_mag.std(axis=0, ddof=1) / np.sqrt(600))
+    assert np.all(np.isfinite(se))
     single = glauber_sample(inst, sweeps=5, burn_in=0, n_chains=1, seed=1)
-    lone = estimate_magnetization(single)
-    assert np.array_equal(lone.mean, single.samples[0])
-    assert np.all(np.isnan(lone.se))
+    lone_mean, lone_se = single.marginals()
+    assert np.array_equal(lone_mean, single.chain_mag[0])
+    assert np.all(np.isnan(lone_se))
 
 
 def test_replica_geometry_report():
@@ -478,7 +477,8 @@ def test_replica_geometry_report():
     overlap = {(a, b): (samples[a] - band.center) @ (samples[b] - band.center) / 4
                for a, b in pairs}
     in_pairs = [p for p in pairs if inside[p[0]] and inside[p[1]]]
-    assert report.pairs_in_band == len(in_pairs) == 6
-    assert report.pairs_violating == sum(abs(overlap[p]) > 0.5 for p in in_pairs) == 2
+    assert len(in_pairs) == 6
+    assert sum(abs(overlap[p]) > 0.5 for p in in_pairs) == 2
+    assert report.log_violating_share == np.log(2 / 6)
     assert report.pair_violation_fraction == pytest.approx(
         sum(abs(overlap[p]) > 0.5 for p in pairs) / len(pairs)) == 6 / 12

@@ -8,9 +8,11 @@ Lambda_i = (1 - q*)^{-1} / (lambda* - dbar_i) - 1,
     s^t = O x^t
     y^t = O^T (Lambda * s^t),
 
-started from y^0 ~ N(0, sigma*^2 I).  y^t plays the role of the cavity field
-Jbar m - a* m with its Onsager correction already subtracted, so a fixed
-point of the map solves the mean-field consistency equation
+started from y^0 ~ N(0, sigma*^2 I); run_amp computes Lambda and (1 - q*)^{-1}
+once, and an AmpState holds only y^t and the x^t, m^t computed on the way.
+y^t plays the role of the cavity field Jbar m - a* m with its Onsager
+correction already subtracted, so a fixed point of the map solves the
+mean-field consistency equation
 
     m = tanh(h + Jbar m - a* m)
 
@@ -37,17 +39,15 @@ from tapglass.fixed_point import BetaTooLargeError, FixedPoint
 
 @dataclass(frozen=True, eq=False)
 class AmpState:
-    """One iterate: t is the step count, y the current rotated cavity field.
+    """One iterate: y is the current rotated cavity field.
 
-    x and m are the quantities produced while computing y and are None at
-    t = 0 (nothing has been denoised yet).
+    x and m are the quantities produced while computing y and are None for
+    the starting y^0 (nothing has been denoised yet).
     """
 
-    t: int
     y: np.ndarray
-    x: np.ndarray | None
-    m: np.ndarray | None
-    fp: FixedPoint
+    x: np.ndarray | None = None
+    m: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,7 +59,6 @@ class AmpTrajectory:
     M: np.ndarray            # (n, t_max), columns m^1 ... m^{t_max}
     y_diff_sq: np.ndarray    # (t_max,), n^{-1} ||y^t - y^{t-1}||^2
     m_norm_sq: np.ndarray    # (t_max,), n^{-1} ||m^t||^2
-    fp: FixedPoint
     final: AmpState
 
     @property
@@ -86,21 +85,12 @@ def lambda_diag(fp: FixedPoint, d_bar: np.ndarray) -> np.ndarray:
     return (1.0 / (1.0 - fp.q_star)) / (fp.lambda_star - d_bar) - 1.0
 
 
-def init_amp(instance: ModelInstance, fp: FixedPoint, seed) -> AmpState:
-    """y^0 ~ N(0, sigma*^2 I); exactly zero in the decoupled case."""
-    rng = np.random.default_rng(seed)
-    y0 = np.sqrt(fp.sigma_star_sq) * rng.standard_normal(instance.n)
-    return AmpState(t=0, y=y0, x=None, m=None, fp=fp)
-
-
-def amp_step(state: AmpState, instance: ModelInstance, lam: np.ndarray) -> AmpState:
-    """One iteration; lam is the reweighting lambda_diag(state.fp, instance.d_bar)."""
-    fp = state.fp
-    inv_u = 1.0 / (1.0 - fp.q_star)
+def amp_step(state: AmpState, instance: ModelInstance, lam: np.ndarray, inv_u: float) -> AmpState:
+    """One iteration; lam is lambda_diag(fp, instance.d_bar) and inv_u is 1/(1 - q*)."""
     m = np.tanh(instance.h + state.y)
     x = inv_u * m - state.y
     y = instance.apply_rotated(lam, x)
-    return AmpState(t=state.t + 1, y=y, x=x, m=m, fp=fp)
+    return AmpState(y=y, x=x, m=m)
 
 
 def run_amp(instance: ModelInstance, fp: FixedPoint, t_max: int, seed) -> AmpTrajectory:
@@ -109,7 +99,9 @@ def run_amp(instance: ModelInstance, fp: FixedPoint, t_max: int, seed) -> AmpTra
         raise ValueError(f"t_max must be >= 1, got {t_max}")
     n = instance.n
     lam = lambda_diag(fp, instance.d_bar)
-    state = init_amp(instance, fp, seed)
+    inv_u = 1.0 / (1.0 - fp.q_star)
+    # y^0 ~ N(0, sigma*^2 I); exactly zero in the decoupled case
+    state = AmpState(y=np.sqrt(fp.sigma_star_sq) * np.random.default_rng(seed).standard_normal(n))
     X = np.empty((n, t_max))
     Y = np.empty((n, t_max))
     M = np.empty((n, t_max))
@@ -117,34 +109,10 @@ def run_amp(instance: ModelInstance, fp: FixedPoint, t_max: int, seed) -> AmpTra
     m_norm_sq = np.empty(t_max)
     for t in range(t_max):
         prev_y = state.y
-        state = amp_step(state, instance, lam)
+        state = amp_step(state, instance, lam, inv_u)
         X[:, t] = state.x
         Y[:, t] = state.y
         M[:, t] = state.m
         y_diff_sq[t] = np.sum((state.y - prev_y) ** 2) / n
         m_norm_sq[t] = np.sum(state.m**2) / n
-    return AmpTrajectory(
-        X=X, Y=Y, M=M, y_diff_sq=y_diff_sq, m_norm_sq=m_norm_sq, fp=fp, final=state
-    )
-
-
-@dataclass(frozen=True)
-class SeReport:
-    """Largest deviations of empirical Grams from their state-evolution targets."""
-
-    max_dev_xx: float
-    max_dev_yy: float
-    max_dev_xy: float
-
-
-def empirical_vs_theoretical_se(trajectory: AmpTrajectory, delta: np.ndarray) -> SeReport:
-    """Compare n^{-1} X^T X to Delta, n^{-1} Y^T Y to kappa* Delta, n^{-1} X^T Y to 0."""
-    t = trajectory.X.shape[1]
-    if delta.shape != (t, t):
-        raise ValueError(f"delta must be {t} x {t}, got {delta.shape}")
-    kappa = trajectory.fp.kappa_star
-    return SeReport(
-        max_dev_xx=float(np.abs(trajectory.gram_xx - delta).max()),
-        max_dev_yy=float(np.abs(trajectory.gram_yy - kappa * delta).max()),
-        max_dev_xy=float(np.abs(trajectory.gram_xy).max()),
-    )
+    return AmpTrajectory(X=X, Y=Y, M=M, y_diff_sq=y_diff_sq, m_norm_sq=m_norm_sq, final=state)

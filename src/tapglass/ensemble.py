@@ -215,7 +215,10 @@ def save_instance(instance: ModelInstance, path) -> None:
 
 def load_instance(path) -> ModelInstance:
     """Read a saved instance; its O comes from outside, so check it is in SO(n)."""
-    with np.load(Path(path)) as data:
+    data = np.load(Path(path))
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ValueError(f"{path} is not a saved instance: not an .npz archive")
+    with data:
         missing = sorted({"n", "beta", "d_bar", "O", "h", "seed"} - set(data.files))
         if missing:
             raise ValueError(

@@ -76,7 +76,7 @@ def solve_tap_damped(
     """
     n = instance.n
     if m0 is None:
-        m = np.tanh(instance.h.copy())
+        m = np.tanh(instance.h)
     else:
         m = np.asarray(m0, dtype=float).copy()
         if m.shape != (n,):

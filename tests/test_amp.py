@@ -6,8 +6,6 @@ import pytest
 from tapglass.amp import (
     AmpState,
     amp_step,
-    empirical_vs_theoretical_se,
-    init_amp,
     lambda_diag,
     run_amp,
 )
@@ -47,14 +45,13 @@ def test_scalar_step_oracle():
         n=1, beta=0.1, d_bar=np.array([0.0]), O=np.array([[1.0]]),
         h=np.array([0.2]), seed=0,
     )
-    state = AmpState(t=0, y=np.array([0.1]), x=None, m=None, fp=_toy_fixed_point())
-    out = amp_step(state, inst, lambda_diag(state.fp, inst.d_bar))
+    out = amp_step(
+        AmpState(y=np.array([0.1])), inst, lambda_diag(_toy_fixed_point(), inst.d_bar), 2.0)
     assert out.m[0] == pytest.approx(np.tanh(0.3), abs=1e-15)
     assert out.x[0] == pytest.approx(2.0 * np.tanh(0.3) - 0.1, abs=1e-15)
     assert out.x[0] == pytest.approx(0.4826252249, abs=1e-10)
     # lambda* = 2, d = 0, q* = 1/2 gives Lambda = 2/2 - 1 = 0, so y^1 = 0
     assert out.y[0] == 0.0
-    assert out.t == 1
 
 
 def test_y_equals_gamma_x_every_step():
@@ -134,10 +131,10 @@ def test_gram_matrices_track_state_evolution():
     fp = solve_fixed_point(0.15, semicircle(), field)
     inst = build_instance(1500, 0.15, semicircle(), field, seed=21)
     traj = run_amp(inst, fp, t_max=4, seed=22)
-    report = empirical_vs_theoretical_se(traj, theoretical_delta(fp, field, t_max=4))
-    assert report.max_dev_xx < 0.08
-    assert report.max_dev_yy < 0.08
-    assert report.max_dev_xy < 0.08
+    delta = theoretical_delta(fp, field, t_max=4)
+    assert np.abs(traj.gram_xx - delta).max() < 0.08
+    assert np.abs(traj.gram_yy - fp.kappa_star * delta).max() < 0.08
+    assert np.abs(traj.gram_xy).max() < 0.08
     # overlap density reaches q* at the usual 1/sqrt(n) rate
     assert abs(traj.m_norm_sq[-1] - fp.q_star) < 5 / np.sqrt(inst.n)
     # Gram diagonals sit near the scalar limits
@@ -145,13 +142,14 @@ def test_gram_matrices_track_state_evolution():
     assert abs(traj.gram_yy[-1, -1] - fp.sigma_star_sq) < 0.02
 
 
-def test_se_report_shape_guard():
+def test_final_state_is_last_column():
     field = constant_field(1.0)
     fp = solve_fixed_point(0.15, semicircle(), field)
-    inst = build_instance(10, 0.15, semicircle(), field, seed=1)
-    traj = run_amp(inst, fp, t_max=3, seed=0)
-    with pytest.raises(ValueError):
-        empirical_vs_theoretical_se(traj, np.zeros((2, 2)))
+    inst = build_instance(20, 0.15, semicircle(), field, seed=1)
+    traj = run_amp(inst, fp, t_max=4, seed=9)
+    assert np.array_equal(traj.final.x, traj.X[:, -1])
+    assert np.array_equal(traj.final.y, traj.Y[:, -1])
+    assert np.array_equal(traj.final.m, traj.M[:, -1])
 
 
 def test_resolvent_gamma_size_guard():

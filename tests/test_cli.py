@@ -148,6 +148,15 @@ def test_load_instance_names_missing_arrays(capsys, tmp_path):
     assert "missing arrays O, beta, d_bar, seed" in err
 
 
+def test_load_instance_rejects_npy_file(capsys, tmp_path):
+    # np.load gives a bare array for .npy, not an archive: bad input, exit 2
+    inst_path = tmp_path / "x.npy"
+    np.save(inst_path, np.zeros(3))
+    assert main(["gibbs-exact", "--load-instance", str(inst_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{inst_path} is not a saved instance" in err
+
+
 def test_gibbs_exact_loaded_instance_reports_no_seed(capsys, tmp_path):
     # the saved file holds only the instance's stream seed, not --seed
     inst_path = tmp_path / "inst.npz"
@@ -403,6 +412,18 @@ def test_bad_config_file_exits_2(capsys, tmp_path):
         bad.write_text(body)
         rc, _ = _run(capsys, ["experiment", "--config", str(bad)])
         assert rc == 2
+
+
+@pytest.mark.parametrize("key, values", [
+    ("n", [12, 12]), ("beta", [0.15, 0.15]), ("seeds", [1, 1]), ("n_replicas", [8, 8]),
+], ids=["n", "beta", "seeds", "n_replicas"])
+def test_config_with_repeated_grid_value_exits_2(capsys, tmp_path, key, values):
+    # a repeated value would run the same cell twice and count it twice
+    config = {"kind": "fixed_point", "n": [12], "beta": [0.15], "seeds": [1], key: values}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    assert main(["experiment", "--config", str(bad)]) == 2
+    assert f"{key} repeats a value" in capsys.readouterr().err
 
 
 def test_config_with_law_name_exits_2(capsys, tmp_path):

@@ -8,6 +8,9 @@ O(n^2) through the factors, and `ModelInstance.apply_rotated` applies any
 other diagonal in the same rotated basis, so no other module reads O.
 O enters in SO(n): `haar_so` draws it so, det read off the QR reflectors, and
 `load_instance` checks a saved one; `ModelInstance` checks shapes and finiteness.
+The draw factors the Gaussian matrix in place with the LAPACK routines numpy's
+own QR calls (through `numpy.linalg.lapack_lite`), so it holds two n x n
+arrays at its peak, the factored buffer and the C-ordered O.
 
 `conditional_haar_so` samples O uniformly from {O in SO(n): O B = A} for
 n x k matrices with A^T A = B^T B, via
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.linalg._umath_linalg import qr_complete, qr_r_raw, qr_reduced
+from numpy.linalg import lapack_lite
 
 from tapglass.fixed_point import FieldLaw
 from tapglass.spectral import SpectralLaw
@@ -50,17 +53,42 @@ def haar_so(n: int, seed) -> np.ndarray:
 
 
 def _positive_r_q(a: np.ndarray) -> np.ndarray:
-    """Q of the m x k matrix a = QR (complete if m > k), overwriting a, with columns
-    signed so that R's diagonal is positive and det Q = +1.  These are the geqrf
-    and orgqr calls of `np.linalg.qr`, which copy a Fortran-ordered a the
-    fastest, so Q is theirs to the bit; a reflector has det -1 unless its tau = 0."""
+    """Q of the m x k matrix a = QR (complete if m > k), as a C-ordered array,
+    with columns signed so that R's diagonal is positive and det Q = +1.
+
+    geqrf and orgqr run in place on one Fortran-ordered m x m buffer: a itself
+    when square (a must then be a writable Fortran-ordered float array, and is
+    overwritten), else zeros with a in the first k columns.  These are the
+    LAPACK calls and workspace sizes of `np.linalg.qr`'s gufuncs, so Q is theirs
+    to the bit, without their copies of the matrix; a reflector has det -1
+    unless its tau = 0."""
     m, k = a.shape
-    tau = qr_r_raw(a)
-    signs = np.append(np.where(np.diagonal(a) < 0, -1.0, 1.0), np.ones(m - k))
+    if m == k:
+        q = a
+    else:
+        q = np.zeros((m, m), order="F")
+        q[:, :k] = a
+    tau = np.empty(k)
+    _lapack(lapack_lite.dgeqrf, m, k, q.T, m, tau)
+    signs = np.ones(m)
+    signs[:k][np.diagonal(q)[:k] < 0] = -1.0
     if (np.count_nonzero(tau) + np.count_nonzero(signs < 0)) % 2:
         signs[-1] = -signs[-1]
-    q = (qr_complete if m > k else qr_reduced)(a, tau)
-    return np.multiply(q, signs, out=q)
+    _lapack(lapack_lite.dorgqr, m, m, k, q.T, m, tau)
+    # a C-ordered Q keeps the BLAS kernels, and so the bits, of every O @ v
+    return np.multiply(q, signs, out=np.empty((m, m)))
+
+
+def _lapack(routine, *args) -> None:
+    """Call a `lapack_lite` routine on Fortran arrays passed as their C-ordered
+    transposes: a workspace query, then the call with the size it returned.
+    lapack_lite checks no sizes, so args must fit the dimensions they give."""
+    work = np.empty(1)
+    routine(*args, work, -1, 0)
+    work = np.empty(int(work[0]))
+    info = routine(*args, work, work.size, 0)["info"]
+    if info:
+        raise np.linalg.LinAlgError(f"LAPACK {routine.__name__} returned info = {info}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,7 +223,7 @@ def conditional_haar_so(A: np.ndarray, B: np.ndarray, seed) -> np.ndarray:
 def _orthogonal_complement(a: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis of range(a)^perp, a n x k with k < n: the
     last n - k columns of a's complete sign-fixed QR basis, which has det +1."""
-    return _positive_r_q(np.array(a, dtype=float, order="F"))[:, a.shape[1]:]
+    return _positive_r_q(a)[:, a.shape[1]:]
 
 
 def save_instance(instance: ModelInstance, path) -> None:
@@ -226,12 +254,15 @@ def load_instance(path) -> ModelInstance:
         inst = ModelInstance(
             n=int(data["n"]),
             beta=float(data["beta"]),
-            d_bar=data["d_bar"].copy(),
-            O=data["O"].copy(),
-            h=data["h"].copy(),
+            d_bar=data["d_bar"],
+            O=data["O"].astype(float, copy=False),  # the check below works in place
+            h=data["h"],
             seed=int(data["seed"]),
         )
-    gram_err = np.abs(inst.O.T @ inst.O - np.eye(inst.n)).max()
+    gram = inst.O.T @ inst.O
+    gram.flat[::inst.n + 1] -= 1.0
+    gram_err = np.abs(gram, out=gram).max()
+    del gram  # before slogdet copies O
     if gram_err > ORTHOGONALITY_TOL:
         raise ValueError(f"O is not orthogonal: max |O^T O - I| = {gram_err}")
     sign, logdet = np.linalg.slogdet(inst.O)

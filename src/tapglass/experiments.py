@@ -139,6 +139,15 @@ _CONFIG_KEYS = frozenset((
 ))
 
 
+# the largest n a kind can run: exact enumeration, or Glauber's dense couplings
+_MAX_N = {
+    KIND_GIBBS_EXACT: gibbs_mod.MAX_ENUMERATION_N,
+    KIND_TAP_VERIFY: gibbs_mod.MAX_ENUMERATION_N,
+    KIND_BAND: gibbs_mod.MAX_ENUMERATION_N,
+    KIND_GIBBS_MCMC: gibbs_mod.MAX_MCMC_DENSE_N,
+}
+
+
 def config_from_dict(obj: dict) -> ExperimentConfig:
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
@@ -189,6 +198,11 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
         raise ConfigError("all n must be >= 1")
     if any(b < 0 for b in cfg.beta_values):
         raise ConfigError("all beta must be >= 0")
+    if kind != KIND_FIXED_POINT and 0.0 in cfg.beta_values:
+        raise ConfigError(f"{kind} builds instances, which need beta > 0")
+    max_n = _MAX_N.get(kind)
+    if max_n is not None and max(cfg.n_values) > max_n:
+        raise ConfigError(f"{kind} is capped at n = {max_n}, got n = {max(cfg.n_values)}")
     if any(s < 0 for s in cfg.seeds):
         raise ConfigError("all seeds must be >= 0")
     if any(r < 1 for r in cfg.replica_counts):

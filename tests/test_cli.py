@@ -8,6 +8,7 @@ import json
 import numpy as np
 import pytest
 
+from tapglass import experiments as exp
 from tapglass.cli import main, parse_field_argument, parse_law_argument
 from tapglass.ensemble import load_instance, save_instance
 from tapglass.experiments import Cell, default_config, run_experiment
@@ -426,6 +427,22 @@ def test_config_with_repeated_grid_value_exits_2(capsys, tmp_path, key, values):
     assert f"{key} repeats a value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, n, beta, message", [
+    ("gibbs_exact", 30, 0.15, "capped at n = 24"),
+    ("band", 26, 0.15, "capped at n = 24"),
+    ("gibbs_mcmc", 600, 0.15, "capped at n = 512"),
+    ("amp", 12, 0.0, "need beta > 0"),
+], ids=["gibbs_exact-n30", "band-n26", "gibbs_mcmc-n600", "amp-beta0"])
+def test_config_that_cannot_run_exits_2(capsys, tmp_path, kind, n, beta, message):
+    # each of these would be accepted and then fail in every row
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"kind": kind, "n": [n], "beta": [beta], "seeds": [0]}))
+    assert main(["experiment", "--config", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_config_with_law_name_exits_2(capsys, tmp_path):
     # the law of a config is a JSON object; the name shorthand is the CLI's
     bad = tmp_path / "bad.json"
@@ -503,10 +520,14 @@ def test_non_finite_config_value_exits_2(capsys, tmp_path):
     assert "beta must be finite" in captured.err
 
 
-def test_experiment_with_all_rows_failing_exits_1(capsys, tmp_path):
+def test_experiment_with_all_rows_failing_exits_1(capsys, tmp_path, monkeypatch):
+    def failing(instance, *args):
+        raise ValueError("no enumeration")
+
+    monkeypatch.setattr(exp.gibbs_mod, "exact_gibbs", failing)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(
-        json.dumps({"kind": "gibbs_exact", "n": [30], "beta": [0.15],
+        json.dumps({"kind": "gibbs_exact", "n": [8], "beta": [0.15],
                     "seeds": [0]})
     )
     rc, _ = _run(capsys, ["experiment", "--config", str(cfg_path)])

@@ -2,6 +2,9 @@
 
 import ast
 import dataclasses
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -36,21 +39,62 @@ def _reference_signed_q(a, special):
     return q
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 40, 300])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 40, 300, 1000])
 def test_haar_draws_match_the_qr_reference_bit_for_bit(n):
-    for seed in range(4):
+    for seed in range(4 if n < 1000 else 1):
         gaussian = np.random.default_rng(seed).standard_normal((n, n))
         assert np.array_equal(haar_orthogonal(n, seed), _reference_signed_q(gaussian, False))
         assert np.array_equal(haar_so(n, seed), _reference_signed_q(gaussian, True))
 
 
-@pytest.mark.parametrize("n, k", [(2, 1), (6, 2), (40, 6)])
+@pytest.mark.parametrize("n, k", [(2, 1), (6, 2), (40, 6), (300, 20)])
 def test_orthogonal_complement_matches_the_qr_reference_bit_for_bit(n, k):
     for seed in range(4):
         a = np.random.default_rng(seed).standard_normal((n, k))
         before = a.copy()
         assert np.array_equal(_orthogonal_complement(a), _reference_signed_q(a.copy(), True)[:, k:])
         assert np.array_equal(a, before)
+
+
+_PEAK_PROBE = """
+from tapglass.ensemble import haar_so, load_instance
+haar_so(2, 0)  # loads numpy.random and starts the BLAS threads
+def peak_kib():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+before = peak_kib()
+{call}
+print((peak_kib() - before) * 1024)
+"""
+
+
+def _peak_growth(call, n):
+    """Peak RSS growth of one call in a fresh process, in n x n float arrays.
+
+    tracemalloc cannot serve: it does not see the buffers LAPACK wrappers
+    malloc.  Nor can ru_maxrss, which a child inherits from this process's
+    peak.  The process's own high-water mark VmHWM starts afresh at exec."""
+    if not Path("/proc/self/status").exists():
+        pytest.skip("needs /proc/self/status")
+    src = str(Path(tapglass.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-c", _PEAK_PROBE.format(call=call)], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    return int(out.stdout) / (8 * n * n)
+
+
+def test_haar_draw_holds_two_matrices_at_its_peak():
+    # the factored buffer and the C-ordered O; copying into the QR gufuncs'
+    # own buffers held more than four
+    assert _peak_growth("o = haar_so(2000, 1)", 2000) < 2.5
+
+
+def test_loading_an_instance_holds_o_about_twice(tmp_path):
+    # O and its Gram matrix (the determinant's LU copy comes after the Gram is freed)
+    path = tmp_path / "big.npz"
+    save_instance(build_instance(2000, 0.15, semicircle(), constant_field(1.0), seed=3), path)
+    assert _peak_growth(f"inst = load_instance({str(path)!r})", 2000) < 2.7
 
 
 def test_haar_draws_compute_no_determinant(monkeypatch):

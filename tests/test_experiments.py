@@ -359,24 +359,31 @@ def test_replica_counts_share_tap_solve_and_se_delta(monkeypatch, kind, mod, nam
 
 
 def test_concentration_errors_stay_per_row(monkeypatch):
-    # sampling 16 chains fails its own row only; beta = 0 fails the shared
-    # instance, so every row of that grid point carries the error
+    # sampling 16 chains fails its own row only; a failed instance at beta = 0.2
+    # is shared, so every row of that grid point carries the error
     sample = exp.gibbs_mod.glauber_sample
+    build = exp.build_instance
 
     def failing_at_16(instance, sweeps, burn_in, n_chains, seed):
         if n_chains == 16:
             raise ValueError("no sampler for 16 chains")
         return sample(instance, sweeps, burn_in, n_chains, seed)
 
+    def failing_at_beta_02(n, beta, *args, **kwargs):
+        if beta == 0.2:
+            raise ValueError("no instance at beta 0.2")
+        return build(n, beta, *args, **kwargs)
+
     monkeypatch.setattr(exp.gibbs_mod, "glauber_sample", failing_at_16)
+    monkeypatch.setattr(exp, "build_instance", failing_at_beta_02)
     rows = run_experiment(config_from_dict(
-        _minimal(kind="gibbs_mcmc", n=[6], beta=[0.15, 0.0], n_replicas=[16, 4],
+        _minimal(kind="gibbs_mcmc", n=[6], beta=[0.15, 0.2], n_replicas=[16, 4],
                  sweeps=10, burn_in=2)
     ))
     errors = {(r.beta, r.n_replicas): r.error for r in rows}
     assert errors[(0.15, 4)] == ""
     assert errors[(0.15, 16)] == "ValueError: no sampler for 16 chains"
-    assert errors[(0.0, 16)] == errors[(0.0, 4)] != ""
+    assert errors[(0.2, 16)] == errors[(0.2, 4)] != ""
     assert all(r.metrics == {} for r in rows if r.error)
 
 
@@ -402,18 +409,26 @@ def test_repeat_runs_identical_modulo_wall_time():
     assert content_hash(a) == content_hash(b)
 
 
-def test_error_rows_are_isolated():
-    # n=25 exceeds the enumeration guard; the other cell must still succeed
+def test_error_rows_are_isolated(monkeypatch):
+    # enumeration fails at n=12; the other cell must still succeed
+    enumerate_exact = exp.gibbs_mod.exact_gibbs
+
+    def failing_at_12(instance, *args):
+        if instance.n == 12:
+            raise ValueError("no enumeration at n = 12")
+        return enumerate_exact(instance, *args)
+
+    monkeypatch.setattr(exp.gibbs_mod, "exact_gibbs", failing_at_12)
     cfg = config_from_dict(
-        _minimal(kind="gibbs_exact", n=[10, 25], beta=[0.15], seeds=[0])
+        _minimal(kind="gibbs_exact", n=[10, 12], beta=[0.15], seeds=[0])
     )
     rows = run_experiment(cfg)
     assert len(rows) == 2
     by_n = {r.n: r for r in rows}
     assert by_n[10].error == ""
     assert np.isfinite(by_n[10].metrics["log_z_per_site"])
-    assert by_n[25].error != ""
-    assert by_n[25].metrics == {}
+    assert by_n[12].error != ""
+    assert by_n[12].metrics == {}
 
 
 # ---------------------------------------------------------------- emitters

@@ -9,8 +9,8 @@ other diagonal in the same rotated basis, so no other module reads O.
 O enters in SO(n): `haar_so` draws it so, det read off the QR reflectors, and
 `load_instance` checks a saved one; `ModelInstance` checks shapes and finiteness.
 The draw factors the Gaussian matrix in place with the LAPACK routines numpy's
-own QR calls (through `numpy.linalg.lapack_lite`), so it holds two n x n
-arrays at its peak, the factored buffer and the C-ordered O.
+own QR calls (through `numpy.linalg.lapack_lite`), between two in-place
+transposes, so it holds one n x n array at its peak: the Gaussian becomes O.
 
 `conditional_haar_so` samples O uniformly from {O in SO(n): O B = A} for
 n x k matrices with A^T A = B^T B, via
@@ -41,6 +41,8 @@ _GRAM_MATCH_TOL = 1e-8
 FIELD_MODE_QUANTILE = "quantile"
 FIELD_MODE_IID = "iid"
 
+_TILE = 256  # block width of the in-place transpose: 512 KiB of scratch
+
 
 def haar_so(n: int, seed) -> np.ndarray:
     """Haar-uniform draw from SO(n): QR of a Gaussian matrix with the R-diagonal
@@ -48,8 +50,8 @@ def haar_so(n: int, seed) -> np.ndarray:
     O(n)), last column negated if det = -1."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    return _positive_r_q(np.asfortranarray(rng.standard_normal((n, n))))
+    gaussian = np.random.default_rng(seed).standard_normal((n, n))
+    return _positive_r_q(_transpose_in_place(gaussian).T)
 
 
 def _positive_r_q(a: np.ndarray) -> np.ndarray:
@@ -57,11 +59,12 @@ def _positive_r_q(a: np.ndarray) -> np.ndarray:
     with columns signed so that R's diagonal is positive and det Q = +1.
 
     geqrf and orgqr run in place on one Fortran-ordered m x m buffer: a itself
-    when square (a must then be a writable Fortran-ordered float array, and is
-    overwritten), else zeros with a in the first k columns.  These are the
-    LAPACK calls and workspace sizes of `np.linalg.qr`'s gufuncs, so Q is theirs
-    to the bit, without their copies of the matrix; a reflector has det -1
-    unless its tau = 0."""
+    when square (a must then be a writable Fortran-ordered float array, and
+    becomes Q's transpose), else zeros with a in the first k columns.  These
+    are the LAPACK calls and workspace sizes of `np.linalg.qr`'s gufuncs, so Q
+    is theirs to the bit, without their copies of the matrix; a reflector has
+    det -1 unless its tau = 0.  The signs and a transpose in place then make
+    the buffer Q in C order, so no second m x m array is ever held."""
     m, k = a.shape
     if m == k:
         q = a
@@ -75,8 +78,29 @@ def _positive_r_q(a: np.ndarray) -> np.ndarray:
     if (np.count_nonzero(tau) + np.count_nonzero(signs < 0)) % 2:
         signs[-1] = -signs[-1]
     _lapack(lapack_lite.dorgqr, m, m, k, q.T, m, tau)
+    q *= signs
     # a C-ordered Q keeps the BLAS kernels, and so the bits, of every O @ v
-    return np.multiply(q, signs, out=np.empty((m, m)))
+    return _transpose_in_place(q.T)
+
+
+def _transpose_in_place(a: np.ndarray) -> np.ndarray:
+    """Transpose the C-contiguous square array a in place and return it: the
+    same memory then holds a.T in C order, which is a in Fortran order.  Tiles
+    of at most _TILE x _TILE swap with their mirror images through one scratch
+    tile, so no second n x n array is made."""
+    n = a.shape[0]
+    scratch = np.empty((min(n, _TILE), min(n, _TILE)))
+    for i in range(0, n, _TILE):
+        rows = slice(i, i + _TILE)
+        for j in range(i, n, _TILE):
+            cols = slice(j, j + _TILE)
+            upper, lower = a[rows, cols], a[cols, rows]
+            tile = scratch[: upper.shape[0], : upper.shape[1]]
+            np.copyto(tile, upper)
+            if j != i:
+                np.copyto(upper, lower.T)
+            np.copyto(lower, tile.T)
+    return a
 
 
 def _lapack(routine, *args) -> None:
@@ -114,7 +138,8 @@ class ModelInstance:
         if self.d_bar.shape != (self.n,) or self.h.shape != (self.n,):
             raise ValueError("d_bar and h must be length-n vectors")
         for arr in (self.d_bar, self.O, self.h):
-            if not np.all(np.isfinite(arr)):
+            # NaN reaches both ends and an infinity one: no n x n bool temporary
+            if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
                 raise ValueError("instance arrays must be finite")
 
     def apply_rotated(self, weights: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Message-passing tests: scalar oracle, resolvent identity, state-evolution match."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,20 @@ def test_run_amp_deterministic_and_seed_sensitive():
     assert not np.array_equal(a.Y, c.Y)
     with pytest.raises(ValueError):
         run_amp(inst, fp, t_max=0, seed=0)
+
+
+def test_run_amp_sees_only_the_values_of_o():
+    # haar_so's O is a C-ordered view of the Gaussian's buffer; a fresh owning
+    # copy must give the same GEMV kernels and so the same bits
+    field = constant_field(1.0)
+    fp = solve_fixed_point(0.15, semicircle(), field)
+    inst = build_instance(300, 0.15, semicircle(), field, seed=4)
+    copied = dataclasses.replace(inst, O=np.array(inst.O, order="C"))
+    assert copied.O.flags.owndata and not np.shares_memory(copied.O, inst.O)
+    a = run_amp(inst, fp, t_max=6, seed=2)
+    b = run_amp(copied, fp, t_max=6, seed=2)
+    for field_name in ("X", "Y", "M", "y_diff_sq", "m_norm_sq"):
+        assert np.array_equal(getattr(a, field_name), getattr(b, field_name))
 
 
 def test_gram_matrices_track_state_evolution():

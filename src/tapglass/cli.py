@@ -152,7 +152,7 @@ def _cmd_tap_residual(args) -> int:
         solver = {"solver_converged": int(sol.converged), "solver_iterations": sol.iterations}
     payload = {
         "residual": residual,
-        "t": args.t_max,
+        "t": args.t_max if args.source == "amp" else None,  # only AMP iterates
         "beta": args.beta,
         "n": args.n,
         "seed": args.seed,

@@ -379,19 +379,14 @@ def _cell_band(cfg, cell, n_rep):
     band, exact = cell.band_exact(max(cfg.t_max, 50), cfg.delta, cfg.eta)
     n = cell.n
     log_z, log_zb, log_zc = exact.log_z, exact.log_z_band, exact.log_z_pairs
-    reps = cell.chains(n_rep, cfg.sweeps, cfg.burn_in)
-    geometry = gibbs_mod.replica_geometry_report(reps, band)
     if log_zc is None:  # too large to list the pairs: sample them
-        log_zc = 2.0 * log_zb + geometry.log_violating_share
+        samples = cell.chains(n_rep, cfg.sweeps, cfg.burn_in).samples
+        log_zc = 2.0 * log_zb + gibbs_mod.log_violating_share(samples, band)
     return {
         "log_z_per_site": log_z / n,
         "log_zb_per_site": log_zb / n,
         "band_gap_per_site": (log_z - log_zb) / n,
         "zc_margin_per_site": log_zc / n - 2.0 * log_zb / n,
-        "band_fraction": geometry.band_fraction,
-        "pair_violation_fraction": geometry.pair_violation_fraction,
-        "in_b_n": int(geometry.in_b_n),
-        "replica_distance": geometry.distance,
     }
 
 

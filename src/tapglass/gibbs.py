@@ -48,7 +48,8 @@ Band machinery: for a profile m and delta > 0,
 Z_B restricts the Gibbs sum to the band, and Z_c sums exp(H(s) + H(t)) over
 ordered pairs of band states whose centered overlap |<s - m, t - m>| / n
 exceeds eta.  Z_c <= Z_B^2 always; at high temperature Z_c is exponentially
-smaller, which is what the replica geometry tests probe.
+smaller.  Above n = 12, where the pairs are not listed, `log_violating_share`
+of Glauber final states estimates log Z_c - 2 log Z_B.
 """
 
 from __future__ import annotations
@@ -351,38 +352,14 @@ def glauber_sample(
     return ReplicaSet(samples=sigma, chain_mag=mag_acc / sweeps)
 
 
-@dataclass(frozen=True)
-class ReplicaGeometryReport:
-    """How a replica cloud sits relative to a band.  log_violating_share is
-    the log of the share of ordered pairs of distinct in-band replicas whose
-    centered overlap is above eta (-inf when none is), so that 2 log Z_B plus
-    it estimates log Z_c, the product band-Gibbs measure being the proposal."""
-
-    band_fraction: float
-    pair_violation_fraction: float
-    in_b_n: bool
-    distance: float
-    log_violating_share: float
-
-
-def replica_geometry_report(replicas: ReplicaSet, band: BandSpec) -> ReplicaGeometryReport:
-    """One pass over the replica overlaps.  pair_violation_fraction is taken
-    over all distinct ordered pairs (0 for a single replica); in_b_n asks every
-    replica to be in the band and every such pair below the cut.  A pair is
-    above the cut when its centered overlap |<s - m, t - m>| / n exceeds eta."""
-    samples = replicas.samples
+def log_violating_share(samples: np.ndarray, band: BandSpec) -> float:
+    """The log of the share of ordered pairs of distinct in-band samples whose
+    centered overlap |<s - m, t - m>| / n is above eta, -inf when none is, so
+    that 2 log Z_B plus it estimates log Z_c, the product band-Gibbs measure
+    being the proposal."""
     centered = samples - band.center
     above = np.abs(centered @ centered.T / band.center.size) > band.eta
     inside = in_band(samples, band)
-    distinct = ~np.eye(samples.shape[0], dtype=bool)
-    both_inside = distinct & inside[:, None] & inside[None, :]
+    both_inside = ~np.eye(samples.shape[0], dtype=bool) & inside[:, None] & inside[None, :]
     violating = int((both_inside & above).sum())
-    log_share = float(np.log(violating / int(both_inside.sum()))) if violating else -np.inf
-    mean = samples.mean(axis=0)
-    return ReplicaGeometryReport(
-        band_fraction=float(inside.mean()),
-        pair_violation_fraction=float(above[distinct].mean()) if inside.size > 1 else 0.0,
-        in_b_n=bool(inside.all() and not above[distinct].any()),
-        distance=float(np.sum((mean - band.center) ** 2) / band.center.size),
-        log_violating_share=log_share,
-    )
+    return float(np.log(violating / int(both_inside.sum()))) if violating else -np.inf

@@ -35,7 +35,6 @@ from tapglass.gibbs import (
     BandSpec,
     exact_gibbs,
     glauber_sample,
-    replica_geometry_report,
 )
 from tapglass.spectral import (
     RescaledLaw,
@@ -233,8 +232,7 @@ def test_08_band_dominates_and_pairs_decorrelate():
         reps = glauber_sample(inst, sweeps=300, burn_in=100,
                               n_chains=n_replicas,
                               seed=stream_seed(s, n, beta, STREAM_MCMC))
-        report = replica_geometry_report(reps, band)
-        assert report.distance < bound
+        assert np.sum((reps.samples.mean(axis=0) - m) ** 2) / n < bound
 
 
 def test_09_orthogonal_samplers_are_correct():

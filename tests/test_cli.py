@@ -356,6 +356,16 @@ def test_tap_residual_solver_json_keys(capsys):
     assert payload["residual"] < 1e-18
 
 
+@pytest.mark.parametrize("source, t", [("amp", 7), ("exact", None), ("solver", None)])
+def test_tap_residual_reports_steps_only_for_amp(capsys, source, t):
+    # exact enumeration and the damped solver run no AMP, so no step count
+    rc, out = _run(capsys, ["tap-residual", "--n", "10", "--beta", "0.15", "--seed", "2",
+                            "--t-max", "7", "--source", source])
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["t"] == t and payload["source"] == source
+
+
 def test_out_flag_writes_file_instead_of_stdout(capsys, tmp_path):
     path = tmp_path / "fp.json"
     rc, out = _run(capsys, ["fixed-point", "--beta", "0.1", "--out", str(path)])

@@ -334,6 +334,24 @@ def test_replica_counts_share_amp_run_and_band_enumeration(monkeypatch, kind):
     assert content_hash(rows) == content_hash(alone)
 
 
+@pytest.mark.parametrize("n, chain_counts", [(12, []), (16, [4, 8])], ids=["n12", "n16"])
+def test_band_runs_chains_only_where_pairs_are_sampled(monkeypatch, n, chain_counts):
+    # up to n = 12 the pair sum Z_c is listed exactly; above it, each replica
+    # count samples it from its own chains
+    calls = []
+    glauber_sample = exp.gibbs_mod.glauber_sample
+
+    def counted(instance, **kwargs):
+        calls.append(kwargs["n_chains"])
+        return glauber_sample(instance, **kwargs)
+
+    monkeypatch.setattr(exp.gibbs_mod, "glauber_sample", counted)
+    obj = _minimal(kind="band", n=[n], n_replicas=[4, 8], sweeps=20, burn_in=5)
+    rows = run_experiment(config_from_dict(obj))
+    assert all(r.error == "" for r in rows) and len(rows) == 2
+    assert sorted(calls) == chain_counts
+
+
 @pytest.mark.parametrize("kind, mod, name", [
     ("tap_verify", exp.tap_mod, "solve_tap_damped"), ("se_check", exp, "theoretical_delta"),
 ], ids=["tap_verify", "se_check"])

@@ -16,11 +16,10 @@ from tapglass.ensemble import ModelInstance, build_instance, haar_so
 from tapglass.fixed_point import constant_field, gaussian_field
 from tapglass.gibbs import (
     BandSpec,
-    ReplicaSet,
     exact_gibbs,
     glauber_sample,
     in_band,
-    replica_geometry_report,
+    log_violating_share,
 )
 from tapglass.spectral import semicircle
 
@@ -231,21 +230,47 @@ def test_nonorth_pairs_empty_cases():
     assert exact_gibbs(inst0, band=band).log_z_pairs == -np.inf
 
 
+def test_log_violating_share():
+    # rows 0 and 2 coincide: 2 of the 6 ordered pairs of distinct rows overlap
+    # at 1 > eta; rows 0 and 1 alone are orthogonal, so no pair is above it
+    in_rows = np.array([[1.0, 1, -1, -1], [1.0, -1, 1, -1], [1.0, 1, -1, -1]])
+    band = BandSpec(np.zeros(4), 0.5, 0.6)
+    assert log_violating_share(in_rows, band) == np.log(2 / 6)
+    assert log_violating_share(in_rows[:2], band) == -np.inf
+
+    # an off-center band puts a row with s_0 = -1 outside: the projection gap
+    # |0.25 s_0 - 0.0625| / 4 is 0.047 for s_0 = 1 and 0.078 for s_0 = -1;
+    # that row overlaps rows 0 and 2 at 0.516 > eta, which would make the
+    # share over all pairs 6 / 12, but only in-band pairs count
+    band = BandSpec(np.array([0.25, 0.0, 0.0, 0.0]), 0.06, 0.5)
+    samples = np.vstack([in_rows, [[-1.0, 1, -1, -1]]])
+    inside = [bool(in_band(s, band)) for s in samples]
+    assert inside == [True, True, True, False]
+    pairs = [(a, b) for a in range(4) for b in range(4) if a != b]
+    overlap = {(a, b): (samples[a] - band.center) @ (samples[b] - band.center) / 4
+               for a, b in pairs}
+    in_pairs = [p for p in pairs if inside[p[0]] and inside[p[1]]]
+    assert len(in_pairs) == 6
+    assert sum(abs(overlap[p]) > 0.5 for p in in_pairs) == 2
+    assert sum(abs(overlap[p]) > 0.5 for p in pairs) == 6
+    assert log_violating_share(samples, band) == np.log(2 / 6)
+
+
 def test_sampled_nonorth_pairs_against_exact():
-    inst = build_instance(10, 0.15, semicircle(), constant_field(1.0), seed=12)
+    # Glauber final states: 2 log Z_B plus the share estimates the exact log Z_c
+    inst =build_instance(10, 0.15, semicircle(), constant_field(1.0), seed=12)
     m = exact_gibbs(inst).magnetization
     band = BandSpec(m, 0.5, 0.05)  # wide band, low cut: most pairs qualify
     enumerated = exact_gibbs(inst, band=band)
     exact, log_zb = enumerated.log_z_pairs, enumerated.log_z_band
     replicas = glauber_sample(inst, sweeps=60, burn_in=30, n_chains=400, seed=31)
-    report = replica_geometry_report(replicas, band)
-    sampled = 2.0 * log_zb + report.log_violating_share
+    sampled = 2.0 * log_zb + log_violating_share(replicas.samples, band)
     assert np.isfinite(sampled)
     assert abs(sampled - exact) < 0.3
     # the degenerate no-pair outcome keeps the inequality direction
-    empty_report = replica_geometry_report(replicas, BandSpec(m, 0.5, 49.0))
-    assert empty_report.log_violating_share == -np.inf
-    assert 2.0 * log_zb + empty_report.log_violating_share == -np.inf
+    empty_share = log_violating_share(replicas.samples, BandSpec(m, 0.5, 49.0))
+    assert empty_share == -np.inf
+    assert 2.0 * log_zb + empty_share == -np.inf
 
 
 def test_band_predicates():
@@ -255,24 +280,6 @@ def test_band_predicates():
     assert not in_band(np.array([-1.0, 1, -1, 1]), band)  # projection gap 2/4
     stack = np.array([[1.0, 1, 1, 1], [-1.0, 1, 1, 1]])
     assert np.array_equal(in_band(stack, band), [True, False])
-
-
-def test_b_n_membership():
-    def in_b_n(samples, band):
-        reps = ReplicaSet(samples=samples, chain_mag=samples.copy())
-        return replica_geometry_report(reps, band).in_b_n
-
-    m = np.zeros(4)
-    band = BandSpec(m, 0.3, 0.6)
-    # all-different rows of a Hadamard-like set have pairwise overlap 0
-    samples = np.array([[1.0, 1, -1, -1], [1.0, -1, 1, -1]])
-    assert in_b_n(samples, band)
-    # duplicate rows overlap at 1 > eta
-    dup = np.array([[1.0, 1, -1, -1], [1.0, 1, -1, -1]])
-    assert not in_b_n(dup, band)
-    # out-of-band member fails regardless of overlaps
-    off_band = BandSpec(np.full(4, 0.9), 0.05, 3.9)
-    assert not in_b_n(samples, off_band)
 
 
 def test_band_spec_validation():
@@ -445,40 +452,3 @@ def test_final_state_distance_and_marginals():
     lone_mean, lone_se = single.marginals()
     assert np.array_equal(lone_mean, single.chain_mag[0])
     assert np.all(np.isnan(lone_se))
-
-
-def test_replica_geometry_report():
-    m = np.zeros(4)
-    band = BandSpec(m, 0.5, 0.6)
-    in_rows = np.array([[1.0, 1, -1, -1], [1.0, -1, 1, -1], [1.0, 1, -1, -1]])
-    reps = ReplicaSet(samples=in_rows, chain_mag=in_rows.copy())
-    report = replica_geometry_report(reps, band)
-    assert report.band_fraction == 1.0
-    # rows 0 and 2 coincide: 2 of 6 ordered pairs overlap at 1 > 0.6
-    assert report.pair_violation_fraction == pytest.approx(2 / 6)
-    assert not report.in_b_n
-    mean = in_rows.mean(axis=0)
-    assert report.distance == pytest.approx(np.sum(mean**2) / 4)
-
-    # an off-center band puts a row with s_0 = -1 outside: the projection gap
-    # |0.25 s_0 - 0.0625| / 4 is 0.047 for s_0 = 1 and 0.078 for s_0 = -1;
-    # that row overlaps rows 0 and 2 at 0.516 > eta, which only the
-    # all-pairs fraction may count
-    band = BandSpec(np.array([0.25, 0.0, 0.0, 0.0]), 0.06, 0.5)
-    samples = np.vstack([in_rows, [[-1.0, 1, -1, -1]]])
-    report = replica_geometry_report(
-        ReplicaSet(samples=samples, chain_mag=samples.copy()), band
-    )
-    inside = [bool(in_band(s, band)) for s in samples]
-    assert inside == [True, True, True, False]
-    assert report.band_fraction == 0.75
-    assert not report.in_b_n
-    pairs = [(a, b) for a in range(4) for b in range(4) if a != b]
-    overlap = {(a, b): (samples[a] - band.center) @ (samples[b] - band.center) / 4
-               for a, b in pairs}
-    in_pairs = [p for p in pairs if inside[p[0]] and inside[p[1]]]
-    assert len(in_pairs) == 6
-    assert sum(abs(overlap[p]) > 0.5 for p in in_pairs) == 2
-    assert report.log_violating_share == np.log(2 / 6)
-    assert report.pair_violation_fraction == pytest.approx(
-        sum(abs(overlap[p]) > 0.5 for p in pairs) / len(pairs)) == 6 / 12

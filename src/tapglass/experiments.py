@@ -245,6 +245,8 @@ class Cell:
     state-evolution Delta (each per t_max) and band enumeration (per band)
     are computed on first use and then shared by every caller of the cell; a
     failure is not kept, so a later caller retries and fails the same way.
+    The fixed point depends on beta, the law and the field only, so cells of
+    one run share it through fixed_points, keyed by beta.
     """
 
     law: SpectralLaw
@@ -253,6 +255,7 @@ class Cell:
     n: int
     beta: float
     seed: int
+    fixed_points: dict = dataclasses.field(default_factory=dict, repr=False)
     _amp_runs: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
     _se_deltas: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
     _band_runs: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
@@ -260,9 +263,11 @@ class Cell:
     def stream(self, tag: int) -> int:
         return stream_seed(self.seed, self.n, self.beta, tag)
 
-    @functools.cached_property
+    @property
     def fp(self):
-        return solve_fixed_point(self.beta, self.law, self.field)
+        if self.beta not in self.fixed_points:
+            self.fixed_points[self.beta] = solve_fixed_point(self.beta, self.law, self.field)
+        return self.fixed_points[self.beta]
 
     @functools.cached_property
     def instance(self):
@@ -414,12 +419,12 @@ _CELL_FUNCTIONS = {
 EXPERIMENT_KINDS = tuple(_CELL_FUNCTIONS)
 
 
-def _run_cell(cfg: ExperimentConfig, coords) -> list[ResultRow]:
+def _run_cell(cfg: ExperimentConfig, coords, fixed_points: dict) -> list[ResultRow]:
     """The rows of grid point (n, beta, seed), one per replica count, each
     with its failure caught.  The rows share one Cell, so the first row to
     draw an object carries its cost in its wall time."""
     n, beta, seed = coords
-    cell = Cell(cfg.law, cfg.field, cfg.field_mode, n, beta, seed)
+    cell = Cell(cfg.law, cfg.field, cfg.field_mode, n, beta, seed, fixed_points)
     rows = []
     for n_rep in cfg.replica_counts:
         start = time.perf_counter()
@@ -438,7 +443,8 @@ def _run_cell(cfg: ExperimentConfig, coords) -> list[ResultRow]:
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     """Run every grid cell, isolating failures, and return rows in sorted order."""
     cells = itertools.product(cfg.n_values, cfg.beta_values, cfg.seeds)
-    rows = [row for coords in cells for row in _run_cell(cfg, coords)]
+    fixed_points = {}
+    rows = [row for coords in cells for row in _run_cell(cfg, coords, fixed_points)]
     rows.sort(key=lambda r: (r.n, r.beta, r.seed, r.n_replicas))
     return rows
 

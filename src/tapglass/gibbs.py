@@ -24,6 +24,9 @@ against its own maximum, the chunks merged against the top one.
 
 Glauber chains run in lockstep, all of them in one loop, drawing their
 uniforms in blocks of sweeps that hold at most 2^20 doubles over all chains.
+Spins are held as 0/1 doubles and time averages as up-counts, both in one
+contiguous array per site block; they return to +-1 terms by exact integer
+arithmetic when the chains end.
 Each chain draws into its own contiguous row of the block, and the row's
 uniforms u are turned, in place, into thresholds 0.5 log(u / (1 - u)); site
 i moves up when l_i > threshold, which is u < 1/(1 + exp(-2 l_i))
@@ -65,7 +68,7 @@ MAX_PAIR_ENUMERATION_N = 12
 MAX_MCMC_DENSE_N = 512
 
 _LOW_BITS = 12
-_BLOCK_STATES = 1 << 13
+_BLOCK_STATES = 1 << 14
 _SWEEP_BLOCK_ELEMENTS = 1 << 20  # uniforms drawn at once, over all chains (8 MiB)
 _SITE_BLOCK = 32  # sites per delayed field update
 _PAIR_CHUNK_ROWS = 512
@@ -129,6 +132,7 @@ def _state_blocks(j_mat: np.ndarray, h: np.ndarray, center: np.ndarray | None):
     n = h.size
     k = min(n, _LOW_BITS)
     low = ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1) * 2.0 - 1.0
+    low_t = np.ascontiguousarray(low.T)  # a contiguous GEMM operand: about 3x faster than low.T
     e_low = 0.5 * np.einsum("ij,ij->i", low @ j_mat[:k, :k], low) + low @ h[:k]
     j_cross = 0.5 * (j_mat[:k, k:] + j_mat[k:, :k].T)
     highs = ((np.arange(1 << (n - k))[:, None] >> np.arange(n - k)) & 1) * 2.0 - 1.0
@@ -139,7 +143,7 @@ def _state_blocks(j_mat: np.ndarray, h: np.ndarray, center: np.ndarray | None):
         block = slice(start, start + per_block)
         high = highs[block]
         e_high = 0.5 * np.einsum("ij,ij->i", high @ j_mat[k:, k:], high) + high @ h[k:]
-        energies = (high @ j_cross.T) @ low.T  # then + E_high + E_low, in that order
+        energies = (high @ j_cross.T) @ low_t  # then + E_high + E_low, in that order
         energies += e_high[:, None]
         energies += e_low
         proj = None if center is None else proj_high[block, None] + proj_low
@@ -173,17 +177,19 @@ def exact_gibbs(instance: ModelInstance, band: BandSpec | None = None) -> GibbsE
     tops, rows, band_states, band_energies = [], [], [], []
     for low, high, energies, proj in _state_blocks(instance.dense_coupling(), instance.h, center):
         top = energies.max()
-        w = np.exp(energies - top)
-        row = [[w.sum()], w.sum(0) @ low, w.sum(1) @ high]
         if band is not None:
             proj -= center @ center
             np.abs(proj, out=proj)
             proj /= n
             keep = proj < band.delta
-            row.append([w[keep].sum()])
             if pairs:  # one block, with no high sites: low lists the whole states
                 band_states.append(low[keep[0]])
                 band_energies.append(energies[keep])
+        energies -= top
+        w = np.exp(energies, out=energies)
+        row = [[w.sum()], w.sum(0) @ low, w.sum(1) @ high]
+        if band is not None:
+            row.append([w[keep].sum()])
         tops.append(top)
         rows.append(np.concatenate(row))
     top = max(tops)
@@ -262,9 +268,11 @@ def glauber_sample(
     moves up when l_i > threshold.
 
     The sites of a sweep go in blocks of _SITE_BLOCK, with a delayed field
-    update.  When a block [a, b) starts, its fields are subtracted from its
-    thresholds, giving s, and each old spin is noted as (1 + sigma) / 2.  The
-    new spins u (0/1) then solve the strictly triangular system
+    update.  Each block keeps its spins as 0/1 doubles (sigma = 2 u - 1) in
+    its own contiguous array, which every fixed-point iteration reads.  When
+    a block [a, b) starts, its fields are subtracted from its thresholds,
+    giving s, and its 0/1 spins are the old ones.  The new spins u then
+    solve the strictly triangular system
 
         u_k = [sum_{j<k} 2 J_off[a+j, a+k] c_j > s_k],  c = u - old,
 
@@ -276,16 +284,22 @@ def glauber_sample(
     iterations the first t sites are therefore final, and a u that repeats
     is the system's one solution, so the iteration stops after at most
     b - a + 1 iterations with the decisions of a site-by-site pass over the
-    block that reads the same partial sums.  When the block ends,
-    sigma += 2 c and l += c @ 2 J_off[a:b, :], one matrix product.  Each c
-    times 2 J_off is the exact product of a spin change and J_off, but the
-    partial sums and the field sums round in another order than a
-    site-by-site rank-1 update, so the fields match that update only up to
-    rounding.  A spin decision can therefore differ from a masked
+    block that reads the same partial sums.  When the block ends, u is
+    copied over the old spins and l += c @ 2 J_off[a:b, :], one matrix
+    product.  Each c times 2 J_off is the exact product of a spin change and
+    J_off, but the partial sums and the field sums round in another order
+    than a site-by-site rank-1 update, so the fields match that update only
+    up to rounding.  A spin decision can therefore differ from a masked
     chain-by-chain loop on the same seed when l lies within rounding of its
     threshold, or when u = 0 and l < -354 (where the logistic underflows to
     0); no proof of equality is claimed.  The test suite checks the two bit
     for bit on fixed seeds.
+
+    In each sweep after burn_in, each block adds its new 0/1 spins to its
+    per-chain up-counts.  The chains return samples = 2 u - 1 and
+    chain_mag = (2 counts - sweeps) / sweeps: integer-valued doubles until
+    the one division, so both equal what summing +-1 spins gives, bit for
+    bit.
     """
     if sweeps < 1 or burn_in < 0 or n_chains < 1:
         raise ValueError("need sweeps >= 1, burn_in >= 0, n_chains >= 1")
@@ -295,15 +309,14 @@ def glauber_sample(
     h = instance.h
 
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n_chains)]
-    sigma = np.array([rng.integers(0, 2, n) * 2 - 1 for rng in rngs], dtype=float)
-    field = sigma @ j_off + h[None, :]
-    mag_acc = np.zeros((n_chains, n))
+    spins = np.array([rng.integers(0, 2, n) for rng in rngs], dtype=float)  # 0/1
+    field = (2.0 * spins - 1.0) @ j_off + h[None, :]
     j_twice = np.multiply(j_off, 2.0, out=j_off)  # in place: J_off is not read again
     field_shift = np.empty((n_chains, n))
-    # per block width: thresholds less fields, old spins as 0/1, halved
-    # changes, partial fields, and two guesses of the new spins
+    # per block width: thresholds less fields, halved changes, partial
+    # fields, and two guesses of the new spins
     scratch = {
-        w: [np.empty((n_chains, w)) for _ in range(4)]
+        w: [np.empty((n_chains, w)) for _ in range(3)]
         + [np.empty((n_chains, w), dtype=bool) for _ in range(2)]
         for w in {min(_SITE_BLOCK, n - a) for a in range(0, n, _SITE_BLOCK)}
     }
@@ -312,8 +325,9 @@ def glauber_sample(
         b = min(a + _SITE_BLOCK, n)
         # column k holds 2 J_off[a+j, a+k] for j < k, zeros from the diagonal down
         j_within = np.triu(j_twice[a:b, a:b], 1)
-        blocks.append((slice(a, b), sigma[:, a:b], field[:, a:b], j_within, j_twice[a:b],
-                       scratch[b - a]))
+        # the block's 0/1 spins and up-counts, contiguous for the fixed point
+        blocks.append((slice(a, b), spins[:, a:b].copy(), np.zeros((n_chains, b - a)),
+                       field[:, a:b], j_within, j_twice[a:b], scratch[b - a]))
     total = burn_in + sweeps
     block_sweeps = max(1, _SWEEP_BLOCK_ELEMENTS // (n * n_chains))
     # (chain, sweep, site): each chain draws its uniforms into one contiguous row
@@ -331,10 +345,10 @@ def glauber_sample(
             row *= 0.5
         for t in range(block):
             thresholds = uniforms[:, t]
-            for sites, sigma_block, field_block, j_within, j_rows, work in blocks:
-                shifted, old, c, partial, up, guess = work
+            counting = done + t >= burn_in
+            for sites, old, up_count, field_block, j_within, j_rows, work in blocks:
+                shifted, c, partial, up, guess = work
                 np.subtract(thresholds[:, sites], field_block, out=shifted)
-                np.greater(sigma_block, 0.0, out=old)
                 np.less(shifted, 0.0, out=up)
                 while True:
                     np.subtract(up, old, out=c)
@@ -343,13 +357,20 @@ def glauber_sample(
                     if guess.tobytes() == up.tobytes():
                         break
                     up, guess = guess, up
-                sigma_block += 2.0 * c
+                np.copyto(old, up)
+                if counting:
+                    up_count += old
                 np.matmul(c, j_rows, out=field_shift)
                 field += field_shift
-            if done + t >= burn_in:
-                mag_acc += sigma
 
-    return ReplicaSet(samples=sigma, chain_mag=mag_acc / sweeps)
+    np.concatenate([old for _, old, *_ in blocks], axis=1, out=spins)
+    up_counts = np.concatenate([count for _, _, count, *_ in blocks], axis=1)
+    spins *= 2.0  # samples = 2 u - 1 and chain_mag = (2 counts - sweeps) / sweeps
+    spins -= 1.0
+    up_counts *= 2.0
+    up_counts -= sweeps
+    up_counts /= sweeps
+    return ReplicaSet(samples=spins, chain_mag=up_counts)
 
 
 def log_violating_share(samples: np.ndarray, band: BandSpec) -> float:

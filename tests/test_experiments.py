@@ -352,6 +352,33 @@ def test_band_runs_chains_only_where_pairs_are_sampled(monkeypatch, n, chain_cou
     assert sorted(calls) == chain_counts
 
 
+@pytest.mark.parametrize("betas", [[0.15], [0.15, 0.3]], ids=["one-beta", "two-betas"])
+def test_fixed_point_solved_once_per_beta(monkeypatch, betas):
+    # the fixed point depends on beta, the law and the field, not on n or the seed
+    calls = []
+    solve = exp.solve_fixed_point
+
+    def counted(beta, *args):
+        calls.append(beta)
+        return solve(beta, *args)
+
+    monkeypatch.setattr(exp, "solve_fixed_point", counted)
+    obj = _minimal(kind="band", n=[12, 16, 20], beta=betas, n_replicas=[4],
+                   sweeps=20, burn_in=5)
+    rows = run_experiment(config_from_dict(obj))
+    assert all(r.error == "" for r in rows) and len(rows) == 3 * len(betas)
+    assert sorted(calls) == betas
+
+
+def test_failed_fixed_point_gives_an_error_row_per_cell():
+    # a failure is not shared: every cell solves again and fails the same way
+    rows = run_experiment(config_from_dict(
+        _minimal(kind="fixed_point", n=[8, 12], beta=[0.15, 5.0], seeds=[0, 1])))
+    errors = [r.error for r in rows if r.beta == 5.0]
+    assert len(errors) == 4 and all(e.startswith("BetaTooLargeError") for e in errors)
+    assert all(r.error == "" for r in rows if r.beta == 0.15)
+
+
 @pytest.mark.parametrize("kind, mod, name", [
     ("tap_verify", exp.tap_mod, "solve_tap_damped"), ("se_check", exp, "theoretical_delta"),
 ], ids=["tap_verify", "se_check"])

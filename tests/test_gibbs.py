@@ -78,9 +78,14 @@ def test_enumeration_matches_naive_listing():
     assert np.abs(res.magnetization - mag).max() < 1e-12
 
 
+def _n_for_blocks(n_blocks):
+    """The size whose 2^n states fill n_blocks enumeration blocks."""
+    return (gibbs._BLOCK_STATES * n_blocks).bit_length() - 1
+
+
 def test_enumeration_matches_listing_across_segments():
-    # n = 14 spans two blocks of the state listing (each 2^12 low states x 2 high)
-    inst = build_instance(14, 0.15, semicircle(), constant_field(1.0), seed=3)
+    # spans two blocks of the state listing (each 2^12 low states x a run of high)
+    inst = build_instance(_n_for_blocks(2), 0.15, semicircle(), constant_field(1.0), seed=3)
     _, _, log_z, mag = _naive_listing(inst)
     res = exact_gibbs(inst)
     assert abs(res.log_z - log_z) < 1e-11
@@ -88,11 +93,11 @@ def test_enumeration_matches_listing_across_segments():
 
 
 def test_band_enumeration_matches_listing_across_eight_blocks():
-    # n = 16 spans eight blocks (each 2^12 low states x 2 high); an iid field
+    # spans eight blocks (each 2^12 low states x a run of high); an iid field
     # and a band centred on the exact magnetization give the low and the high
     # sites different centre entries
-    inst = build_instance(16, 0.2, semicircle(), gaussian_field(0.2, 0.6), seed=5,
-                          field_mode="iid")
+    inst = build_instance(_n_for_blocks(8), 0.2, semicircle(), gaussian_field(0.2, 0.6),
+                          seed=5, field_mode="iid")
     states, energies, log_z, mag = _naive_listing(inst)
     band = BandSpec(mag, 0.1, 1.0)
     res = exact_gibbs(inst, band)
@@ -348,6 +353,7 @@ def _masked_case(n, n_chains, sweeps, burn_in, block_elements=None, beta=0.4):
                                                  # take up to 6 fixed-point iterations
         _masked_case(32, 4, 20, 5),              # one full site block
         _masked_case(33, 4, 20, 5),              # a full site block, then a 1-site block
+        _masked_case(20, 64, 40, 10),            # one partial site block, as in band rows
     ],
 )
 def test_glauber_matches_masked_reference_bit_for_bit(

@@ -21,7 +21,7 @@ import numpy as np
 from tapglass import experiments as exp_mod
 from tapglass import gibbs as gibbs_mod
 from tapglass import tap as tap_mod
-from tapglass.ensemble import _spectrum_and_field, load_instance, save_instance
+from tapglass.ensemble import FIELD_MODES, _spectrum_and_field, load_instance, save_instance
 from tapglass.fixed_point import field_from_spec, solve_fixed_point
 from tapglass.spectral import law_from_spec
 
@@ -52,7 +52,7 @@ def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
                         help="spectral law: semicircle, two_point, JSON, or a JSON file")
     parser.add_argument("--field", default='{"kind": "constant", "value": 1.0}',
                         help="field law as JSON or a JSON file")
-    parser.add_argument("--field-mode", default="quantile", choices=["quantile", "iid"])
+    parser.add_argument("--field-mode", default=FIELD_MODES[0], choices=FIELD_MODES)
 
 
 def _add_instance_file_arguments(parser: argparse.ArgumentParser) -> None:

@@ -40,6 +40,7 @@ _GRAM_MATCH_TOL = 1e-8
 
 FIELD_MODE_QUANTILE = "quantile"
 FIELD_MODE_IID = "iid"
+FIELD_MODES = (FIELD_MODE_QUANTILE, FIELD_MODE_IID)  # the first is the default everywhere
 
 _TILE = 256  # block width of the in-place transpose: 512 KiB of scratch
 
@@ -186,7 +187,7 @@ def build_instance(
         raise ValueError(f"need beta > 0, got {beta}")
     if not law.is_standardized():
         raise ValueError("spectral law must be standardized (mean 0, variance 1)")
-    if field_mode not in (FIELD_MODE_QUANTILE, FIELD_MODE_IID):
+    if field_mode not in FIELD_MODES:
         raise ValueError(f"unknown field_mode {field_mode!r}")
 
     o = haar_so(n, np.random.SeedSequence(seed).spawn(2)[0])

@@ -22,6 +22,7 @@ import json
 import math
 import numbers
 import time
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,14 +30,15 @@ import numpy as np
 from tapglass import amp as amp_mod
 from tapglass import gibbs as gibbs_mod
 from tapglass import tap as tap_mod
-from tapglass.ensemble import build_instance
+from tapglass.ensemble import FIELD_MODES, build_instance
 from tapglass.fixed_point import (
     FieldLaw,
+    constant_field,
     field_from_spec,
     solve_fixed_point,
     theoretical_delta,
 )
-from tapglass.spectral import SpectralLaw, law_from_spec
+from tapglass.spectral import SpectralLaw, law_from_spec, semicircle
 
 SCHEMA_VERSION = 1
 
@@ -72,40 +74,40 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
+    """A run's settings.  Each field is one config key with the key's default:
+    `config_from_dict` accepts exactly these keys and `echo` writes them back."""
+
     kind: str
-    n_values: tuple[int, ...]
-    beta_values: tuple[float, ...]
+    n: tuple[int, ...]
+    beta: tuple[float, ...]
     seeds: tuple[int, ...]
-    law: SpectralLaw
-    law_spec: dict
-    field: FieldLaw
-    field_mode: str
-    t_max: int
-    replica_counts: tuple[int, ...]
-    sweeps: int
-    burn_in: int
-    delta: float
-    eta: float
-    out: str | None
+    law: SpectralLaw = semicircle()
+    field: FieldLaw = constant_field(1.0)
+    field_mode: str = FIELD_MODES[0]
+    t_max: int = 8
+    n_replicas: tuple[int, ...] = (8,)
+    sweeps: int = 200
+    burn_in: int = 50
+    delta: float = 0.2
+    eta: float = 0.8
+    out: str | None = None
 
     def echo(self) -> dict:
-        """The config as a dict using the same keys the parser accepts, so the
-        echoed block in a summary can be rerun as-is."""
-        return {
-            "kind": self.kind,
-            "n": list(self.n_values),
-            "beta": list(self.beta_values),
-            "seeds": list(self.seeds),
-            "law": self.law_spec,
-            "field": self.field.to_spec(),
-            "field_mode": self.field_mode,
-            "t_max": self.t_max,
-            "n_replicas": list(self.replica_counts),
-            "sweeps": self.sweeps,
-            "burn_in": self.burn_in,
-            "delta": self.delta,
-            "eta": self.eta,
-        }
+        """Every key but out, grids as lists and laws as their specs, so the
+        echoed block in a summary reruns as-is."""
+        return {f.name: _echoed(getattr(self, f.name))
+                for f in dataclasses.fields(self) if f.name != "out"}
+
+
+def _echoed(value):
+    if isinstance(value, tuple):
+        return list(value)
+    if isinstance(value, (SpectralLaw, FieldLaw)):
+        return value.to_spec()
+    return value
+
+
+_KEY_TYPES = typing.get_type_hints(ExperimentConfig)
 
 
 def _typed(value, cast, name):
@@ -130,14 +132,26 @@ def _as_tuple(value, cast, name):
     return out
 
 
-# the scalar keys, named as the config fields; each takes its default's type
-_SCALAR_DEFAULTS = {"t_max": 8, "sweeps": 200, "burn_in": 50, "delta": 0.2, "eta": 0.8}
+def _parsed(key: str, value):
+    """The value of one config key, checked and cast to its field's type."""
+    if key in ("law", "field"):
+        parse, what = (law_from_spec, "spectral") if key == "law" else (field_from_spec, "field")
+        try:
+            return parse(value)
+        except (KeyError, ValueError) as exc:
+            raise ConfigError(f"bad {what} law: {exc}") from exc
+    if key == "field_mode" and value not in FIELD_MODES:
+        raise ConfigError(f"field_mode must be {' or '.join(FIELD_MODES)}, got {value!r}")
+    if key == "out" and not (value is None or isinstance(value, str)):
+        raise ConfigError(f"out must be a string or null, got {value!r}")
+    cast = _KEY_TYPES[key]
+    if typing.get_origin(cast) is tuple:
+        return _as_tuple(value, typing.get_args(cast)[0], key)
+    return _typed(value, cast, key) if cast in (int, float) else value
 
-_CONFIG_KEYS = frozenset((
-    "kind", "n", "beta", "seeds", "law", "field", "field_mode", "t_max", "n_replicas",
-    "sweeps", "burn_in", "delta", "eta", "out",
-))
 
+# a band is centred on the AMP output after at least this many steps
+BAND_MIN_T_MAX = 50
 
 # the largest n a kind can run: exact enumeration, or Glauber's dense couplings
 _MAX_N = {
@@ -151,7 +165,7 @@ _MAX_N = {
 def config_from_dict(obj: dict) -> ExperimentConfig:
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = sorted(str(key) for key in obj if key not in _CONFIG_KEYS)
+    unknown = sorted(str(key) for key in obj if key not in _KEY_TYPES)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     kind = obj.get("kind")
@@ -159,58 +173,32 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
         raise ConfigError(
             f"kind must be one of {', '.join(EXPERIMENT_KINDS)}; got {kind!r}"
         )
-    for required in ("n", "beta", "seeds"):
-        if required not in obj:
-            raise ConfigError(f"config is missing the {required!r} list")
-    law_spec = obj.get("law", {"kind": "semicircle"})
-    out = obj.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError(f"out must be a string or null, got {out!r}")
-    try:
-        law = law_from_spec(law_spec)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad spectral law: {exc}") from exc
-    try:
-        field = field_from_spec(obj.get("field", {"kind": "constant", "value": 1.0}))
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad field law: {exc}") from exc
-    field_mode = obj.get("field_mode", "quantile")
-    if field_mode not in ("quantile", "iid"):
-        raise ConfigError(f"field_mode must be quantile or iid, got {field_mode!r}")
+    for f in dataclasses.fields(ExperimentConfig):
+        if f.default is dataclasses.MISSING and f.name not in obj:
+            raise ConfigError(f"config is missing the {f.name!r} list")
 
-    cfg = ExperimentConfig(
-        kind=kind,
-        n_values=_as_tuple(obj["n"], int, "n"),
-        beta_values=_as_tuple(obj["beta"], float, "beta"),
-        seeds=_as_tuple(obj["seeds"], int, "seeds"),
-        law=law,
-        law_spec=law_spec,
-        field=field,
-        field_mode=field_mode,
-        replica_counts=_as_tuple(obj.get("n_replicas", 8), int, "n_replicas"),
-        out=out,
-        **{key: _typed(obj.get(key, default), type(default), key)
-           for key, default in _SCALAR_DEFAULTS.items()},
-    )
+    cfg = ExperimentConfig(**{key: _parsed(key, value) for key, value in obj.items()})
     if cfg.t_max < 1:
         raise ConfigError("t_max must be >= 1")
-    if any(n < 1 for n in cfg.n_values):
+    if any(n < 1 for n in cfg.n):
         raise ConfigError("all n must be >= 1")
-    if any(b < 0 for b in cfg.beta_values):
+    if any(b < 0 for b in cfg.beta):
         raise ConfigError("all beta must be >= 0")
-    if kind != KIND_FIXED_POINT and 0.0 in cfg.beta_values:
+    if kind != KIND_FIXED_POINT and 0.0 in cfg.beta:
         raise ConfigError(f"{kind} builds instances, which need beta > 0")
     max_n = _MAX_N.get(kind)
-    if max_n is not None and max(cfg.n_values) > max_n:
-        raise ConfigError(f"{kind} is capped at n = {max_n}, got n = {max(cfg.n_values)}")
+    if max_n is not None and max(cfg.n) > max_n:
+        raise ConfigError(f"{kind} is capped at n = {max_n}, got n = {max(cfg.n)}")
     if any(s < 0 for s in cfg.seeds):
         raise ConfigError("all seeds must be >= 0")
-    if any(r < 1 for r in cfg.replica_counts):
+    if any(r < 1 for r in cfg.n_replicas):
         raise ConfigError("all n_replicas must be >= 1")
     if cfg.sweeps < 1 or cfg.burn_in < 0:
         raise ConfigError("need sweeps >= 1 and burn_in >= 0")
     if not (cfg.delta > 0 and cfg.eta > 0):
         raise ConfigError("delta and eta must be > 0")
+    if kind == KIND_BAND and cfg.t_max < BAND_MIN_T_MAX:
+        cfg = dataclasses.replace(cfg, t_max=BAND_MIN_T_MAX)
     return cfg
 
 
@@ -381,7 +369,7 @@ def _cell_tap_verify(cfg, cell, n_rep):
 
 
 def _cell_band(cfg, cell, n_rep):
-    band, exact = cell.band_exact(max(cfg.t_max, 50), cfg.delta, cfg.eta)
+    band, exact = cell.band_exact(cfg.t_max, cfg.delta, cfg.eta)
     n = cell.n
     log_z, log_zb, log_zc = exact.log_z, exact.log_z_band, exact.log_z_pairs
     if log_zc is None:  # too large to list the pairs: sample them
@@ -426,7 +414,7 @@ def _run_cell(cfg: ExperimentConfig, coords, fixed_points: dict) -> list[ResultR
     n, beta, seed = coords
     cell = Cell(cfg.law, cfg.field, cfg.field_mode, n, beta, seed, fixed_points)
     rows = []
-    for n_rep in cfg.replica_counts:
+    for n_rep in cfg.n_replicas:
         start = time.perf_counter()
         try:
             metrics, error = _CELL_FUNCTIONS[cfg.kind](cfg, cell, n_rep), ""
@@ -442,7 +430,7 @@ def _run_cell(cfg: ExperimentConfig, coords, fixed_points: dict) -> list[ResultR
 
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     """Run every grid cell, isolating failures, and return rows in sorted order."""
-    cells = itertools.product(cfg.n_values, cfg.beta_values, cfg.seeds)
+    cells = itertools.product(cfg.n, cfg.beta, cfg.seeds)
     fixed_points = {}
     rows = [row for coords in cells for row in _run_cell(cfg, coords, fixed_points)]
     rows.sort(key=lambda r: (r.n, r.beta, r.seed, r.n_replicas))
@@ -514,14 +502,14 @@ def _aggregate(values: list[float]) -> dict:
 
 
 def emit_json_summary(rows: list[ResultRow], cfg: ExperimentConfig) -> dict:
-    """Config echo, a content hash of the stable CSV text, and per-(n, beta)
-    aggregates of every metric over seeds (and replica counts): mean/sd of
-    its finite values and a count of the non-finite ones."""
+    """Config echo, a content hash of the stable CSV text, and per-(n, beta,
+    n_replicas) aggregates of every metric over seeds: mean/sd of its finite
+    values and a count of the non-finite ones."""
     aggregates = {}
     for row in rows:
         if row.error:
             continue
-        key = f"n={row.n},beta={row.beta}"
+        key = f"n={row.n},beta={row.beta},n_replicas={row.n_replicas}"
         bucket = aggregates.setdefault(key, {})
         for name, value in row.metrics.items():
             if isinstance(value, (int, float)):

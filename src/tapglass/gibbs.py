@@ -22,27 +22,12 @@ band and n <= 12 the same pass also keeps the in-band states, and the pair
 sum Z_c over them follows it, reduced the same way: each chunk of pair rows
 against its own maximum, the chunks merged against the top one.
 
-Glauber chains run in lockstep, all of them in one loop, drawing their
-uniforms in blocks of sweeps that hold at most 2^20 doubles over all chains.
-Spins are held as 0/1 doubles and time averages as up-counts, both in one
-contiguous array per site block; they return to +-1 terms by exact integer
-arithmetic when the chains end.
-Each chain draws into its own contiguous row of the block, and the row's
-uniforms u are turned, in place, into thresholds 0.5 log(u / (1 - u)); site
-i moves up when l_i > threshold, which is u < 1/(1 + exp(-2 l_i))
-rearranged.  Sites go in blocks of 32 with a delayed field update.  Inside a
-block the new spins solve a strictly triangular system: site a+k moves up
-when its field at block start plus the changes of sites a..a+k-1 times their
-couplings into it exceeds its threshold.  It is solved exactly as a fixed
-point, each iteration a few whole-block numpy calls over all chains (one
-small matrix product gives every site's partial field), until the spins
-repeat: at most block width + 1 iterations.  When the block ends its changes
-enter the spins and, through one small matrix product, all the fields.  The
-fields equal those of a sequential rank-1 update only up to rounding, so a
-spin decision can differ from that of a masked chain-by-chain loop on the
-same seed only when l lies within rounding of its threshold (or when u = 0
-and l < -354, where the logistic underflows); the test suite checks that the
-chains match such a loop bit for bit.
+Glauber chains run in lockstep, all of them in one loop, on 0/1 spins.
+Sites go in blocks of 32 with a delayed field update, and a block's new
+spins are the exact fixed point of a strictly triangular system.
+`glauber_sample`'s docstring sets out the scheme and when a decision can
+differ from that of a masked chain-by-chain loop on the same seed; the test
+suite checks the two bit for bit.
 
 Band machinery: for a profile m and delta > 0,
 
@@ -148,6 +133,7 @@ def _state_blocks(j_mat: np.ndarray, h: np.ndarray, center: np.ndarray | None):
         energies += e_low
         proj = None if center is None else proj_high[block, None] + proj_low
         yield low, high, energies, proj
+        del energies, proj  # so two blocks' arrays are never held at once
 
 
 def exact_gibbs(instance: ModelInstance, band: BandSpec | None = None) -> GibbsExact:
@@ -192,6 +178,7 @@ def exact_gibbs(instance: ModelInstance, band: BandSpec | None = None) -> GibbsE
             row.append([w[keep].sum()])
         tops.append(top)
         rows.append(np.concatenate(row))
+        del energies, w, proj
     top = max(tops)
     total = np.exp(np.array(tops) - top) @ np.array(rows)
     z = total[0]

@@ -160,13 +160,14 @@ class SpectralLaw:
     # ----- law manipulation -------------------------------------------
 
     def standardize(self) -> SpectralLaw:
-        """Affine image with mean 0 and variance 1.  Idempotent; the semicircle is standard."""
-        if self.kind == SEMICIRCLE:
+        """Affine image with mean 0 and variance 1.  A law that
+        `is_standardized` (the semicircle too) is returned as it is, so this is
+        idempotent to the bit and a standardized law's spec parses back to the
+        same atoms; a second pass would move them by rounding, up to ~1e-9."""
+        if self.is_standardized():
             return self
         if self.variance <= 0:
             raise DegenerateLawError("zero-variance law cannot be standardized")
-        if abs(self.mean) < 1e-15 and abs(self.variance - 1.0) < 1e-15:
-            return self
         scale = np.sqrt(self.variance)
         x = (self.atoms[:, 0] - self.mean) / scale
         return empirical_atoms(x, self.atoms[:, 1])

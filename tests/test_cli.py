@@ -225,7 +225,7 @@ def _last_amp_step(out):
 
 def _default_cell(kind, n, seed):
     cfg = default_config(kind)
-    return Cell(cfg.law, cfg.field, cfg.field_mode, n, cfg.beta_values[0], seed)
+    return Cell(cfg.law, cfg.field, cfg.field_mode, n, cfg.beta[0], seed)
 
 
 def _solver_metrics(out):

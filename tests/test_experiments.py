@@ -2,6 +2,7 @@
 error isolation, and the CSV/JSON emitters."""
 
 import ast
+import dataclasses
 import json
 from pathlib import Path
 
@@ -85,7 +86,7 @@ def test_config_rejects_bad_law_spec():
 def test_config_defaults_and_echo_roundtrip():
     cfg = config_from_dict(_minimal())
     assert cfg.t_max == 8
-    assert cfg.replica_counts == (8,)
+    assert cfg.n_replicas == (8,)
     assert cfg.sweeps == 200
     echo = cfg.echo()
     # the echo must itself parse back to an identical config
@@ -93,11 +94,41 @@ def test_config_defaults_and_echo_roundtrip():
     assert cfg2.echo() == echo
 
 
+CONFIG_KEYS = {"kind", "n", "beta", "seeds", "law", "field", "field_mode", "t_max",
+               "n_replicas", "sweeps", "burn_in", "delta", "eta", "out"}
+
+
+def test_config_fields_are_the_accepted_keys():
+    assert {f.name for f in dataclasses.fields(exp.ExperimentConfig)} == CONFIG_KEYS
+    cfg = config_from_dict(_minimal(kind="band", out="rows.csv"))
+    assert set(cfg.echo()) == CONFIG_KEYS - {"out"}
+    assert config_from_dict({**cfg.echo(), "out": "rows.csv"}).echo() == cfg.echo()
+
+
+def test_echoed_standardized_law_reruns_to_the_same_rows():
+    law = {"kind": "empirical", "locations": [100.0, 100.001, 100.003], "weights": [0.3, 0.3, 0.4]}
+    cfg = config_from_dict(_minimal(kind="gibbs_exact", law=law))
+    echo = cfg.echo()
+    assert echo["law"] != law  # the standardized atoms, not the given ones
+    again = config_from_dict(echo)
+    assert np.array_equal(again.law.atoms, cfg.law.atoms)
+    assert again.echo() == echo
+    assert content_hash(run_experiment(again)) == content_hash(run_experiment(cfg))
+
+
+def test_band_config_runs_amp_at_least_fifty_steps():
+    assert default_config("band").echo()["t_max"] == exp.BAND_MIN_T_MAX == 50
+    assert config_from_dict(_minimal(kind="band", t_max=80)).t_max == 80
+    assert default_config("amp").t_max == 8
+    with pytest.raises(ConfigError, match="t_max"):
+        config_from_dict(_minimal(kind="band", t_max=0))
+
+
 def test_default_config_parses_for_every_kind():
     for kind in exp.EXPERIMENT_KINDS:
         cfg = default_config(kind)
         assert cfg.kind == kind
-        assert cfg.n_values == (12,)
+        assert cfg.n == (12,)
 
 
 @pytest.mark.parametrize("kind", exp.EXPERIMENT_KINDS)
@@ -548,12 +579,36 @@ def test_summary_aggregates_match_recomputation():
     assert summary["rows"] == 3
     assert summary["errors"] == 0
     assert summary["content_hash"] == content_hash(rows)
-    bucket = summary["aggregates"]["n=24,beta=0.15"]
+    bucket = summary["aggregates"]["n=24,beta=0.15,n_replicas=8"]
     vals = [r.metrics["tap_residual"] for r in rows]
     assert bucket["tap_residual"]["count"] == 3
     assert bucket["tap_residual"]["nonfinite"] == 0
     assert bucket["tap_residual"]["mean"] == pytest.approx(np.mean(vals))
     assert bucket["tap_residual"]["sd"] == pytest.approx(np.std(vals, ddof=1))
+
+
+def test_summary_aggregates_per_replica_count():
+    # chain counts are not pooled, and a kind that ignores the count is not
+    # counted once per count
+    cfg = config_from_dict(_minimal(kind="gibbs_mcmc", n=[10], seeds=[0, 1], n_replicas=[4, 16],
+                                    sweeps=20, burn_in=5))
+    rows = run_experiment(cfg)
+    aggregates = emit_json_summary(rows, cfg)["aggregates"]
+    assert sorted(aggregates) == ["n=10,beta=0.15,n_replicas=16", "n=10,beta=0.15,n_replicas=4"]
+    for n_rep in (4, 16):
+        vals = [r.metrics["replica_distance"] for r in rows if r.n_replicas == n_rep]
+        bucket = aggregates[f"n=10,beta=0.15,n_replicas={n_rep}"]["replica_distance"]
+        assert bucket["count"] == 2
+        assert bucket["mean"] == pytest.approx(np.mean(vals))
+
+    cfg = config_from_dict(_minimal(kind="amp", n=[12], seeds=[0, 1], n_replicas=[4, 8, 16]))
+    rows = run_experiment(cfg)
+    aggregates = emit_json_summary(rows, cfg)["aggregates"]
+    assert len(aggregates) == 3
+    vals = [r.metrics["tap_residual"] for r in rows if r.n_replicas == 4]
+    for bucket in aggregates.values():
+        assert bucket["tap_residual"]["count"] == 2
+        assert bucket["tap_residual"]["sd"] == pytest.approx(np.std(vals, ddof=1))
 
 
 def test_summary_counts_nonfinite_values_per_metric():
@@ -566,7 +621,7 @@ def test_summary_counts_nonfinite_values_per_metric():
     rows = [row(0, gap=0.25, margin=-np.inf), row(1, gap=np.nan, margin=-np.inf),
             row(2, gap=0.75, margin=-np.inf), row(3, gap=np.inf, margin=-np.inf)]
     summary = emit_json_summary(rows, config_from_dict(_minimal(kind="band", n=[16])))
-    bucket = summary["aggregates"]["n=16,beta=0.15"]
+    bucket = summary["aggregates"]["n=16,beta=0.15,n_replicas=8"]
     assert bucket["gap"] == {"mean": 0.5, "sd": pytest.approx(np.sqrt(0.125)),
                              "count": 2, "nonfinite": 2}
     assert bucket["margin"] == {"mean": None, "sd": None, "count": 0, "nonfinite": 4}

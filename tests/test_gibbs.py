@@ -109,16 +109,22 @@ def test_band_enumeration_matches_listing_across_eight_blocks():
 
 
 def test_enumeration_builds_no_state_array():
-    # a (2^13, 20) block of states alone is 1.25 MiB
+    # a (2^14, 20) block of states alone is 2.5 MiB
     inst = build_instance(20, 0.2, semicircle(), constant_field(0.5), seed=1)
     band = BandSpec(np.full(20, 0.3), 0.2, 0.5)
-    tracemalloc.start()
-    try:
-        exact_gibbs(inst, band)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * (1 << 20)
+
+    def peak(*band_arg):
+        tracemalloc.start()
+        try:
+            exact_gibbs(inst, *band_arg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    plain, banded = peak(), peak(band)
+    assert banded < 1.5 * (1 << 20)
+    # one block's arrays at a time: holding the last block's too adds 0.21 MiB
+    assert banded - plain < 0.15 * (1 << 20)
 
 
 def test_decoupled_instance_is_exact_product():

@@ -350,6 +350,18 @@ def test_law_spec_round_trip():
         law_from_spec({"kind": "semicircle", "weights": [1.0]})
 
 
+def test_standardized_law_parses_back_to_itself():
+    # standardizing these atoms leaves a mean of -4.4e-12; a second pass
+    # would shift every atom by about that much
+    spec = {"kind": "empirical", "locations": [100.0, 100.001, 100.003], "weights": [0.3, 0.3, 0.4]}
+    law = law_from_spec(spec)
+    assert law.is_standardized() and law.mean != 0.0
+    assert law.standardize() is law
+    back = law_from_spec(law.to_spec())
+    assert np.array_equal(back.atoms, law.atoms)
+    assert (back.mean, back.variance) == (law.mean, law.variance)
+
+
 def test_atom_validation():
     with pytest.raises(ValueError):
         empirical_atoms([1.0, 2.0], [0.6, 0.6])  # weights must sum to 1

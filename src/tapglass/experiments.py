@@ -72,6 +72,18 @@ class ConfigError(ValueError):
     """The experiment config is malformed."""
 
 
+# a band is centred on the AMP output after at least this many steps
+BAND_MIN_T_MAX = 50
+
+# the largest n a kind can run: exact enumeration, or Glauber's dense couplings
+_MAX_N = {
+    KIND_GIBBS_EXACT: gibbs_mod.MAX_ENUMERATION_N,
+    KIND_TAP_VERIFY: gibbs_mod.MAX_ENUMERATION_N,
+    KIND_BAND: gibbs_mod.MAX_ENUMERATION_N,
+    KIND_GIBBS_MCMC: gibbs_mod.MAX_MCMC_DENSE_N,
+}
+
+
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     """A run's settings.  Each field is one config key with the key's default:
@@ -91,6 +103,37 @@ class ExperimentConfig:
     delta: float = 0.2
     eta: float = 0.8
     out: str | None = None
+
+    def __post_init__(self):
+        """Reject a value no cell could run with, and raise a band's t_max to
+        BAND_MIN_T_MAX, however the config was built."""
+        kind = self.kind
+        if kind not in EXPERIMENT_KINDS:
+            raise ConfigError(f"kind must be one of {', '.join(EXPERIMENT_KINDS)}; got {kind!r}")
+        if self.field_mode not in FIELD_MODES:
+            raise ConfigError(
+                f"field_mode must be {' or '.join(FIELD_MODES)}, got {self.field_mode!r}")
+        if self.t_max < 1:
+            raise ConfigError("t_max must be >= 1")
+        if any(n < 1 for n in self.n):
+            raise ConfigError("all n must be >= 1")
+        if any(b < 0 for b in self.beta):
+            raise ConfigError("all beta must be >= 0")
+        if kind != KIND_FIXED_POINT and 0.0 in self.beta:
+            raise ConfigError(f"{kind} builds instances, which need beta > 0")
+        max_n = _MAX_N.get(kind)
+        if max_n is not None and max(self.n) > max_n:
+            raise ConfigError(f"{kind} is capped at n = {max_n}, got n = {max(self.n)}")
+        if any(s < 0 for s in self.seeds):
+            raise ConfigError("all seeds must be >= 0")
+        if any(r < 1 for r in self.n_replicas):
+            raise ConfigError("all n_replicas must be >= 1")
+        if self.sweeps < 1 or self.burn_in < 0:
+            raise ConfigError("need sweeps >= 1 and burn_in >= 0")
+        if not (self.delta > 0 and self.eta > 0):
+            raise ConfigError("delta and eta must be > 0")
+        if kind == KIND_BAND and self.t_max < BAND_MIN_T_MAX:
+            object.__setattr__(self, "t_max", BAND_MIN_T_MAX)  # the dataclass is frozen
 
     def echo(self) -> dict:
         """Every key but out, grids as lists and laws as their specs, so the
@@ -140,8 +183,6 @@ def _parsed(key: str, value):
             return parse(value)
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"bad {what} law: {exc}") from exc
-    if key == "field_mode" and value not in FIELD_MODES:
-        raise ConfigError(f"field_mode must be {' or '.join(FIELD_MODES)}, got {value!r}")
     if key == "out" and not (value is None or isinstance(value, str)):
         raise ConfigError(f"out must be a string or null, got {value!r}")
     cast = _KEY_TYPES[key]
@@ -150,56 +191,18 @@ def _parsed(key: str, value):
     return _typed(value, cast, key) if cast in (int, float) else value
 
 
-# a band is centred on the AMP output after at least this many steps
-BAND_MIN_T_MAX = 50
-
-# the largest n a kind can run: exact enumeration, or Glauber's dense couplings
-_MAX_N = {
-    KIND_GIBBS_EXACT: gibbs_mod.MAX_ENUMERATION_N,
-    KIND_TAP_VERIFY: gibbs_mod.MAX_ENUMERATION_N,
-    KIND_BAND: gibbs_mod.MAX_ENUMERATION_N,
-    KIND_GIBBS_MCMC: gibbs_mod.MAX_MCMC_DENSE_N,
-}
-
-
 def config_from_dict(obj: dict) -> ExperimentConfig:
+    """The config of a parsed JSON object: its keys checked and each value cast
+    to its field's type; `ExperimentConfig` checks the values themselves."""
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
     unknown = sorted(str(key) for key in obj if key not in _KEY_TYPES)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    kind = obj.get("kind")
-    if kind not in EXPERIMENT_KINDS:
-        raise ConfigError(
-            f"kind must be one of {', '.join(EXPERIMENT_KINDS)}; got {kind!r}"
-        )
     for f in dataclasses.fields(ExperimentConfig):
         if f.default is dataclasses.MISSING and f.name not in obj:
-            raise ConfigError(f"config is missing the {f.name!r} list")
-
-    cfg = ExperimentConfig(**{key: _parsed(key, value) for key, value in obj.items()})
-    if cfg.t_max < 1:
-        raise ConfigError("t_max must be >= 1")
-    if any(n < 1 for n in cfg.n):
-        raise ConfigError("all n must be >= 1")
-    if any(b < 0 for b in cfg.beta):
-        raise ConfigError("all beta must be >= 0")
-    if kind != KIND_FIXED_POINT and 0.0 in cfg.beta:
-        raise ConfigError(f"{kind} builds instances, which need beta > 0")
-    max_n = _MAX_N.get(kind)
-    if max_n is not None and max(cfg.n) > max_n:
-        raise ConfigError(f"{kind} is capped at n = {max_n}, got n = {max(cfg.n)}")
-    if any(s < 0 for s in cfg.seeds):
-        raise ConfigError("all seeds must be >= 0")
-    if any(r < 1 for r in cfg.n_replicas):
-        raise ConfigError("all n_replicas must be >= 1")
-    if cfg.sweeps < 1 or cfg.burn_in < 0:
-        raise ConfigError("need sweeps >= 1 and burn_in >= 0")
-    if not (cfg.delta > 0 and cfg.eta > 0):
-        raise ConfigError("delta and eta must be > 0")
-    if kind == KIND_BAND and cfg.t_max < BAND_MIN_T_MAX:
-        cfg = dataclasses.replace(cfg, t_max=BAND_MIN_T_MAX)
-    return cfg
+            raise ConfigError(f"config is missing the {f.name!r} key")
+    return ExperimentConfig(**{key: _parsed(key, value) for key, value in obj.items()})
 
 
 def load_config(path) -> ExperimentConfig:

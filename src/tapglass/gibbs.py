@@ -23,6 +23,11 @@ sum Z_c over them follows it, reduced the same way: each chunk of pair rows
 against its own maximum, the chunks merged against the top one.
 
 Glauber chains run in lockstep, all of them in one loop, on 0/1 spins.
+Their uniforms go through a window of at most 2^17 doubles (1 MiB) over all
+chains: each chain draws its share into its own row, and one pass over the
+window, through a twin buffer for 1 - u, makes them thresholds.  The draw
+memory is at most 2 MiB whatever the number of sweeps, or two sweeps' worth
+when one sweep over all chains is larger.
 Sites go in blocks of 32 with a delayed field update, and a block's new
 spins are the exact fixed point of a strictly triangular system.
 `glauber_sample`'s docstring sets out the scheme and when a decision can
@@ -50,11 +55,11 @@ from tapglass.ensemble import ModelInstance
 
 MAX_ENUMERATION_N = 24
 MAX_PAIR_ENUMERATION_N = 12
-MAX_MCMC_DENSE_N = 512
+MAX_MCMC_DENSE_N = 2048
 
 _LOW_BITS = 12
 _BLOCK_STATES = 1 << 14
-_SWEEP_BLOCK_ELEMENTS = 1 << 20  # uniforms drawn at once, over all chains (8 MiB)
+_SWEEP_BLOCK_ELEMENTS = 1 << 17  # uniforms in one window, over all chains (1 MiB)
 _SITE_BLOCK = 32  # sites per delayed field update
 _PAIR_CHUNK_ROWS = 512
 
@@ -247,12 +252,15 @@ def glauber_sample(
     depend on how the uniforms are blocked.  Every sweep after burn_in enters
     the per-chain time average.
 
-    The uniforms of a block of sweeps are laid out (chain, sweep, site), so
-    each chain draws its share into one contiguous row.  A block holds at
-    most _SWEEP_BLOCK_ELEMENTS doubles, or one sweep when a sweep is larger,
-    and one chain's share more is kept for 1 - u.  Each row becomes the
-    thresholds 0.5 log(u / (1 - u)) in place, once per block, and site i
-    moves up when l_i > threshold.
+    The uniforms of a window of sweeps are laid out (chain, sweep, site), so
+    each chain draws its share into one contiguous row.  A window holds at
+    most _SWEEP_BLOCK_ELEMENTS doubles, or one sweep when a sweep over all
+    chains is larger, and a twin of the same shape holds 1 - u.  Once the
+    chains have drawn, the whole window becomes the thresholds
+    0.5 log(u / (1 - u)) in place, in four numpy calls, and site i moves up
+    when l_i > threshold.  Each element goes through the same operations as
+    it would one chain at a time, so the thresholds do not depend on the
+    window either.
 
     The sites of a sweep go in blocks of _SITE_BLOCK, with a delayed field
     update.  Each block keeps its spins as 0/1 doubles (sigma = 2 u - 1) in
@@ -317,19 +325,22 @@ def glauber_sample(
                        field[:, a:b], j_within, j_twice[a:b], scratch[b - a]))
     total = burn_in + sweeps
     block_sweeps = max(1, _SWEEP_BLOCK_ELEMENTS // (n * n_chains))
-    # (chain, sweep, site): each chain draws its uniforms into one contiguous row
-    uniforms = np.empty((n_chains, min(block_sweeps, total), n))
-    one_minus = np.empty(uniforms.shape[1:])  # 1 - u of one chain
+    # (chain, sweep, site): each chain draws its uniforms into one contiguous
+    # row, and the twin holds 1 - u.  One allocation for the two: glibc keeps
+    # it for the next call, where two 1 MiB ones went back to the system and
+    # were faulted in again on every call (some 700 page faults at n = 200
+    # with 64 chains)
+    uniforms, one_minus = np.empty((2, n_chains, min(block_sweeps, total), n))
     for done in range(0, total, block_sweeps):
         block = min(block_sweeps, total - done)
-        for rng, row in zip(rngs, uniforms):
-            row, rest = row[:block], one_minus[:block]
+        window, rest = uniforms[:, :block], one_minus[:, :block]
+        for rng, row in zip(rngs, window):
             rng.random(out=row)
-            np.subtract(1.0, row, out=rest)
-            np.divide(row, rest, out=row)
-            with np.errstate(divide="ignore"):  # u = 0 gives -inf: the site moves up
-                np.log(row, out=row)
-            row *= 0.5
+        np.subtract(1.0, window, out=rest)
+        np.divide(window, rest, out=window)
+        with np.errstate(divide="ignore"):  # u = 0 gives -inf: the site moves up
+            np.log(window, out=window)
+        window *= 0.5
         for t in range(block):
             thresholds = uniforms[:, t]
             counting = done + t >= burn_in

@@ -440,9 +440,9 @@ def test_config_with_repeated_grid_value_exits_2(capsys, tmp_path, key, values):
 @pytest.mark.parametrize("kind, n, beta, message", [
     ("gibbs_exact", 30, 0.15, "capped at n = 24"),
     ("band", 26, 0.15, "capped at n = 24"),
-    ("gibbs_mcmc", 600, 0.15, "capped at n = 512"),
+    ("gibbs_mcmc", 2100, 0.15, "capped at n = 2048"),
     ("amp", 12, 0.0, "need beta > 0"),
-], ids=["gibbs_exact-n30", "band-n26", "gibbs_mcmc-n600", "amp-beta0"])
+], ids=["gibbs_exact-n30", "band-n26", "gibbs_mcmc-n2100", "amp-beta0"])
 def test_config_that_cannot_run_exits_2(capsys, tmp_path, kind, n, beta, message):
     # each of these would be accepted and then fail in every row
     bad = tmp_path / "bad.json"

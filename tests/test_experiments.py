@@ -124,6 +124,22 @@ def test_band_config_runs_amp_at_least_fifty_steps():
         config_from_dict(_minimal(kind="band", t_max=0))
 
 
+def test_config_built_directly_is_checked():
+    # the checks and the band's floor live on the config, not in the parser
+    assert exp.ExperimentConfig("band", (12,), (0.15,), (1, 2)).t_max == exp.BAND_MIN_T_MAX
+    with pytest.raises(ConfigError, match="n_replicas"):
+        exp.ExperimentConfig("gibbs_mcmc", (12,), (0.15,), (0,), n_replicas=(0,))
+    with pytest.raises(ConfigError, match="delta"):
+        exp.ExperimentConfig("band", (12,), (0.15,), (0,), delta=-1.0)
+
+
+def test_gibbs_mcmc_grid_runs_above_the_old_cap():
+    # n = 1024 was rejected while Glauber's dense couplings stopped at 512
+    rows = run_experiment(config_from_dict(
+        _minimal(kind="gibbs_mcmc", n=[1024], sweeps=4, burn_in=1)))
+    assert [row.error for row in rows] == [""]
+
+
 def test_default_config_parses_for_every_kind():
     for kind in exp.EXPERIMENT_KINDS:
         cfg = default_config(kind)

@@ -360,6 +360,7 @@ def _masked_case(n, n_chains, sweeps, burn_in, block_elements=None, beta=0.4):
         _masked_case(32, 4, 20, 5),              # one full site block
         _masked_case(33, 4, 20, 5),              # a full site block, then a 1-site block
         _masked_case(20, 64, 40, 10),            # one partial site block, as in band rows
+        _masked_case(200, 64, 20, 5),            # the default window: 10, 10 and 5 sweeps
     ],
 )
 def test_glauber_matches_masked_reference_bit_for_bit(
@@ -420,25 +421,8 @@ def test_glauber_signature():
         "instance", "sweeps", "burn_in", "n_chains", "seed"]
 
 
-def test_glauber_uniform_block_is_bounded_over_all_chains(monkeypatch):
-    # 256 chains of n = 20 draw 5120 uniforms a sweep, so a cap of 2^14 doubles
-    # holds 3 sweeps (123 KiB) where the whole run would hold 100 (4 MiB)
-    inst = build_instance(20, 0.2, semicircle(), constant_field(0.5), seed=3)
-    monkeypatch.setattr(gibbs, "_SWEEP_BLOCK_ELEMENTS", 1 << 14)
-    tracemalloc.start()
-    try:
-        glauber_sample(inst, sweeps=100, burn_in=0, n_chains=256, seed=1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 << 20
-
-
-def test_glauber_memory_is_one_uniform_block_and_the_coupling():
-    # the glauber_grid benchmark shape: 64 chains of n = 200 draw all 60
-    # sweeps in one 6 MiB block; a second buffer of that size (for 1 - u, or
-    # the per-chain draws before they are stacked) would double the peak
-    n, n_chains, sweeps, burn_in = 200, 64, 50, 10
+def _glauber_peak(n, n_chains, sweeps, burn_in):
+    """The tracemalloc peak of one glauber_sample call."""
     inst = build_instance(n, 0.15, semicircle(), constant_field(1.0), seed=3)
     tracemalloc.start()
     try:
@@ -446,7 +430,36 @@ def test_glauber_memory_is_one_uniform_block_and_the_coupling():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.25 * 8 * (n_chains * (sweeps + burn_in) * n + n * n)
+    return peak
+
+
+def _window_bound(n, n_chains):
+    """The uniform window and its 1 - u twin, the couplings, and the six
+    (chains, n) arrays a run holds at its end (spins, fields, field shifts,
+    the blocks' spins and up-counts, and the chain averages), with room."""
+    return 1.2 * 8 * (2 * gibbs._SWEEP_BLOCK_ELEMENTS + n * n + 6 * n_chains * n)
+
+
+def test_glauber_uniform_block_is_bounded_over_all_chains(monkeypatch):
+    # 256 chains of n = 20 draw 5120 uniforms a sweep, so a cap of 2^14 doubles
+    # holds 3 sweeps (123 KiB) where the whole run would hold 100 (4 MiB)
+    monkeypatch.setattr(gibbs, "_SWEEP_BLOCK_ELEMENTS", 1 << 14)
+    assert _glauber_peak(20, 256, 100, 0) < 2 << 20
+
+
+def test_glauber_memory_is_one_uniform_block_and_the_coupling():
+    # the glauber_grid benchmark shape: 64 chains of n = 200 run 60 sweeps
+    # through a window of 10; the window and its 1 - u twin are the draw
+    # memory, where the whole run's uniforms alone would take 5.9 MiB
+    n, n_chains = 200, 64
+    assert _glauber_peak(n, n_chains, 50, 10) < _window_bound(n, n_chains)
+
+
+def test_glauber_peak_does_not_grow_with_sweeps():
+    n, n_chains = 200, 64
+    short, long = _glauber_peak(n, n_chains, 50, 10), _glauber_peak(n, n_chains, 500, 10)
+    assert abs(long - short) < 0.1 * 2**20
+    assert long < _window_bound(n, n_chains)
 
 
 def test_final_state_distance_and_marginals():

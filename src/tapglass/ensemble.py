@@ -11,16 +11,6 @@ O enters in SO(n): `haar_so` draws it so, det read off the QR reflectors, and
 The draw factors the Gaussian matrix in place with the LAPACK routines numpy's
 own QR calls (through `numpy.linalg.lapack_lite`), between two in-place
 transposes, so it holds one n x n array at its peak: the Gaussian becomes O.
-
-`conditional_haar_so` samples O uniformly from {O in SO(n): O B = A} for
-n x k matrices with A^T A = B^T B, via
-
-    O = A (A^T A)^{-1} B^T + V_Aperp Otilde V_Bperp^T,
-
-where V_Aperp, V_Bperp complete the column spans orthogonally (deterministic
-QR completions, sign-fixed, det +1) and Otilde is Haar on SO(n - k).  This is
-the resampling step behind conditioning an invariant ensemble on a set of
-matrix-vector observations.
 """
 
 from __future__ import annotations
@@ -36,7 +26,6 @@ from tapglass.spectral import SpectralLaw
 
 ORTHOGONALITY_TOL = 1e-10
 _DET_TOL = 1e-8
-_GRAM_MATCH_TOL = 1e-8
 
 FIELD_MODE_QUANTILE = "quantile"
 FIELD_MODE_IID = "iid"
@@ -48,37 +37,24 @@ _TILE = 256  # block width of the in-place transpose: 512 KiB of scratch
 def haar_so(n: int, seed) -> np.ndarray:
     """Haar-uniform draw from SO(n): QR of a Gaussian matrix with the R-diagonal
     sign convention (the unique QR with positive diagonal, a Haar draw from
-    O(n)), last column negated if det = -1."""
+    O(n)), last column negated if det = -1.
+
+    geqrf and orgqr run in place on the Gaussian's own buffer, which the
+    first in-place transpose puts in Fortran order.  They are the LAPACK
+    calls and workspace sizes of `np.linalg.qr`'s gufuncs, so Q is theirs to
+    the bit; det Q is read off the reflectors (each has det -1 unless its
+    tau = 0).  The signs and a second in-place transpose make the buffer Q
+    in C order."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    gaussian = np.random.default_rng(seed).standard_normal((n, n))
-    return _positive_r_q(_transpose_in_place(gaussian).T)
-
-
-def _positive_r_q(a: np.ndarray) -> np.ndarray:
-    """Q of the m x k matrix a = QR (complete if m > k), as a C-ordered array,
-    with columns signed so that R's diagonal is positive and det Q = +1.
-
-    geqrf and orgqr run in place on one Fortran-ordered m x m buffer: a itself
-    when square (a must then be a writable Fortran-ordered float array, and
-    becomes Q's transpose), else zeros with a in the first k columns.  These
-    are the LAPACK calls and workspace sizes of `np.linalg.qr`'s gufuncs, so Q
-    is theirs to the bit, without their copies of the matrix; a reflector has
-    det -1 unless its tau = 0.  The signs and a transpose in place then make
-    the buffer Q in C order, so no second m x m array is ever held."""
-    m, k = a.shape
-    if m == k:
-        q = a
-    else:
-        q = np.zeros((m, m), order="F")
-        q[:, :k] = a
-    tau = np.empty(k)
-    _lapack(lapack_lite.dgeqrf, m, k, q.T, m, tau)
-    signs = np.ones(m)
-    signs[:k][np.diagonal(q)[:k] < 0] = -1.0
+    q = _transpose_in_place(np.random.default_rng(seed).standard_normal((n, n))).T
+    tau = np.empty(n)
+    _lapack(lapack_lite.dgeqrf, n, n, q.T, n, tau)
+    signs = np.ones(n)
+    signs[np.diagonal(q) < 0] = -1.0
     if (np.count_nonzero(tau) + np.count_nonzero(signs < 0)) % 2:
         signs[-1] = -signs[-1]
-    _lapack(lapack_lite.dorgqr, m, m, k, q.T, m, tau)
+    _lapack(lapack_lite.dorgqr, n, n, n, q.T, n, tau)
     q *= signs
     # a C-ordered Q keeps the BLAS kernels, and so the bits, of every O @ v
     return _transpose_in_place(q.T)
@@ -206,50 +182,6 @@ def _spectrum_and_field(
     else:
         h = field.sample(np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1]), n)
     return beta * law.quantiles(n), np.asarray(h, float)
-
-
-def conditional_haar_so(A: np.ndarray, B: np.ndarray, seed) -> np.ndarray:
-    """Uniform draw from {O in SO(n) : O B = A} for n x k matrices (k < n).
-
-    Requires A full column rank and B^T B = A^T A (within 1e-8 in max norm);
-    the output satisfies O B = A to high precision and is Haar-distributed on
-    the fiber, by invariance of the Haar draw on the (n-k)-dimensional
-    complement.
-    """
-    a = np.asarray(A, dtype=float)
-    b = np.asarray(B, dtype=float)
-    if a.ndim == 1:
-        a = a[:, None]
-    if b.ndim == 1:
-        b = b[:, None]
-    if a.ndim != 2 or a.shape != b.shape:
-        raise ValueError(f"A and B must share an n x k shape, got {a.shape} vs {b.shape}")
-    n, k = a.shape
-    if not k < n:
-        raise ValueError(f"need k < n, got k={k}, n={n}")
-
-    gram_a = a.T @ a
-    gram_b = b.T @ b
-    if np.abs(gram_a - gram_b).max() > _GRAM_MATCH_TOL:
-        raise ValueError("A and B must satisfy B^T B = A^T A within 1e-8")
-    cond = np.linalg.cond(gram_a)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise ValueError("A must have full column rank")
-
-    exact_part = a @ np.linalg.solve(gram_a, b.T)
-    perp_a = _orthogonal_complement(a)
-    perp_b = _orthogonal_complement(b)
-    o_tilde = haar_so(n - k, seed)
-    o = exact_part + perp_a @ o_tilde @ perp_b.T
-    # det discipline: both completions are det-+1 bases and Otilde is in
-    # SO(n-k), so o lands in SO(n) whenever the Grams match exactly.
-    return o
-
-
-def _orthogonal_complement(a: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis of range(a)^perp, a n x k with k < n: the
-    last n - k columns of a's complete sign-fixed QR basis, which has det +1."""
-    return _positive_r_q(a)[:, a.shape[1]:]
 
 
 def save_instance(instance: ModelInstance, path) -> None:

@@ -117,8 +117,8 @@ class ExperimentConfig:
             raise ConfigError("t_max must be >= 1")
         if any(n < 1 for n in self.n):
             raise ConfigError("all n must be >= 1")
-        if any(b < 0 for b in self.beta):
-            raise ConfigError("all beta must be >= 0")
+        if not all(0 <= b < math.inf for b in self.beta):
+            raise ConfigError("all beta must be finite and >= 0")
         if kind != KIND_FIXED_POINT and 0.0 in self.beta:
             raise ConfigError(f"{kind} builds instances, which need beta > 0")
         max_n = _MAX_N.get(kind)
@@ -130,8 +130,8 @@ class ExperimentConfig:
             raise ConfigError("all n_replicas must be >= 1")
         if self.sweeps < 1 or self.burn_in < 0:
             raise ConfigError("need sweeps >= 1 and burn_in >= 0")
-        if not (self.delta > 0 and self.eta > 0):
-            raise ConfigError("delta and eta must be > 0")
+        if not (0 < self.delta < math.inf and 0 < self.eta < math.inf):
+            raise ConfigError("delta and eta must be finite and > 0")
         if kind == KIND_BAND and self.t_max < BAND_MIN_T_MAX:
             object.__setattr__(self, "t_max", BAND_MIN_T_MAX)  # the dataclass is frozen
 

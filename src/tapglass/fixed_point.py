@@ -15,12 +15,16 @@ q* the model's limiting constants are
     delta*   = sigma*^2 / kappa*             ( = q*/(1-q*)^2 - sigma*^2 )
     psi_rs   = E[log 2cosh(H + sigma* G)] + (q*/2) Rbar(1 - q*)
                - (q*(1 - q*)/2) Rbar'(1 - q*) + (1/2) int_0^{1-q*} Rbar ,
+    s_rs     = psi_rs - a*/2 - (1 - q*) sigma*^2 / 2 - E[H tanh(H + sigma* G)] ,
 
-the last being the limit of the free energy per site.  At beta = 0 every
-transform term vanishes: q* = E tanh(H)^2, sigma*^2 = kappa* = a* = 0,
-delta* = q*/(1-q*)^2 and psi_rs = E log 2cosh(H), the product measure, on
-the same arithmetic.  Gaussian expectations use 61-node Gauss-Hermite
-quadrature throughout; the fixed point is found by damped iteration.
+the limits of the free energy per site and of its entropy
+psi_rs - beta dpsi_rs/dbeta - c dpsi_rs/dc at field scale c = 1 (psi is
+stationary in q).  An Ising measure's entropy is >= 0, so
+`solve_fixed_point` raises where s_rs < 0.  At beta = 0 every transform term
+vanishes: q* = E tanh(H)^2, sigma*^2 = kappa* = a* = 0, delta* = q*/(1-q*)^2
+and psi_rs = E log 2cosh(H), the product measure, on the same arithmetic.
+Gaussian expectations use 61-node Gauss-Hermite quadrature throughout; the
+fixed point is found by damped iteration.
 
 `theoretical_delta` computes the message-passing state-evolution covariance
 Delta column by column by the same quadrature, the deterministic target the
@@ -45,6 +49,7 @@ GAUSS_WEIGHTS = _gh_w / np.sqrt(np.pi)
 DAMPING = 0.5
 TOL = 1e-12
 MAX_ITER = 10_000
+ENTROPY_TOL = 1e-12  # s_rs of about 2e-15 computes as -3.6e-15 at field 18.775
 
 FIELD_CONSTANT = "constant"
 FIELD_GAUSSIAN = "gaussian"
@@ -179,7 +184,8 @@ def solve_fixed_point(beta: float, law: SpectralLaw, field: FieldLaw) -> FixedPo
     without looking at the law.  Raises BetaTooLargeError when an iterate or
     the solution leaves the domain where the rescaled transforms (and hence
     the constants) are defined, which is the numerical signature of leaving
-    the high-temperature regime.
+    the high-temperature regime, and when s_rs < 0, which at zero field no
+    other check sees.
     """
     if not 0 <= beta < np.inf:
         raise ValueError(f"beta must be finite and >= 0, got {beta}")
@@ -255,7 +261,7 @@ def _derive_constants(
         - 0.5 * q * u * r_der
         + 0.5 * r_int
     )
-    return FixedPoint(
+    fp = FixedPoint(
         beta=float(beta),
         q_star=float(q),
         sigma_star_sq=float(sigma_sq),
@@ -267,6 +273,19 @@ def _derive_constants(
         converged=converged,
         iterations=iterations,
     )
+    entropy = _rs_entropy(fp, field)
+    if entropy < -ENTROPY_TOL:
+        raise BetaTooLargeError(
+            f"the replica-symmetric entropy is {entropy:.4g} < 0 at beta={beta}; "
+            "spins have entropy >= 0, so this is not the high-temperature phase")
+    return fp
+
+
+def _rs_entropy(fp: FixedPoint, field: FieldLaw) -> float:
+    """s_rs; at zero field, log 2 + (1/2) int_0^beta R - (beta/2) R(beta)."""
+    field_term = gauss_field_expectation(
+        lambda h, y: h * np.tanh(h + y), field, np.sqrt(fp.sigma_star_sq))
+    return fp.psi_rs - 0.5 * fp.a_star - 0.5 * (1.0 - fp.q_star) * fp.sigma_star_sq - field_term
 
 
 def product_fixed_point(field: FieldLaw) -> FixedPoint:

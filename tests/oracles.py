@@ -11,11 +11,17 @@ the chain-by-chain Glauber loop with a masked rank-1 field update, which the
 lockstep block sampler is checked against bit for bit.  haar_orthogonal
 is the unconstrained O(n) draw that haar_so's determinant fix is compared
 with, and has_pair_margin the band separation the pair arguments assume.
+The signed QR reference, _reference_signed_q, is Q as np.linalg.qr and
+slogdet give it, which haar_so must equal bit for bit.  The conditioned
+sampler conditional_haar_so draws O uniformly from {O in SO(n): O B = A},
+the resampling step behind conditioning an invariant ensemble on
+matrix-vector observations (Bolthausen 2014); it completes the column spans
+through the signed QR reference.
 """
 
 import numpy as np
 
-from tapglass.ensemble import ModelInstance
+from tapglass.ensemble import ModelInstance, haar_so
 from tapglass.fixed_point import FieldLaw, FixedPoint
 from tapglass.gibbs import _SWEEP_BLOCK_ELEMENTS, MAX_MCMC_DENSE_N, BandSpec
 from tapglass.spectral import DomainError, SpectralLaw
@@ -32,6 +38,7 @@ INVERSE_TOL = 1e-12
 DERIVATIVE_REL_STEP = 1e-6
 
 MASKED_CHAIN_CHUNK = 256  # masked_glauber's chains per pass
+GRAM_MATCH_TOL = 1e-8
 
 _EDGE_OFFSET = 1e-12
 _BRACKET_START = 1e3
@@ -238,6 +245,53 @@ def haar_orthogonal(n: int, seed) -> np.ndarray:
     R-diagonal sign convention (unique QR with positive diagonal)."""
     q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
     return q * np.where(np.diag(r) < 0, -1.0, 1.0)
+
+
+def _reference_signed_q(a: np.ndarray, special: bool) -> np.ndarray:
+    """The complete Q of the m x k matrix a as np.linalg.qr gives it, columns
+    signed so that R's diagonal is positive, and with special the last column
+    negated when slogdet finds det Q = -1."""
+    k = a.shape[1]
+    q, r = np.linalg.qr(a, mode="complete")
+    q[:, :k] *= np.where(np.diag(r) < 0, -1.0, 1.0)[None, :]
+    if special and np.linalg.slogdet(q)[0] < 0:
+        q[:, -1] = -q[:, -1]
+    return q
+
+
+def conditional_haar_so(A: np.ndarray, B: np.ndarray, seed) -> np.ndarray:
+    """Uniform draw from {O in SO(n) : O B = A} for n x k matrices (k < n),
+
+        O = A (A^T A)^{-1} B^T + V_Aperp Otilde V_Bperp^T,
+
+    where V_Aperp, V_Bperp are the last n - k columns of the det-+1 signed
+    QR bases of A and B, and Otilde = haar_so(n - k, seed).  Requires A of
+    full column rank and B^T B = A^T A within 1e-8 in max norm; the draw is
+    Haar on the fiber by invariance of the Haar draw on the complement.
+    """
+    a = np.asarray(A, dtype=float)
+    b = np.asarray(B, dtype=float)
+    if a.ndim == 1:
+        a = a[:, None]
+    if b.ndim == 1:
+        b = b[:, None]
+    if a.ndim != 2 or a.shape != b.shape:
+        raise ValueError(f"A and B must share an n x k shape, got {a.shape} vs {b.shape}")
+    n, k = a.shape
+    if not k < n:
+        raise ValueError(f"need k < n, got k={k}, n={n}")
+
+    gram_a = a.T @ a
+    if np.abs(gram_a - b.T @ b).max() > GRAM_MATCH_TOL:
+        raise ValueError("A and B must satisfy B^T B = A^T A within 1e-8")
+    cond = np.linalg.cond(gram_a)
+    if not np.isfinite(cond) or cond > 1e12:
+        raise ValueError("A must have full column rank")
+
+    exact_part = a @ np.linalg.solve(gram_a, b.T)
+    perp_a = _reference_signed_q(a, True)[:, k:]
+    perp_b = _reference_signed_q(b, True)[:, k:]
+    return exact_part + perp_a @ haar_so(n - k, seed) @ perp_b.T
 
 
 def has_pair_margin(band: BandSpec) -> bool:

@@ -15,7 +15,6 @@ from tapglass.amp import run_amp
 from tapglass.ensemble import (
     ModelInstance,
     build_instance,
-    conditional_haar_so,
     haar_so,
 )
 from tapglass.experiments import (
@@ -44,7 +43,7 @@ from tapglass.spectral import (
 )
 from tapglass.tap import tap_residual
 
-from oracles import haar_orthogonal, has_pair_margin, numeric_r_transform
+from oracles import conditional_haar_so, haar_orthogonal, has_pair_margin, numeric_r_transform
 
 LAW = semicircle()
 FIELD = constant_field(1.0)

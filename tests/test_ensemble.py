@@ -1,4 +1,4 @@
-"""Ensemble layer: Haar draws, conditioned draws, instance assembly, persistence."""
+"""Ensemble layer: Haar draws, conditioned draws (oracle), instance assembly, persistence."""
 
 import ast
 import dataclasses
@@ -10,17 +10,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import haar_orthogonal
+from oracles import _reference_signed_q, conditional_haar_so, haar_orthogonal
 from scipy.stats import ks_2samp
 
 import tapglass
 from tapglass.ensemble import (
     _TILE,
     ModelInstance,
-    _orthogonal_complement,
     _transpose_in_place,
     build_instance,
-    conditional_haar_so,
     haar_so,
     load_instance,
     save_instance,
@@ -29,17 +27,6 @@ from tapglass.fixed_point import constant_field, gaussian_field
 from tapglass.spectral import empirical_atoms, semicircle, two_point
 
 THREE_ATOM = empirical_atoms([-1.0, 0.0, 2.0], [0.3, 0.3, 0.4]).standardize()
-
-
-def _reference_signed_q(a, special):
-    # the draw as np.linalg.qr gives it: R-diagonal sign fix, then a slogdet
-    # flip of the last column when det = -1
-    k = a.shape[1]
-    q, r = np.linalg.qr(a, mode="complete")
-    q[:, :k] *= np.where(np.diag(r) < 0, -1.0, 1.0)[None, :]
-    if special and np.linalg.slogdet(q)[0] < 0:
-        q[:, -1] = -q[:, -1]
-    return q
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 40, 257, 300, 513, 1000])
@@ -66,15 +53,6 @@ def test_transpose_in_place_uses_one_tile_of_scratch(n):
     assert np.array_equal(a, expected)
     # the scratch tile and a few views; an n x n copy would be 8 n^2 bytes
     assert peak < 8 * min(n, _TILE) ** 2 + 4096
-
-
-@pytest.mark.parametrize("n, k", [(2, 1), (6, 2), (40, 6), (300, 20)])
-def test_orthogonal_complement_matches_the_qr_reference_bit_for_bit(n, k):
-    for seed in range(4):
-        a = np.random.default_rng(seed).standard_normal((n, k))
-        before = a.copy()
-        assert np.array_equal(_orthogonal_complement(a), _reference_signed_q(a.copy(), True)[:, k:])
-        assert np.array_equal(a, before)
 
 
 _PEAK_PROBE = """
@@ -135,8 +113,6 @@ def test_haar_draws_compute_no_determinant(monkeypatch):
     monkeypatch.setattr(np.linalg, "slogdet", refuse)
     monkeypatch.setattr(np.linalg, "det", refuse)
     haar_so(7, 0)
-    b = np.random.default_rng(1).standard_normal((7, 2))
-    conditional_haar_so(haar_so(7, 2) @ b, b, seed=3)
 
 
 def test_ensemble_does_not_use_scipy_linalg():

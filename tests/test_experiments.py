@@ -4,6 +4,7 @@ error isolation, and the CSV/JSON emitters."""
 import ast
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +132,21 @@ def test_config_built_directly_is_checked():
         exp.ExperimentConfig("gibbs_mcmc", (12,), (0.15,), (0,), n_replicas=(0,))
     with pytest.raises(ConfigError, match="delta"):
         exp.ExperimentConfig("band", (12,), (0.15,), (0,), delta=-1.0)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("beta", (math.inf,)),
+    ("beta", (0.15, math.nan)),
+    ("delta", math.inf),
+    ("delta", math.nan),
+    ("eta", math.inf),
+    ("eta", math.nan),
+], ids=["beta-inf", "beta-nan", "delta-inf", "delta-nan", "eta-inf", "eta-nan"])
+def test_config_built_directly_rejects_non_finite_values(key, value):
+    # config_from_dict rejects these as it parses; a config built directly must too
+    fields = {"beta": (0.15,), key: value}
+    with pytest.raises(ConfigError, match=rf"{key}.* finite"):
+        exp.ExperimentConfig("amp", (12,), seeds=(1,), **fields)
 
 
 def test_gibbs_mcmc_grid_runs_above_the_old_cap():
@@ -424,6 +440,18 @@ def test_failed_fixed_point_gives_an_error_row_per_cell():
     errors = [r.error for r in rows if r.beta == 5.0]
     assert len(errors) == 4 and all(e.startswith("BetaTooLargeError") for e in errors)
     assert all(r.error == "" for r in rows if r.beta == 0.15)
+
+
+@pytest.mark.parametrize("kind", ["fixed_point", "gibbs_exact"])
+def test_negative_entropy_gives_an_error_row(kind):
+    # zero field, two-point law: beta = 20 passes every other regime check,
+    # and gibbs_exact rows reported psi_rs = 9.691 there
+    rows = run_experiment(config_from_dict(_minimal(
+        kind=kind, n=[8], beta=[0.5, 1.0, 2.0, 3.0, 20.0], seeds=[0],
+        law={"kind": "two_point"}, field={"kind": "constant", "value": 0.0})))
+    errors = {r.beta: r.error for r in rows}
+    assert errors[20.0].startswith("BetaTooLargeError") and "entropy" in errors[20.0]
+    assert [errors[beta] for beta in (0.5, 1.0, 2.0, 3.0)] == [""] * 4
 
 
 @pytest.mark.parametrize("kind, mod, name", [

@@ -11,6 +11,7 @@ from tapglass.fixed_point import (
     BetaTooLargeError,
     GAUSS_NODES,
     GAUSS_WEIGHTS,
+    _rs_entropy,
     constant_field,
     empirical_field,
     field_from_spec,
@@ -148,6 +149,61 @@ def test_beta_too_large():
         solve_fixed_point(1.5, semicircle(), constant_field(0.0))
     with pytest.raises(BetaTooLargeError):
         solve_fixed_point(1.0, semicircle(), constant_field(0.0))
+
+
+THREE_ATOM = empirical_atoms([-1.0, 0.0, 2.0], [0.3, 0.3, 0.4]).standardize()
+
+
+# the field law at field scale c
+SCALED_FIELDS = {
+    "constant": lambda c: constant_field(1.0 * c),
+    "gaussian": lambda c: gaussian_field(0.3 * c, 0.6 * c),
+    "zero": lambda c: constant_field(0.0),
+}
+
+
+@pytest.mark.parametrize("law", [two_point(), THREE_ATOM], ids=["two-point", "three-atom"])
+@pytest.mark.parametrize("field_at", list(SCALED_FIELDS.values()), ids=list(SCALED_FIELDS))
+@pytest.mark.parametrize("beta", [0.3, 0.8])
+def test_entropy_is_psi_minus_its_temperature_and_field_derivatives(law, field_at, beta):
+    # s = psi - beta dpsi/dbeta - dpsi/dc at field scale c = 1, by central differences
+    def psi(b, c):
+        return solve_fixed_point(b, law, field_at(c)).psi_rs
+
+    eps = 1e-5
+    d_beta = (psi(beta + eps, 1.0) - psi(beta - eps, 1.0)) / (2 * eps)
+    d_scale = (psi(beta, 1.0 + eps) - psi(beta, 1.0 - eps)) / (2 * eps)
+    field = field_at(1.0)
+    entropy = _rs_entropy(solve_fixed_point(beta, law, field), field)
+    assert entropy == pytest.approx(psi(beta, 1.0) - beta * d_beta - d_scale, abs=1e-8)
+    assert entropy > 0
+
+
+@pytest.mark.parametrize("beta", [0.5, 3.0, 15.4])
+def test_zero_field_entropy_is_the_integral_form(beta):
+    # log 2 + (1/2) int_0^beta R - (beta/2) R(beta), from the rescaled transforms at 1
+    rescaled = RescaledLaw(two_point(), beta)
+    expected = np.log(2.0) + 0.5 * rescaled.r_integral(1.0) - 0.5 * rescaled.r_transform(1.0)
+    field = constant_field(0.0)
+    assert _rs_entropy(solve_fixed_point(beta, two_point(), field), field) == pytest.approx(
+        expected, abs=1e-12)
+
+
+def test_negative_entropy_is_outside_the_regime():
+    # zero field, two-point law: every other check passes at beta = 20, where
+    # psi_rs would read 9.691; the entropy turns negative from beta = 15.49
+    zero = constant_field(0.0)
+    assert solve_fixed_point(15.49, two_point(), zero).psi_rs == pytest.approx(7.4991, abs=1e-4)
+    for beta in (15.5, 20.0):
+        with pytest.raises(BetaTooLargeError, match="entropy"):
+            solve_fixed_point(beta, two_point(), zero)
+
+
+def test_entropy_guard_allows_rounding_at_strong_fields():
+    # the entropy here is about 2e-15, and computed as -3.6e-15 without the allowance
+    field = constant_field(18.775)
+    fp = solve_fixed_point(0.5, semicircle(), field)
+    assert abs(_rs_entropy(fp, field)) < 1e-14
 
 
 def test_solve_validations():

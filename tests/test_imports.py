@@ -1,8 +1,10 @@
-"""Import path: no tapglass module loads scipy when imported.
+"""Import path: no tapglass module loads scipy when imported, and every
+module-level definition under src/ is named somewhere under src/.
 
 Importing scipy.optimize or scipy.special costs more than importing numpy,
 in every process and CLI call; the one scipy use left under src/ is the lazy
-scipy.stats import for gaussian-field quantile grids.
+scipy.stats import for gaussian-field quantile grids.  A definition that only
+tests call belongs with the test oracles.
 """
 
 import ast
@@ -42,6 +44,29 @@ def test_scipy_is_imported_only_lazily_for_gaussian_field_quantiles():
              for path in sorted(SRC.glob("*.py"))
              for where, name in _scipy_imports(ast.parse(path.read_text(encoding="utf-8")))}
     assert found == ALLOWED_SCIPY_IMPORTS
+
+
+# module-level definitions nothing under src/ uses, each kept for a reason
+UNREFERENCED_DEFINITIONS = {("experiments.py", "default_config")}  # the config template
+
+
+def test_every_definition_has_a_caller_under_src():
+    # a def or class that no src/ module names is code only tests run
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    defined = {(name, node.name)
+               for name, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    assert {d for d in defined if d[1] not in used} == UNREFERENCED_DEFINITIONS
 
 
 def test_importing_every_module_loads_no_scipy():

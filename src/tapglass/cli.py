@@ -75,9 +75,11 @@ def _cmd_fixed_point(args) -> int:
     return 0
 
 
-def _cell(args) -> exp_mod.Cell:
-    """The grid cell of --n, --beta and --seed, or of the instance in the
-    --load-instance file; --save-instance writes the instance to a file.
+def _cell(args, kind: str, **settings) -> exp_mod.Cell:
+    """The cell of --n, --beta and --seed, or of the instance in the
+    --load-instance file, in a one-cell config of this kind and settings,
+    which checks the flags as it checks a config file's keys before any
+    instance is drawn; --save-instance writes the instance to a file.
 
     A saved instance holds no laws, so its spectrum is checked against --law
     and its field against --field and --field-mode: iid draws are redrawn
@@ -85,7 +87,9 @@ def _cell(args) -> exp_mod.Cell:
     options = vars(args)
     inst = load_instance(args.load_instance) if options.get("load_instance") else None
     n, beta = (args.n, args.beta) if inst is None else (inst.n, inst.beta)
-    cell = exp_mod.Cell(args.law, args.field, args.field_mode, n, beta, args.seed)
+    cfg = exp_mod.ExperimentConfig(kind, (n,), (beta,), (args.seed,), args.law, args.field,
+                                   args.field_mode, **settings)
+    cell = exp_mod.Cell(cfg, n, beta, args.seed)
     if inst is not None:
         d_bar, h = _spectrum_and_field(n, beta, args.law, args.field, inst.seed, args.field_mode)
         for flag, saved, given in [("--law", inst.d_bar, d_bar), ("--field", inst.h, h)]:
@@ -98,8 +102,8 @@ def _cell(args) -> exp_mod.Cell:
 
 
 def _cmd_amp_run(args) -> int:
-    cell = _cell(args)
-    traj = cell.amp(args.t_max)
+    cell = _cell(args, exp_mod.KIND_AMP, t_max=args.t_max)
+    traj = cell.amp
     lines = ["t,y_diff_sq,m_norm_sq_over_n,tap_residual"]
     for t in range(args.t_max):
         residual = tap_mod.tap_residual(cell.instance, cell.fp, traj.M[:, t])
@@ -111,25 +115,23 @@ def _cmd_amp_run(args) -> int:
 
 
 def _cmd_gibbs_exact(args) -> int:
-    cell = _cell(args)
-    inst, fp, res = cell.instance, cell.fp, cell.exact
+    cell = _cell(args, exp_mod.KIND_GIBBS_EXACT)
     payload = {
-        "n": inst.n,
-        "beta": inst.beta,
+        "n": cell.n,
+        "beta": cell.beta,
         # a saved instance holds only its stream seed, not the --seed it came from
         "seed": None if args.load_instance else args.seed,
-        "log_z_per_site": res.log_z / inst.n,
-        "psi_rs": fp.psi_rs,
-        "free_energy_gap": res.log_z / inst.n - fp.psi_rs,
-        "magnetization": res.magnetization.tolist(),
+        **exp_mod._cell_gibbs_exact(cell, None),  # the row ignores the replica count
+        "magnetization": cell.exact.magnetization.tolist(),
     }
     _write_or_print(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
 
 
 def _cmd_gibbs_mcmc(args) -> int:
-    cell = _cell(args)
-    reps = cell.chains(args.chains, args.sweeps, args.burn_in)
+    cell = _cell(args, exp_mod.KIND_GIBBS_MCMC, n_replicas=(args.chains,),
+                 sweeps=args.sweeps, burn_in=args.burn_in)
+    reps = cell.chains(args.chains)
     mean, se = reps.marginals()
     lines = ["site,magnetization,standard_error"]
     for i in range(cell.n):
@@ -139,11 +141,13 @@ def _cmd_gibbs_mcmc(args) -> int:
 
 
 def _cmd_tap_residual(args) -> int:
-    cell = _cell(args)
+    # the exact source enumerates, so its config is tap_verify's, capped at n = 24
+    kind = exp_mod.KIND_TAP_VERIFY if args.source == "exact" else exp_mod.KIND_AMP
+    cell = _cell(args, kind, t_max=args.t_max)
     fp, inst = cell.fp, cell.instance
     solver = {}
     if args.source == "amp":
-        residual = tap_mod.tap_residual(inst, fp, cell.amp(args.t_max).final.m)
+        residual = tap_mod.tap_residual(inst, fp, cell.amp.final.m)
     elif args.source == "exact":
         residual = tap_mod.tap_residual(inst, fp, cell.exact.magnetization)
     else:

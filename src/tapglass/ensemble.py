@@ -26,6 +26,7 @@ from tapglass.spectral import SpectralLaw
 
 ORTHOGONALITY_TOL = 1e-10
 _DET_TOL = 1e-8
+MAX_DENSE_N = 2048  # a dense Jbar of this size is 32 MiB
 
 FIELD_MODE_QUANTILE = "quantile"
 FIELD_MODE_IID = "iid"
@@ -133,12 +134,11 @@ class ModelInstance:
         """Jbar v = O^T (d_bar * (O v)), for a vector or a stack of columns."""
         return self.apply_rotated(self.d_bar, v)
 
-    def dense_coupling(self, max_n: int = 512) -> np.ndarray:
-        """Materialize Jbar as a dense symmetric matrix (small n only)."""
-        if self.n > max_n:
+    def dense_coupling(self) -> np.ndarray:
+        """Materialize Jbar as a dense symmetric matrix, up to n = MAX_DENSE_N."""
+        if self.n > MAX_DENSE_N:
             raise ValueError(
-                f"refusing to materialize dense couplings at n={self.n} > {max_n}"
-            )
+                f"refusing to materialize dense couplings at n={self.n} > {MAX_DENSE_N}")
         return self.O.T @ (self.d_bar[:, None] * self.O)
 
 

@@ -229,27 +229,21 @@ class ResultRow:
 
 @dataclass(eq=False)
 class Cell:
-    """Grid cell (n, beta, seed): the one place its random objects are drawn.
-
-    Each object draws from the stream keyed by the cell's coordinates.  The
-    fixed point, instance, enumeration, TAP solution, AMP run and
-    state-evolution Delta (each per t_max) and band enumeration (per band)
-    are computed on first use and then shared by every caller of the cell; a
-    failure is not kept, so a later caller retries and fails the same way.
-    The fixed point depends on beta, the law and the field only, so cells of
-    one run share it through fixed_points, keyed by beta.
+    """Grid point (n, beta, seed) of a run's config: the one place its random
+    objects are drawn, each from the stream keyed by the cell's coordinates,
+    with the settings in cfg.  The fixed point, instance, enumeration, TAP
+    solution, AMP run, state-evolution Delta and band pass are computed on
+    first use and shared by every caller of the cell; a failure is not kept,
+    so a later caller retries and fails the same way.  The fixed point
+    depends on beta, the law and the field only, so cells of one run share
+    it through fixed_points, keyed by beta.
     """
 
-    law: SpectralLaw
-    field: FieldLaw
-    field_mode: str
+    cfg: ExperimentConfig
     n: int
     beta: float
     seed: int
     fixed_points: dict = dataclasses.field(default_factory=dict, repr=False)
-    _amp_runs: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
-    _se_deltas: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
-    _band_runs: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
 
     def stream(self, tag: int) -> int:
         return stream_seed(self.seed, self.n, self.beta, tag)
@@ -257,17 +251,14 @@ class Cell:
     @property
     def fp(self):
         if self.beta not in self.fixed_points:
-            self.fixed_points[self.beta] = solve_fixed_point(self.beta, self.law, self.field)
+            self.fixed_points[self.beta] = solve_fixed_point(
+                self.beta, self.cfg.law, self.cfg.field)
         return self.fixed_points[self.beta]
 
     @functools.cached_property
     def instance(self):
-        if self.beta == 0.0:
-            raise ValueError("instances need beta > 0; the beta = 0 limit is analytic")
-        return build_instance(
-            self.n, self.beta, self.law, self.field,
-            seed=self.stream(STREAM_INSTANCE), field_mode=self.field_mode,
-        )
+        return build_instance(self.n, self.beta, self.cfg.law, self.cfg.field,
+                              self.stream(STREAM_INSTANCE), self.cfg.field_mode)
 
     @functools.cached_property
     def exact(self):
@@ -277,44 +268,38 @@ class Cell:
     def tap_solution(self):
         return tap_mod.solve_tap_damped(self.instance, self.fp)
 
-    def amp(self, t_max: int):
-        if t_max not in self._amp_runs:
-            fp = self.fp  # before the instance, so a fixed-point failure is the one reported
-            self._amp_runs[t_max] = amp_mod.run_amp(
-                self.instance, fp, t_max, self.stream(STREAM_AMP))
-        return self._amp_runs[t_max]
+    @functools.cached_property
+    def amp(self):
+        fp = self.fp  # before the instance, so a fixed-point failure is the one reported
+        return amp_mod.run_amp(self.instance, fp, self.cfg.t_max, self.stream(STREAM_AMP))
 
-    def se_delta(self, t_max: int):
-        """The state-evolution covariance Delta of the AMP run after t_max steps."""
-        if t_max not in self._se_deltas:
-            self._se_deltas[t_max] = theoretical_delta(self.fp, self.field, t_max)
-        return self._se_deltas[t_max]
+    @functools.cached_property
+    def se_delta(self):
+        """The state-evolution covariance Delta of the AMP run."""
+        return theoretical_delta(self.fp, self.cfg.field, self.cfg.t_max)
 
-    def band_exact(self, t_max: int, delta: float, eta: float):
-        """The band (width delta, overlap cut eta) around the AMP output after
-        t_max steps, and the exact pass over it."""
-        key = (t_max, delta, eta)
-        if key not in self._band_runs:
-            band = gibbs_mod.BandSpec(self.amp(t_max).final.m, delta, eta)
-            self._band_runs[key] = band, gibbs_mod.exact_gibbs(self.instance, band)
-        return self._band_runs[key]
+    @functools.cached_property
+    def band_exact(self):
+        """The band (width delta, overlap cut eta) around the AMP output, and its exact pass."""
+        band = gibbs_mod.BandSpec(self.amp.final.m, self.cfg.delta, self.cfg.eta)
+        return band, gibbs_mod.exact_gibbs(self.instance, band)
 
-    def chains(self, n_chains: int, sweeps: int, burn_in: int):
+    def chains(self, n_chains: int):
         return gibbs_mod.glauber_sample(
-            self.instance, sweeps=sweeps, burn_in=burn_in, n_chains=n_chains,
-            seed=self.stream(STREAM_MCMC),
+            self.instance, sweeps=self.cfg.sweeps, burn_in=self.cfg.burn_in,
+            n_chains=n_chains, seed=self.stream(STREAM_MCMC),
         )
 
 
-def _cell_fixed_point(cfg, cell, n_rep):
+def _cell_fixed_point(cell, n_rep):
     out = dataclasses.asdict(cell.fp)
     out["converged"] = int(out["converged"])
     del out["beta"]
     return out
 
 
-def _cell_amp(cfg, cell, n_rep):
-    traj = cell.amp(cfg.t_max)
+def _cell_amp(cell, n_rep):
+    traj = cell.amp
     return {
         "q_star": cell.fp.q_star,
         "y_diff_sq": float(traj.y_diff_sq[-1]),
@@ -324,7 +309,7 @@ def _cell_amp(cfg, cell, n_rep):
     }
 
 
-def _cell_gibbs_exact(cfg, cell, n_rep):
+def _cell_gibbs_exact(cell, n_rep):
     fp = cell.fp
     per_site = cell.exact.log_z / cell.n
     return {
@@ -334,8 +319,8 @@ def _cell_gibbs_exact(cfg, cell, n_rep):
     }
 
 
-def _cell_gibbs_mcmc(cfg, cell, n_rep):
-    reps = cell.chains(n_rep, cfg.sweeps, cfg.burn_in)
+def _cell_gibbs_mcmc(cell, n_rep):
+    reps = cell.chains(n_rep)
     final_mean = reps.samples.mean(axis=0)
     out = {
         "mean_abs_mag": float(np.abs(final_mean).mean()),
@@ -350,10 +335,10 @@ def _cell_gibbs_mcmc(cfg, cell, n_rep):
     return out
 
 
-def _cell_tap_verify(cfg, cell, n_rep):
+def _cell_tap_verify(cell, n_rep):
     fp = cell.fp
     mag = cell.exact.magnetization
-    traj = cell.amp(cfg.t_max)
+    traj = cell.amp
     inst = cell.instance
     d = tap_mod.magnetization_vs_amp(mag, traj)
     sol = cell.tap_solution
@@ -371,12 +356,12 @@ def _cell_tap_verify(cfg, cell, n_rep):
     }
 
 
-def _cell_band(cfg, cell, n_rep):
-    band, exact = cell.band_exact(cfg.t_max, cfg.delta, cfg.eta)
+def _cell_band(cell, n_rep):
+    band, exact = cell.band_exact
     n = cell.n
     log_z, log_zb, log_zc = exact.log_z, exact.log_z_band, exact.log_z_pairs
     if log_zc is None:  # too large to list the pairs: sample them
-        samples = cell.chains(n_rep, cfg.sweeps, cfg.burn_in).samples
+        samples = cell.chains(n_rep).samples
         log_zc = 2.0 * log_zb + gibbs_mod.log_violating_share(samples, band)
     return {
         "log_z_per_site": log_z / n,
@@ -386,9 +371,9 @@ def _cell_band(cfg, cell, n_rep):
     }
 
 
-def _cell_se_check(cfg, cell, n_rep):
-    traj = cell.amp(cfg.t_max)
-    delta = cell.se_delta(cfg.t_max)
+def _cell_se_check(cell, n_rep):
+    traj = cell.amp
+    delta = cell.se_delta
     # n^{-1} X^T X against Delta, n^{-1} Y^T Y against kappa* Delta, n^{-1} X^T Y against 0
     return {
         "max_dev_xx": float(np.abs(traj.gram_xx - delta).max()),
@@ -415,12 +400,12 @@ def _run_cell(cfg: ExperimentConfig, coords, fixed_points: dict) -> list[ResultR
     with its failure caught.  The rows share one Cell, so the first row to
     draw an object carries its cost in its wall time."""
     n, beta, seed = coords
-    cell = Cell(cfg.law, cfg.field, cfg.field_mode, n, beta, seed, fixed_points)
+    cell = Cell(cfg, n, beta, seed, fixed_points)
     rows = []
     for n_rep in cfg.n_replicas:
         start = time.perf_counter()
         try:
-            metrics, error = _CELL_FUNCTIONS[cfg.kind](cfg, cell, n_rep), ""
+            metrics, error = _CELL_FUNCTIONS[cfg.kind](cell, n_rep), ""
         except Exception as exc:  # noqa: BLE001  (cell isolation is the contract)
             metrics, error = {}, f"{type(exc).__name__}: {exc}"
         rows.append(ResultRow(

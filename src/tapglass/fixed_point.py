@@ -240,6 +240,8 @@ def _derive_constants(
     """The record at overlap q from (Rbar, Rbar', int_0 Rbar) at 1 - q."""
     r_val, r_der, r_int = transforms
     u = 1.0 - q
+    if u == 0.0:  # tanh(H)^2 rounds to 1: the field fixes every spin
+        raise ValueError(f"1 - q* = 0 at beta={beta}; the constants divide by 1 - q*")
     denom = 1.0 - u * u * r_der
     if denom <= 0:
         raise BetaTooLargeError(
@@ -254,9 +256,7 @@ def _derive_constants(
         delta = q / (u * u)  # kappa = 0 forces sigma*^2 = 0 (decoupled limit)
     lam = r_val + 1.0 / u
     psi = (
-        gauss_field_expectation(
-            lambda h, y: np.log(2.0 * np.cosh(h + y)), field, np.sqrt(sigma_sq)
-        )
+        gauss_field_expectation(lambda h, y: _log_2cosh(h + y), field, np.sqrt(sigma_sq))
         + 0.5 * q * r_val
         - 0.5 * q * u * r_der
         + 0.5 * r_int
@@ -279,6 +279,14 @@ def _derive_constants(
             f"the replica-symmetric entropy is {entropy:.4g} < 0 at beta={beta}; "
             "spins have entropy >= 0, so this is not the high-temperature phase")
     return fp
+
+
+def _log_2cosh(x: np.ndarray) -> np.ndarray:
+    """log(2 cosh x), by np.logaddexp(x, -x) only where cosh overflows: it
+    differs in the last bit at some points where cosh does not."""
+    with np.errstate(over="ignore"):
+        out = np.log(2.0 * np.cosh(x))
+    return np.where(np.isinf(out), np.logaddexp(x, -x), out)
 
 
 def _rs_entropy(fp: FixedPoint, field: FieldLaw) -> float:

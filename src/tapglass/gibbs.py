@@ -51,11 +51,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tapglass.ensemble import ModelInstance
+from tapglass.ensemble import MAX_DENSE_N, ModelInstance
 
 MAX_ENUMERATION_N = 24
 MAX_PAIR_ENUMERATION_N = 12
-MAX_MCMC_DENSE_N = 2048
+MAX_MCMC_DENSE_N = MAX_DENSE_N  # Glauber runs on the dense couplings
 
 _LOW_BITS = 12
 _BLOCK_STATES = 1 << 14
@@ -299,7 +299,7 @@ def glauber_sample(
     if sweeps < 1 or burn_in < 0 or n_chains < 1:
         raise ValueError("need sweeps >= 1, burn_in >= 0, n_chains >= 1")
     n = instance.n
-    j_off = instance.dense_coupling(max_n=MAX_MCMC_DENSE_N)
+    j_off = instance.dense_coupling()
     np.fill_diagonal(j_off, 0.0)
     h = instance.h
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from tapglass.ensemble import ModelInstance, haar_so
 from tapglass.fixed_point import FieldLaw, FixedPoint
-from tapglass.gibbs import _SWEEP_BLOCK_ELEMENTS, MAX_MCMC_DENSE_N, BandSpec
+from tapglass.gibbs import _SWEEP_BLOCK_ELEMENTS, BandSpec
 from tapglass.spectral import DomainError, SpectralLaw
 from tapglass.tap import (
     DEFAULT_TAP_TOL,
@@ -207,7 +207,7 @@ def masked_glauber(
     rank-1 field update l += (new - old) J_off[i].  Chain c draws from child c
     of the seed, at most _SWEEP_BLOCK_ELEMENTS uniforms a chain at a time."""
     n = instance.n
-    j_off = instance.dense_coupling(max_n=MAX_MCMC_DENSE_N)
+    j_off = instance.dense_coupling()
     np.fill_diagonal(j_off, 0.0)
     h = instance.h
     children = np.random.SeedSequence(seed).spawn(n_chains)

@@ -223,9 +223,9 @@ def _last_amp_step(out):
             "tap_residual": float(residual)}
 
 
-def _default_cell(kind, n, seed):
-    cfg = default_config(kind)
-    return Cell(cfg.law, cfg.field, cfg.field_mode, n, cfg.beta[0], seed)
+def _default_cell(kind, n, seed, **settings):
+    cfg = dataclasses.replace(default_config(kind), **settings)
+    return Cell(cfg, n, cfg.beta[0], seed)
 
 
 def _solver_metrics(out):
@@ -291,7 +291,7 @@ def test_gibbs_mcmc_prints_time_averaged_marginals(capsys):
     rc, out = _run(capsys, ["gibbs-mcmc", "--n", "10", "--seed", "3", "--chains", "5",
                             "--sweeps", "30", "--burn-in", "10"])
     assert rc == 0
-    reps = _default_cell("gibbs_mcmc", 10, 3).chains(5, 30, 10)
+    reps = _default_cell("gibbs_mcmc", 10, 3, sweeps=30, burn_in=10).chains(5)
     expected = [f"{i},{float(m)!r},{float(se)!r}"
                 for i, (m, se) in enumerate(zip(*reps.marginals()))]
     assert out.strip().splitlines()[1:] == expected
@@ -366,6 +366,20 @@ def test_tap_residual_reports_steps_only_for_amp(capsys, source, t):
     assert payload["t"] == t and payload["source"] == source
 
 
+def test_saturating_field_at_beta_zero_exits_2(capsys):
+    # tanh(20)^2 rounds to 1: bad input, not a ZeroDivisionError
+    field = '{"kind": "constant", "value": 20}'
+    assert main(["fixed-point", "--beta", "0", "--field", field]) == 2
+    assert "1 - q* = 0" in capsys.readouterr().err
+
+
+def test_wide_gaussian_field_prints_finite_psi_rs(capsys):
+    field = '{"kind": "gaussian", "mean": 0, "sd": 100}'
+    rc, out = _run(capsys, ["fixed-point", "--beta", "0.2", "--field", field])
+    assert rc == 0
+    assert np.isfinite(json.loads(out)["psi_rs"])
+
+
 def test_out_flag_writes_file_instead_of_stdout(capsys, tmp_path):
     path = tmp_path / "fp.json"
     rc, out = _run(capsys, ["fixed-point", "--beta", "0.1", "--out", str(path)])
@@ -437,20 +451,28 @@ def test_config_with_repeated_grid_value_exits_2(capsys, tmp_path, key, values):
     assert f"{key} repeats a value" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("kind, n, beta, message", [
-    ("gibbs_exact", 30, 0.15, "capped at n = 24"),
-    ("band", 26, 0.15, "capped at n = 24"),
-    ("gibbs_mcmc", 2100, 0.15, "capped at n = 2048"),
-    ("amp", 12, 0.0, "need beta > 0"),
-], ids=["gibbs_exact-n30", "band-n26", "gibbs_mcmc-n2100", "amp-beta0"])
-def test_config_that_cannot_run_exits_2(capsys, tmp_path, kind, n, beta, message):
-    # each of these would be accepted and then fail in every row
+@pytest.mark.parametrize("keys, flags, message", [
+    ({"kind": "gibbs_exact", "n": [30]}, None, "capped at n = 24"),
+    ({"kind": "band", "n": [26]}, None, "capped at n = 24"),
+    ({"kind": "gibbs_mcmc", "n": [2100]}, None, "capped at n = 2048"),
+    ({"kind": "amp", "beta": [0.0]}, None, "need beta > 0"),
+    ({"kind": "gibbs_mcmc", "n_replicas": [0]}, ["--chains", "0"], "n_replicas must be >= 1"),
+    ({"kind": "gibbs_mcmc", "sweeps": 0}, ["--sweeps", "0"], "need sweeps >= 1"),
+], ids=["gibbs_exact-n30", "band-n26", "gibbs_mcmc-n2100", "amp-beta0",
+        "gibbs_mcmc-chains0", "gibbs_mcmc-sweeps0"])
+def test_config_that_cannot_run_exits_2(capsys, tmp_path, keys, flags, message):
+    # each of these would be accepted and then fail in every row; the same
+    # value as a gibbs-mcmc flag is a one-cell config's key, checked alike
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"kind": kind, "n": [n], "beta": [beta], "seeds": [0]}))
-    assert main(["experiment", "--config", str(bad)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert message in captured.err
+    bad.write_text(json.dumps({"n": [12], "beta": [0.15], "seeds": [0], **keys}))
+    runs = [["experiment", "--config", str(bad)]]
+    if flags:
+        runs.append(["gibbs-mcmc", "--n", "12", *flags])
+    for argv in runs:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
 
 def test_config_with_law_name_exits_2(capsys, tmp_path):
@@ -485,11 +507,15 @@ def test_bad_field_argument_exits_2(capsys):
     assert rc == 2
 
 
-def test_oversized_enumeration_exits_2(capsys):
-    # the size guard raises ValueError, which lands in the usage-error bucket
-    rc, _ = _run(capsys, ["gibbs-exact", "--n", "30", "--beta", "0.15",
-                          "--seed", "0"])
-    assert rc == 2
+def test_oversized_enumeration_exits_2(capsys, monkeypatch):
+    # the flags make a one-cell config, whose size cap is checked before any
+    # instance is drawn (a 2100 x 2100 rotation, for gibbs-mcmc)
+    built = []
+    monkeypatch.setattr(exp, "build_instance", lambda *args, **kwargs: built.append(args))
+    for command, n, cap in [("gibbs-exact", "30", 24), ("gibbs-mcmc", "2100", 2048)]:
+        assert main([command, "--n", n, "--beta", "0.15", "--seed", "0"]) == 2
+        assert f"capped at n = {cap}" in capsys.readouterr().err
+    assert built == []
 
 
 @pytest.mark.parametrize("command", ["gibbs-exact", "gibbs-mcmc"])

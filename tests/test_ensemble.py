@@ -16,6 +16,7 @@ from scipy.stats import ks_2samp
 import tapglass
 from tapglass.ensemble import (
     _TILE,
+    MAX_DENSE_N,
     ModelInstance,
     _transpose_in_place,
     build_instance,
@@ -345,9 +346,11 @@ def test_build_instance_rotation_is_in_so_n(n, law, field_mode):
 
 
 def test_dense_coupling_size_guard():
-    inst = build_instance(8, 0.2, semicircle(), constant_field(0.0), seed=2)
-    with pytest.raises(ValueError):
-        inst.dense_coupling(max_n=4)
+    # one past the cap; an identity O needs no Haar draw
+    n = MAX_DENSE_N + 1
+    inst = ModelInstance(n=n, beta=0.2, d_bar=np.zeros(n), O=np.eye(n), h=np.zeros(n), seed=0)
+    with pytest.raises(ValueError, match=f"n={n} > {MAX_DENSE_N}"):
+        inst.dense_coupling()
 
 
 def test_instance_persistence_round_trip(tmp_path):

@@ -442,6 +442,13 @@ def test_failed_fixed_point_gives_an_error_row_per_cell():
     assert all(r.error == "" for r in rows if r.beta == 0.15)
 
 
+def test_saturating_field_gives_an_error_row_naming_one_minus_q():
+    # at beta = 0 a constant field of 20 gives q* = 1 to the last bit
+    rows = run_experiment(config_from_dict(
+        _minimal(beta=[0.0], field={"kind": "constant", "value": 20.0})))
+    assert [r.error.split(" at ")[0] for r in rows] == ["ValueError: 1 - q* = 0"]
+
+
 @pytest.mark.parametrize("kind", ["fixed_point", "gibbs_exact"])
 def test_negative_entropy_gives_an_error_row(kind):
     # zero field, two-point law: beta = 20 passes every other regime check,

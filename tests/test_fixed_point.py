@@ -127,6 +127,27 @@ def test_beta_zero_solve_is_the_product_record():
                 k: repr(v) for k, v in product.items()}
 
 
+def test_psi_rs_of_a_wide_gaussian_field_is_finite():
+    # the nodes of sd 100 reach |h| = 1450, far past where cosh overflows;
+    # the same quadrature summed in 40-digit mpmath is the reference
+    mpmath = pytest.importorskip("mpmath")
+    beta, field = 0.2, gaussian_field(0.0, 100.0)
+    fp = solve_fixed_point(beta, semicircle(), field)
+    assert np.isfinite(fp.psi_rs)
+    h, ph = field.quad_atoms()
+    y = np.sqrt(fp.sigma_star_sq) * GAUSS_NODES
+    mpf = mpmath.mpf
+    with mpmath.workdps(40):
+        expectation = mpmath.fsum(
+            mpf(p) * mpf(w) * mpmath.log(2 * mpmath.cosh(mpf(a) + mpf(b)))
+            for a, p in zip(h, ph) for b, w in zip(y, GAUSS_WEIGHTS))
+    rescaled, q = RescaledLaw(semicircle(), beta), fp.q_star
+    u = 1.0 - q
+    expected = (float(expectation) + 0.5 * q * rescaled.r_transform(u)
+                - 0.5 * q * u * rescaled.r_transform_derivative(u) + 0.5 * rescaled.r_integral(u))
+    assert fp.psi_rs == pytest.approx(expected, rel=1e-12)
+
+
 def test_small_beta_continuity_with_product_case():
     field = constant_field(1.0)
     pf = product_fixed_point(field)

@@ -280,9 +280,11 @@ class Cell:
 
     @functools.cached_property
     def band_exact(self):
-        """The band (width delta, overlap cut eta) around the AMP output, and its exact pass."""
+        """The band (width delta, overlap cut eta) around the AMP output, and its
+        exact pass, which above n = 12 draws the replicas that sample Z_c."""
         band = gibbs_mod.BandSpec(self.amp.final.m, self.cfg.delta, self.cfg.eta)
-        return band, gibbs_mod.exact_gibbs(self.instance, band)
+        draws = max(self.cfg.n_replicas) if self.n > gibbs_mod.MAX_PAIR_ENUMERATION_N else 0
+        return band, gibbs_mod.exact_gibbs(self.instance, band, draws, self.stream(STREAM_MCMC))
 
     def chains(self, n_chains: int):
         return gibbs_mod.glauber_sample(
@@ -361,8 +363,7 @@ def _cell_band(cell, n_rep):
     n = cell.n
     log_z, log_zb, log_zc = exact.log_z, exact.log_z_band, exact.log_z_pairs
     if log_zc is None:  # too large to list the pairs: sample them
-        samples = cell.chains(n_rep).samples
-        log_zc = 2.0 * log_zb + gibbs_mod.log_violating_share(samples, band)
+        log_zc = 2.0 * log_zb + gibbs_mod.log_violating_share(exact.draws[:n_rep], band)
     return {
         "log_z_per_site": log_z / n,
         "log_zb_per_site": log_zb / n,

@@ -20,7 +20,9 @@ can differ by rounding from one dot product over all sites, and a state
 within rounding of the band edge can fall on either side of it.  With a
 band and n <= 12 the same pass also keeps the in-band states, and the pair
 sum Z_c over them follows it, reduced the same way: each chunk of pair rows
-against its own maximum, the chunks merged against the top one.
+against its own maximum, the chunks merged against the top one.  On request
+the pass also draws independent exact Gibbs states, by one-pass weighted
+reservoir sampling over the blocks (Chao 1982).
 
 Glauber chains run in lockstep, all of them in one loop, on 0/1 spins.
 Their uniforms go through a window of at most 2^17 doubles (1 MiB) over all
@@ -42,7 +44,7 @@ Z_B restricts the Gibbs sum to the band, and Z_c sums exp(H(s) + H(t)) over
 ordered pairs of band states whose centered overlap |<s - m, t - m>| / n
 exceeds eta.  Z_c <= Z_B^2 always; at high temperature Z_c is exponentially
 smaller.  Above n = 12, where the pairs are not listed, `log_violating_share`
-of Glauber final states estimates log Z_c - 2 log Z_B.
+of exact Gibbs draws from the enumeration pass estimates log Z_c - 2 log Z_B.
 """
 
 from __future__ import annotations
@@ -98,12 +100,14 @@ def in_band(sigma: np.ndarray, band: BandSpec):
 class GibbsExact:
     """Exact log partition function and magnetization from full enumeration;
     log_z_band is log Z_B when a band was given, log_z_pairs log Z_c when a
-    band was given and n <= MAX_PAIR_ENUMERATION_N."""
+    band was given and n <= MAX_PAIR_ENUMERATION_N, and draws the requested
+    Gibbs states as a (draws, n) array of +-1 when any were requested."""
 
     log_z: float
     magnetization: np.ndarray
     log_z_band: float | None = None
     log_z_pairs: float | None = None
+    draws: np.ndarray | None = None
 
 
 def _state_blocks(j_mat: np.ndarray, h: np.ndarray, center: np.ndarray | None):
@@ -141,7 +145,8 @@ def _state_blocks(j_mat: np.ndarray, h: np.ndarray, center: np.ndarray | None):
         del energies, proj  # so two blocks' arrays are never held at once
 
 
-def exact_gibbs(instance: ModelInstance, band: BandSpec | None = None) -> GibbsExact:
+def exact_gibbs(instance: ModelInstance, band: BandSpec | None = None,
+                draws: int = 0, seed=None) -> GibbsExact:
     """Full enumeration of the 2^n states (n <= 24) in one pass over the state
     blocks, without building an array of states.  Each block is weighted by
     exp(E - block max) and reduced to one row [Z, magnetization mass, band
@@ -157,7 +162,17 @@ def exact_gibbs(instance: ModelInstance, band: BandSpec | None = None) -> GibbsE
     whose centered overlap is above eta, diagonal pairs included when they
     qualify: log_z_pairs is log Z_c, -inf when no pair qualifies, so
     Z_c <= Z_B^2 still holds.  The pairs go in chunks of _PAIR_CHUNK_ROWS
-    rows, each reduced against its own maximum and merged like the blocks."""
+    rows, each reduced against its own maximum and merged like the blocks.
+
+    With draws > 0, `draws` holds that many independent states of the full
+    Gibbs measure, drawn in the same pass from default_rng(seed).  Draw d
+    reads row d of a (draws, blocks) array of uniforms, so a smaller request
+    gets a prefix of a larger one's draws.  After each block, a draw whose
+    uniform u is below the block's share of the mass so far takes a state
+    from it (one-pass weighted reservoir sampling, Chao 1982), picked by
+    inverse CDF at u / share: the low sites from the column sums w.sum(0),
+    then the high sites within that column.  The sums do not depend on
+    draws, to the bit."""
     n = instance.n
     if n > MAX_ENUMERATION_N:
         raise ValueError(f"exact enumeration is capped at n = {MAX_ENUMERATION_N}, got {n}")
@@ -166,6 +181,9 @@ def exact_gibbs(instance: ModelInstance, band: BandSpec | None = None) -> GibbsE
         raise ValueError("band center length must match the instance size")
     center = None if band is None else band.center
     tops, rows, band_states, band_energies = [], [], [], []
+    if draws:  # (draw, block): a draw's uniforms do not depend on how many draws there are
+        uniforms = np.random.default_rng(seed).random((draws, max(1, (1 << n) // _BLOCK_STATES)))
+        picks, log_mass = np.empty((draws, n)), -np.inf
     for low, high, energies, proj in _state_blocks(instance.dense_coupling(), instance.h, center):
         top = energies.max()
         if band is not None:
@@ -178,12 +196,25 @@ def exact_gibbs(instance: ModelInstance, band: BandSpec | None = None) -> GibbsE
                 band_energies.append(energies[keep])
         energies -= top
         w = np.exp(energies, out=energies)
-        row = [[w.sum()], w.sum(0) @ low, w.sum(1) @ high]
-        if band is not None:
-            row.append([w[keep].sum()])
+        band_mass = [] if band is None else [w[keep].sum()]  # before col: one temporary at a time
+        mass, col = w.sum(), w.sum(0)
+        row = [[mass], col @ low, w.sum(1) @ high, band_mass]
+        if draws:  # a draw takes a state from this block with its share of the mass so far
+            block_log_mass = top + np.log(mass)
+            log_mass = np.logaddexp(log_mass, block_log_mass)
+            share = np.exp(block_log_mass - log_mass)
+            u = uniforms[:, len(tops)]  # the column of this block
+            take = u < share
+            if take.any():  # u / share is uniform on [0, 1): the inverse CDF, column first
+                cum = np.cumsum(col)
+                target = u[take] / share * cum[-1]
+                b = np.minimum(np.searchsorted(cum, target, side="right"), col.size - 1)
+                inside = np.cumsum(w[:, b], axis=0) <= target - (cum[b] - col[b])
+                a = np.minimum(inside.sum(0), w.shape[0] - 1)
+                picks[take] = np.hstack([low[b], high[a]])
         tops.append(top)
         rows.append(np.concatenate(row))
-        del energies, w, proj
+        del energies, w, proj, col
     top = max(tops)
     total = np.exp(np.array(tops) - top) @ np.array(rows)
     z = total[0]
@@ -212,6 +243,7 @@ def exact_gibbs(instance: ModelInstance, band: BandSpec | None = None) -> GibbsE
         magnetization=total[1 : n + 1] / z,
         log_z_band=log_z_band,
         log_z_pairs=log_z_pairs,
+        draws=picks if draws else None,
     )
 
 

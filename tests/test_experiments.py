@@ -397,22 +397,32 @@ def test_replica_counts_share_amp_run_and_band_enumeration(monkeypatch, kind):
     assert content_hash(rows) == content_hash(alone)
 
 
-@pytest.mark.parametrize("n, chain_counts", [(12, []), (16, [4, 8])], ids=["n12", "n16"])
-def test_band_runs_chains_only_where_pairs_are_sampled(monkeypatch, n, chain_counts):
-    # up to n = 12 the pair sum Z_c is listed exactly; above it, each replica
-    # count samples it from its own chains
-    calls = []
-    glauber_sample = exp.gibbs_mod.glauber_sample
+def test_band_rows_draw_their_replicas_in_the_exact_pass(monkeypatch):
+    # no Glauber at any n: up to n = 12 the pair sum Z_c is listed exactly,
+    # above it the exact pass draws the replicas that sample it
+    def no_chains(*args, **kwargs):
+        raise AssertionError("a band row ran Glauber chains")
 
-    def counted(instance, **kwargs):
-        calls.append(kwargs["n_chains"])
-        return glauber_sample(instance, **kwargs)
+    replicas = []
+    share = exp.gibbs_mod.log_violating_share
 
-    monkeypatch.setattr(exp.gibbs_mod, "glauber_sample", counted)
-    obj = _minimal(kind="band", n=[n], n_replicas=[4, 8], sweeps=20, burn_in=5)
+    def recorded(samples, band):
+        replicas.append(samples)
+        return share(samples, band)
+
+    monkeypatch.setattr(exp.gibbs_mod, "glauber_sample", no_chains)
+    monkeypatch.setattr(exp.gibbs_mod, "log_violating_share", recorded)
+    obj = _minimal(kind="band", n=[12, 16, 20], n_replicas=[4, 8])
     rows = run_experiment(config_from_dict(obj))
-    assert all(r.error == "" for r in rows) and len(rows) == 2
-    assert sorted(calls) == chain_counts
+    assert all(r.error == "" for r in rows) and len(rows) == 6
+    # n = 16, then n = 20: each cell's 4-replica row sees the first 4 of its 8 draws
+    assert [r.shape for r in replicas] == [(4, 16), (8, 16), (4, 20), (8, 20)]
+    assert np.array_equal(replicas[0], replicas[1][:4])
+    assert np.array_equal(replicas[2], replicas[3][:4])
+    # the chains' settings no longer reach a band row
+    monkeypatch.undo()
+    other = run_experiment(config_from_dict({**obj, "sweeps": 20, "burn_in": 5}))
+    assert content_hash(other) == content_hash(rows)
 
 
 @pytest.mark.parametrize("betas", [[0.15], [0.15, 0.3]], ids=["one-beta", "two-betas"])

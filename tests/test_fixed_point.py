@@ -23,7 +23,7 @@ from tapglass.fixed_point import (
 )
 from tapglass.spectral import RescaledLaw, empirical_atoms, semicircle, two_point
 
-from oracles import monte_carlo_delta
+from oracles import monte_carlo_delta, zero_field_log_partition
 
 # Regression values for (semicircle, beta = 0.15, constant field 1), frozen
 # from a converged run; they pin the solver against accidental drift.
@@ -351,3 +351,37 @@ def test_theoretical_delta_matches_monte_carlo_oracle(law, field, beta):
     delta = theoretical_delta(fp, field, t_max=8)
     mc, se = monte_carlo_delta(fp, field, t_max=8, mc_samples=200_000, seed=0)
     assert np.all(np.abs(delta - mc) < 4 * se)
+
+
+# ----------------------------------------------------------------------
+# the zero-field annealed free energy, log E_O Z
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [2, 14, 400])
+def test_zero_field_log_partition_at_beta_zero(n):
+    # Jbar = 0: Z = 2^n for every O
+    assert abs(zero_field_log_partition(np.zeros(n)) - n * np.log(2.0)) < 1e-12
+
+
+@pytest.mark.parametrize("law", [semicircle(), two_point()], ids=["semicircle", "two_point"])
+def test_zero_field_log_partition_matches_monte_carlo(law):
+    # E_O Z = 2^n E_u exp((n/2) sum_i d_i u_i^2), u uniform on the unit sphere
+    n, draws = 14, 100_000
+    d_bar = 0.6 * law.quantiles(n)
+    g = np.random.default_rng(23).standard_normal((draws, n))
+    g *= g
+    values = np.exp(0.5 * n * (g @ d_bar) / g.sum(axis=1))
+    se = values.std(ddof=1) / (values.mean() * np.sqrt(draws))  # of the log of the mean
+    estimate = n * np.log(2.0) + np.log(values.mean())
+    assert abs(zero_field_log_partition(d_bar) - estimate) < 4 * se
+
+
+@pytest.mark.parametrize("law", [semicircle(), two_point()], ids=["semicircle", "two_point"])
+@pytest.mark.parametrize("beta", [0.3, 0.6])
+def test_zero_field_log_partition_approaches_its_large_n_constant(law, beta):
+    # log E_O Z = n psi_rs - (1/2) log(1 + kappa*) + o(1) at q* = 0
+    n = 400
+    fp = solve_fixed_point(beta, law, constant_field(0.0))
+    constant = zero_field_log_partition(beta * law.quantiles(n)) - n * fp.psi_rs
+    assert abs(constant + 0.5 * np.log1p(fp.kappa_star)) < 2e-3

@@ -113,18 +113,58 @@ def test_enumeration_builds_no_state_array():
     inst = build_instance(20, 0.2, semicircle(), constant_field(0.5), seed=1)
     band = BandSpec(np.full(20, 0.3), 0.2, 0.5)
 
-    def peak(*band_arg):
+    def peak(*args):
         tracemalloc.start()
         try:
-            exact_gibbs(inst, *band_arg)
+            exact_gibbs(inst, *args)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    plain, banded = peak(), peak(band)
-    assert banded < 1.5 * (1 << 20)
+    plain, banded, drawn = peak(), peak(band), peak(band, 64, 0)
+    assert banded < 1.5 * (1 << 20) and drawn < 1.5 * (1 << 20)
     # one block's arrays at a time: holding the last block's too adds 0.21 MiB
     assert banded - plain < 0.15 * (1 << 20)
+
+
+def test_exact_draws_are_reproducible_and_leave_the_sums_alone():
+    inst = build_instance(_n_for_blocks(4), 0.2, semicircle(), constant_field(0.5), seed=2)
+    band = BandSpec(np.full(inst.n, 0.3), 0.2, 0.5)
+    plain = exact_gibbs(inst, band)
+    drawn = exact_gibbs(inst, band, 8, 11)
+    assert plain.draws is None and drawn.draws.shape == (8, inst.n)
+    assert set(np.unique(drawn.draws)) == {-1.0, 1.0}
+    assert np.array_equal(exact_gibbs(inst, band, 8, 11).draws, drawn.draws)
+    assert not np.array_equal(exact_gibbs(inst, band, 8, 12).draws, drawn.draws)
+    # a draw's uniforms do not depend on the number of draws
+    assert np.array_equal(exact_gibbs(inst, band, 3, 11).draws, drawn.draws[:3])
+    assert drawn.log_z == plain.log_z and drawn.log_z_band == plain.log_z_band
+    assert np.array_equal(drawn.magnetization, plain.magnetization)
+    # n = 12: the pass that lists the band's pairs
+    inst = build_instance(12, 0.2, semicircle(), constant_field(0.5), seed=2)
+    band = BandSpec(exact_gibbs(inst).magnetization, 0.3, 0.2)
+    plain, drawn = exact_gibbs(inst, band), exact_gibbs(inst, band, 8, 11)
+    assert np.isfinite(plain.log_z_pairs) and drawn.log_z_pairs == plain.log_z_pairs
+
+
+def test_exact_draws_match_state_probabilities():
+    # n = 4: the frequency of each of the 16 states, within 4 binomial SE
+    inst = build_instance(4, 0.6, semicircle(), gaussian_field(0.2, 0.6), seed=3,
+                          field_mode="iid")
+    states, energies, log_z, _ = _naive_listing(inst)
+    probs = np.exp(energies - log_z)
+    count = 40_000
+    codes = (exact_gibbs(inst, draws=count, seed=5).draws > 0) @ (1 << np.arange(4))
+    freqs = np.bincount(codes, minlength=16) / count
+    assert np.all(np.abs(freqs - probs) < 4 * np.sqrt(probs * (1 - probs) / count))
+
+
+def test_exact_draws_match_magnetization_across_blocks():
+    # four enumeration blocks: site means within 4 SE of the exact magnetization
+    inst = build_instance(_n_for_blocks(4), 0.3, semicircle(), constant_field(0.5), seed=3)
+    res = exact_gibbs(inst, draws=20_000, seed=7)
+    se = np.sqrt((1 - res.magnetization**2) / 20_000)
+    assert np.all(np.abs(res.draws.mean(axis=0) - res.magnetization) < 4 * se)
 
 
 def test_decoupled_instance_is_exact_product():

@@ -1,15 +1,16 @@
-"""Each kind's default_config output, pinned as committed text.
+"""Each kind's default_config output, and the few configs in PINNED_CONFIGS,
+pinned as committed text.
 
-tests/golden/<kind>.csv holds one fingerprint line (numpy, scipy, BLAS, CPU
-count) and then the stable CSV text of `run_experiment(default_config(kind))`,
-wall time blanked as `content_hash` blanks it.  The bits depend on the BLAS
-build and its thread count, so the fingerprint line tells a failure on
-another machine from a changed result; it is not compared.  A change that
-moves an output regenerates the file with
+tests/golden/<name>.csv holds one fingerprint line (numpy, scipy, BLAS, CPU
+count) and then the stable CSV text of `run_experiment` on the named
+config (a kind's `default_config`), wall time blanked as `content_hash`
+blanks it.  The bits depend on the BLAS build and its thread count, so the
+fingerprint line tells a failure on another machine from a changed result;
+it is not compared.  A change that moves an output regenerates the file with
 
-    PYTHONPATH=src python tests/test_golden.py KIND [KIND ...]
+    PYTHONPATH=src python tests/test_golden.py NAME [NAME ...]
 
-and says which kind moved and why.
+and says which config moved and why.
 """
 
 import os
@@ -24,6 +25,14 @@ from tapglass import experiments as exp
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
+# A band cell above n = 12, where zc_margin_per_site comes from the Gibbs
+# draws of the exact pass.  eta is 0.3, not 0.8: at 0.8 no pair of draws
+# crosses the cut and the margin reads -inf whatever the draws are.
+PINNED_CONFIGS = {
+    "band_n16": {"kind": "band", "n": [16], "beta": [0.15], "seeds": [1, 2],
+                 "n_replicas": [8, 64], "eta": 0.3},
+}
+
 
 def fingerprint() -> str:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -31,8 +40,10 @@ def fingerprint() -> str:
             f"blas {blas.get('name')} {blas.get('version')}, cpus {os.cpu_count()}")
 
 
-def stable_text(kind: str) -> str:
-    return exp._stable_text(exp.run_experiment(exp.default_config(kind)))
+def stable_text(name: str) -> str:
+    cfg = (exp.config_from_dict(PINNED_CONFIGS[name]) if name in PINNED_CONFIGS
+           else exp.default_config(name))
+    return exp._stable_text(exp.run_experiment(cfg))
 
 
 def _relative_gap(a: str, b: str) -> float:
@@ -76,19 +87,22 @@ def test_relative_gaps_name_the_moved_columns():
     assert column_gaps(expected, "a,b\n1,2.0\n") == {"<header>": float("inf")}
 
 
-@pytest.mark.parametrize("kind", exp.EXPERIMENT_KINDS)
-def test_default_config_output_matches_golden_file(kind):
-    header, expected = (GOLDEN_DIR / f"{kind}.csv").read_text().split("\n", 1)
-    actual = stable_text(kind)
+GOLDEN_NAMES = exp.EXPERIMENT_KINDS + tuple(PINNED_CONFIGS)
+
+
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
+def test_default_config_output_matches_golden_file(name):
+    header, expected = (GOLDEN_DIR / f"{name}.csv").read_text().split("\n", 1)
+    actual = stable_text(name)
     if actual != expected:
         gaps = ", ".join(f"{col} {gap:.3g}" for col, gap in column_gaps(expected, actual).items())
         pytest.fail(
-            f"{kind} output differs from tests/golden/{kind}.csv; largest relative "
+            f"{name} output differs from tests/golden/{name}.csv; largest relative "
             f"difference per column: {gaps}. Golden file made on: {header[2:]}; "
             f"this run: {fingerprint()[2:]}"
         )
 
 
 if __name__ == "__main__":
-    for kind in sys.argv[1:] or exp.EXPERIMENT_KINDS:
-        (GOLDEN_DIR / f"{kind}.csv").write_text(f"{fingerprint()}\n{stable_text(kind)}")
+    for name in sys.argv[1:] or GOLDEN_NAMES:
+        (GOLDEN_DIR / f"{name}.csv").write_text(f"{fingerprint()}\n{stable_text(name)}")

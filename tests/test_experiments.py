@@ -397,7 +397,8 @@ def test_replica_counts_share_amp_run_and_band_enumeration(monkeypatch, kind):
     assert content_hash(rows) == content_hash(alone)
 
 
-def test_band_rows_draw_their_replicas_in_the_exact_pass(monkeypatch):
+@pytest.mark.parametrize("n", [12, 16, 20], ids=["n12", "n16", "n20"])
+def test_band_runs_chains_only_where_pairs_are_sampled(monkeypatch, n):
     # no Glauber at any n: up to n = 12 the pair sum Z_c is listed exactly,
     # above it the exact pass draws the replicas that sample it
     def no_chains(*args, **kwargs):
@@ -412,13 +413,15 @@ def test_band_rows_draw_their_replicas_in_the_exact_pass(monkeypatch):
 
     monkeypatch.setattr(exp.gibbs_mod, "glauber_sample", no_chains)
     monkeypatch.setattr(exp.gibbs_mod, "log_violating_share", recorded)
-    obj = _minimal(kind="band", n=[12, 16, 20], n_replicas=[4, 8])
+    obj = _minimal(kind="band", n=[n], n_replicas=[4, 8])
     rows = run_experiment(config_from_dict(obj))
-    assert all(r.error == "" for r in rows) and len(rows) == 6
-    # n = 16, then n = 20: each cell's 4-replica row sees the first 4 of its 8 draws
-    assert [r.shape for r in replicas] == [(4, 16), (8, 16), (4, 20), (8, 20)]
-    assert np.array_equal(replicas[0], replicas[1][:4])
-    assert np.array_equal(replicas[2], replicas[3][:4])
+    assert all(r.error == "" for r in rows) and len(rows) == 2
+    if n <= 12:
+        assert replicas == []
+    else:
+        # the 4-replica row sees the first 4 of the cell's 8 draws
+        assert [r.shape for r in replicas] == [(4, n), (8, n)]
+        assert np.array_equal(replicas[0], replicas[1][:4])
     # the chains' settings no longer reach a band row
     monkeypatch.undo()
     other = run_experiment(config_from_dict({**obj, "sweeps": 20, "burn_in": 5}))

@@ -6,11 +6,12 @@ Dbar = beta * diag(quantiles of the spectral law), plus an external field h
 Jbar is never materialized at scale; `ModelInstance.apply_jbar` applies it in
 O(n^2) through the factors, and `ModelInstance.apply_rotated` applies any
 other diagonal in the same rotated basis, so no other module reads O.
-O enters in SO(n): `haar_so` draws it so, det read off the QR reflectors, and
-`load_instance` checks a saved one; `ModelInstance` checks shapes and finiteness.
-The draw factors the Gaussian matrix in place with the LAPACK routines numpy's
-own QR calls (through `numpy.linalg.lapack_lite`), between two in-place
-transposes, so it holds one n x n array at its peak: the Gaussian becomes O.
+O enters in SO(n): `haar_so` draws it so, det read off its Householder
+reflectors, and `load_instance` checks a saved one; `ModelInstance` checks
+shapes and finiteness.  The draw builds the reflectors straight from Gaussian
+vectors (Stewart 1980), in place in one n x n buffer, and forms O from them
+with the LAPACK routine numpy's own QR calls (through `numpy.linalg.lapack_lite`),
+so it holds one n x n array at its peak.
 """
 
 from __future__ import annotations
@@ -36,29 +37,38 @@ _TILE = 256  # block width of the in-place transpose: 512 KiB of scratch
 
 
 def haar_so(n: int, seed) -> np.ndarray:
-    """Haar-uniform draw from SO(n): QR of a Gaussian matrix with the R-diagonal
-    sign convention (the unique QR with positive diagonal, a Haar draw from
-    O(n)), last column negated if det = -1.
+    """Haar-uniform draw from SO(n): a product of Householder reflectors built
+    straight from Gaussian vectors (Stewart 1980), signed as in Mezzadri 2007.
 
-    geqrf and orgqr run in place on the Gaussian's own buffer, which the
-    first in-place transpose puts in Fortran order.  They are the LAPACK
-    calls and workspace sizes of `np.linalg.qr`'s gufuncs, so Q is theirs to
-    the bit; det Q is read off the reflectors (each has det -1 unless its
-    tau = 0).  The signs and a second in-place transpose make the buffer Q
+    In the Householder QR of a Gaussian matrix each trailing column is again
+    Gaussian and independent of the earlier reflectors, so the reflectors of
+    independent Gaussian vectors of lengths n, n-1, ..., 1 have the QR's joint
+    law, and Q with R's diagonal made positive is Haar on O(n) as the QR draw
+    is.  Row k of one C-ordered buffer (Fortran column k) takes the length
+    n - k draw and becomes LAPACK dlarfg's reflector; orgqr forms Q in place,
+    det Q is read off the reflectors (each has det -1 unless its tau = 0), the
+    last column is negated if it is -1, and one in-place transpose leaves O
     in C order."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    q = _transpose_in_place(np.random.default_rng(seed).standard_normal((n, n))).T
-    tau = np.empty(n)
-    _lapack(lapack_lite.dgeqrf, n, n, q.T, n, tau)
-    signs = np.ones(n)
-    signs[np.diagonal(q) < 0] = -1.0
+    rng = np.random.default_rng(seed)
+    f = np.zeros((n, n))
+    for k in range(n):
+        rng.standard_normal(out=f[k, k:])
+    alpha = np.diagonal(f).copy()
+    f.flat[:: n + 1] = 0.0  # row k now holds x_k, the rest of it zeros
+    x_norm = np.sqrt(np.einsum("ij,ij->i", f, f))
+    plain = x_norm == 0  # dlarfg's H = I: tau = 0 and R_kk = alpha
+    beta = np.where(plain, alpha, -np.copysign(np.hypot(alpha, x_norm), alpha))
+    tau = np.divide(beta - alpha, beta, out=np.zeros(n), where=~plain)
+    f /= np.where(plain, 1.0, alpha - beta)[:, None]
+    signs = np.where(beta < 0, -1.0, 1.0)  # beta is R's diagonal
     if (np.count_nonzero(tau) + np.count_nonzero(signs < 0)) % 2:
         signs[-1] = -signs[-1]
-    _lapack(lapack_lite.dorgqr, n, n, n, q.T, n, tau)
-    q *= signs
-    # a C-ordered Q keeps the BLAS kernels, and so the bits, of every O @ v
-    return _transpose_in_place(q.T)
+    _lapack(lapack_lite.dorgqr, n, n, n, f, n, tau)
+    f *= signs[:, None]
+    # a C-ordered O keeps the BLAS kernels of every O @ v
+    return _transpose_in_place(f)
 
 
 def _transpose_in_place(a: np.ndarray) -> np.ndarray:

@@ -11,12 +11,15 @@ the chain-by-chain Glauber loop with a masked rank-1 field update, which the
 lockstep block sampler is checked against bit for bit.  haar_orthogonal
 is the unconstrained O(n) draw that haar_so's determinant fix is compared
 with, and has_pair_margin the band separation the pair arguments assume.
-The signed QR reference, _reference_signed_q, is Q as np.linalg.qr and
-slogdet give it, which haar_so must equal bit for bit.  The conditioned
-sampler conditional_haar_so draws O uniformly from {O in SO(n): O B = A},
-the resampling step behind conditioning an invariant ensemble on
-matrix-vector observations (Bolthausen 2014); it completes the column spans
-through the signed QR reference.  zero_field_log_partition is the Haar
+householder_haar_so multiplies out, one explicit Householder matrix at a
+time, the reflectors haar_so builds from its row-by-row Gaussian draws, and
+slogdet fixes its sign.  The signed QR reference, _reference_signed_q, is Q
+as np.linalg.qr and slogdet give it: the QR draw whose law haar_so's
+reflector draw has.  The conditioned sampler conditional_haar_so draws O
+uniformly from {O in SO(n): O B = A}, the resampling step behind
+conditioning an invariant ensemble on matrix-vector observations
+(Bolthausen 2014); it completes the column spans through the signed QR
+reference.  zero_field_log_partition is the Haar
 average of Z at zero field, a one-dimensional contour integral: the exact
 finite-n target the free energy's annealed bound gives.
 """
@@ -253,6 +256,31 @@ def haar_orthogonal(n: int, seed) -> np.ndarray:
     R-diagonal sign convention (unique QR with positive diagonal)."""
     q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
     return q * np.where(np.diag(r) < 0, -1.0, 1.0)
+
+
+def householder_haar_so(n: int, seed) -> np.ndarray:
+    """The SO(n) draw of haar_so from the same seed, formed as the product
+    H_0 H_1 ... H_{n-1} of explicit Householder matrices: H_k reflects the
+    length n - k Gaussian draw x onto beta e_1 (H_k = I when x[1:] = 0),
+    column k is signed by beta, and the last column is negated when slogdet
+    finds det = -1."""
+    rng = np.random.default_rng(seed)
+    q = np.eye(n)
+    signs = np.ones(n)
+    for k in range(n):
+        x = rng.standard_normal(n - k)
+        alpha, rest = x[0], math.sqrt(float(np.dot(x[1:], x[1:])))
+        beta = alpha
+        if rest > 0:
+            beta = -math.copysign(math.hypot(alpha, rest), alpha)
+            v = np.concatenate([[1.0], x[1:] / (alpha - beta)])
+            h = np.eye(n - k) - (beta - alpha) / beta * np.outer(v, v)
+            q[:, k:] = q[:, k:] @ h
+        signs[k] = -1.0 if beta < 0 else 1.0
+    q *= signs
+    if np.linalg.slogdet(q)[0] < 0:
+        q[:, -1] = -q[:, -1]
+    return q
 
 
 def _reference_signed_q(a: np.ndarray, special: bool) -> np.ndarray:

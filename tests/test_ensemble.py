@@ -10,7 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import _reference_signed_q, conditional_haar_so, haar_orthogonal
+from numpy.linalg import lapack_lite
+from oracles import (
+    _reference_signed_q,
+    conditional_haar_so,
+    haar_orthogonal,
+    householder_haar_so,
+)
 from scipy.stats import ks_2samp
 
 import tapglass
@@ -32,12 +38,44 @@ THREE_ATOM = empirical_atoms([-1.0, 0.0, 2.0], [0.3, 0.3, 0.4]).standardize()
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 40, 257, 300, 513, 1000])
 def test_haar_draws_match_the_qr_reference_bit_for_bit(n):
+    # the QR draw haar_so's law is compared with: the O(n) draw is the
+    # reference's Q, and the reference's SO(n) Q differs from it at most in
+    # the sign of its last column
     for seed in range(4 if n < 1000 else 1):
         gaussian = np.random.default_rng(seed).standard_normal((n, n))
-        assert np.array_equal(haar_orthogonal(n, seed), _reference_signed_q(gaussian, False))
+        o = haar_orthogonal(n, seed)
+        assert np.array_equal(o, _reference_signed_q(gaussian, False))
+        so = _reference_signed_q(gaussian, True)
+        assert np.array_equal(so[:, :-1], o[:, :-1])
+        assert np.array_equal(np.abs(so[:, -1]), np.abs(o[:, -1]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 40, 257])
+def test_haar_draws_match_the_householder_oracle(n):
+    for seed in range(4):
         o = haar_so(n, seed)
-        assert np.array_equal(o, _reference_signed_q(gaussian, True))
+        assert np.abs(o - householder_haar_so(n, seed)).max() < 1e-12
         assert o.flags.c_contiguous
+        assert np.array_equal(o, haar_so(n, seed))
+
+
+def _haar_statistics(o):
+    """(1,1), (n,n) and (1,n) entries, the trace and the leading 2 x 2 minor."""
+    minor = o[0, 0] * o[1, 1] - o[0, 1] * o[1, 0]
+    return [o[0, 0], o[-1, -1], o[0, -1], np.trace(o), minor]
+
+
+@pytest.mark.parametrize("n", [2, 6, 33])
+def test_haar_draws_have_the_law_of_the_qr_draw(n):
+    draws = 3000
+    reflected = np.array([_haar_statistics(haar_so(n, s))
+                          for s in np.random.SeedSequence(41).spawn(draws)])
+    qr = np.array([
+        _haar_statistics(_reference_signed_q(np.random.default_rng(s).standard_normal((n, n)), True))
+        for s in np.random.SeedSequence(42).spawn(draws)])
+    columns = 4 if n == 2 else 5  # at n = 2 the minor is det O = 1 up to rounding
+    pvalues = [ks_2samp(reflected[:, j], qr[:, j]).pvalue for j in range(columns)]
+    assert min(pvalues) > 0.01, pvalues
 
 
 @pytest.mark.parametrize("n", [1, 2, _TILE - 1, _TILE, _TILE + 1, 3 * _TILE + 5])
@@ -113,6 +151,14 @@ def test_haar_draws_compute_no_determinant(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "slogdet", refuse)
     monkeypatch.setattr(np.linalg, "det", refuse)
+    haar_so(7, 0)
+
+
+def test_haar_draws_factor_no_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Haar draw ran a QR factorisation")
+
+    monkeypatch.setattr(lapack_lite, "dgeqrf", refuse)
     haar_so(7, 0)
 
 

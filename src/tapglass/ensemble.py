@@ -11,7 +11,7 @@ reflectors, and `load_instance` checks a saved one; `ModelInstance` checks
 shapes and finiteness.  The draw builds the reflectors straight from Gaussian
 vectors (Stewart 1980), in place in one n x n buffer, and forms O from them
 with the LAPACK routine numpy's own QR calls (through `numpy.linalg.lapack_lite`),
-so it holds one n x n array at its peak.
+so it holds one n x n array at its peak and returns that buffer as O.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ FIELD_MODE_QUANTILE = "quantile"
 FIELD_MODE_IID = "iid"
 FIELD_MODES = (FIELD_MODE_QUANTILE, FIELD_MODE_IID)  # the first is the default everywhere
 
-_TILE = 256  # block width of the in-place transpose: 512 KiB of scratch
-
 
 def haar_so(n: int, seed) -> np.ndarray:
     """Haar-uniform draw from SO(n): a product of Householder reflectors built
@@ -46,9 +44,10 @@ def haar_so(n: int, seed) -> np.ndarray:
     law, and Q with R's diagonal made positive is Haar on O(n) as the QR draw
     is.  Row k of one C-ordered buffer (Fortran column k) takes the length
     n - k draw and becomes LAPACK dlarfg's reflector; orgqr forms Q in place,
-    det Q is read off the reflectors (each has det -1 unless its tau = 0), the
-    last column is negated if it is -1, and one in-place transpose leaves O
-    in C order."""
+    det Q is read off the reflectors (each has det -1 unless its tau = 0), and
+    the last column is negated if it is -1.  Read in C order the buffer holds
+    O = Q^T, Haar on SO(n) as Q is, so it is returned as it stands: C-ordered
+    for the BLAS kernels of every O @ v."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     rng = np.random.default_rng(seed)
@@ -67,28 +66,7 @@ def haar_so(n: int, seed) -> np.ndarray:
         signs[-1] = -signs[-1]
     _lapack(lapack_lite.dorgqr, n, n, n, f, n, tau)
     f *= signs[:, None]
-    # a C-ordered O keeps the BLAS kernels of every O @ v
-    return _transpose_in_place(f)
-
-
-def _transpose_in_place(a: np.ndarray) -> np.ndarray:
-    """Transpose the C-contiguous square array a in place and return it: the
-    same memory then holds a.T in C order, which is a in Fortran order.  Tiles
-    of at most _TILE x _TILE swap with their mirror images through one scratch
-    tile, so no second n x n array is made."""
-    n = a.shape[0]
-    scratch = np.empty((min(n, _TILE), min(n, _TILE)))
-    for i in range(0, n, _TILE):
-        rows = slice(i, i + _TILE)
-        for j in range(i, n, _TILE):
-            cols = slice(j, j + _TILE)
-            upper, lower = a[rows, cols], a[cols, rows]
-            tile = scratch[: upper.shape[0], : upper.shape[1]]
-            np.copyto(tile, upper)
-            if j != i:
-                np.copyto(upper, lower.T)
-            np.copyto(lower, tile.T)
-    return a
+    return f
 
 
 def _lapack(routine, *args) -> None:

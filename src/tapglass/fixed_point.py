@@ -243,6 +243,8 @@ def _derive_constants(
     if u == 0.0:  # tanh(H)^2 rounds to 1: the field fixes every spin
         raise ValueError(f"1 - q* = 0 at beta={beta}; the constants divide by 1 - q*")
     denom = 1.0 - u * u * r_der
+    # inside the transform domain w^2 R'(w) < 1, as K(w) = R(w) + 1/w inverts
+    # the decreasing G: this guard is a backstop against rounding at the edge
     if denom <= 0:
         raise BetaTooLargeError(
             f"1 - (1-q*)^2 Rbar'(1-q*) = {denom} <= 0 at beta={beta}; "

@@ -13,7 +13,7 @@ is the unconstrained O(n) draw that haar_so's determinant fix is compared
 with, and has_pair_margin the band separation the pair arguments assume.
 householder_haar_so multiplies out, one explicit Householder matrix at a
 time, the reflectors haar_so builds from its row-by-row Gaussian draws, and
-slogdet fixes its sign.  The signed QR reference, _reference_signed_q, is Q
+slogdet fixes its sign; haar_so returns that product's transpose.  The signed QR reference, _reference_signed_q, is Q
 as np.linalg.qr and slogdet give it: the QR draw whose law haar_so's
 reflector draw has.  The conditioned sampler conditional_haar_so draws O
 uniformly from {O in SO(n): O B = A}, the resampling step behind
@@ -259,11 +259,12 @@ def haar_orthogonal(n: int, seed) -> np.ndarray:
 
 
 def householder_haar_so(n: int, seed) -> np.ndarray:
-    """The SO(n) draw of haar_so from the same seed, formed as the product
-    H_0 H_1 ... H_{n-1} of explicit Householder matrices: H_k reflects the
-    length n - k Gaussian draw x onto beta e_1 (H_k = I when x[1:] = 0),
-    column k is signed by beta, and the last column is negated when slogdet
-    finds det = -1."""
+    """The transpose of haar_so's draw from the same seed: the signed product
+    Q = H_0 H_1 ... H_{n-1} of explicit Householder matrices, where H_k
+    reflects the length n - k Gaussian draw x onto beta e_1 (H_k = I when
+    x[1:] = 0), column k is signed by beta, and the last column is negated
+    when slogdet finds det = -1.  haar_so returns Q^T, the C-ordered reading
+    of the Fortran-ordered Q that orgqr leaves in its buffer."""
     rng = np.random.default_rng(seed)
     q = np.eye(n)
     signs = np.ones(n)

@@ -175,6 +175,22 @@ def test_beta_too_large():
 THREE_ATOM = empirical_atoms([-1.0, 0.0, 2.0], [0.3, 0.3, 0.4]).standardize()
 
 
+@pytest.mark.parametrize("law", [semicircle(), two_point(), THREE_ATOM],
+                         ids=["semicircle", "two_point", "three_atom"])
+@pytest.mark.parametrize("beta", [0.3, 1.0, 2.5])
+def test_covariance_denominator_is_positive_up_to_the_domain_edge(law, beta):
+    # K(w) = R(w) + 1/w inverts the decreasing G, so K' = R' - 1/w^2 < 0 and
+    # 1 - u^2 Rbar'(u) = 1 - (beta u)^2 R'(beta u) > 0 wherever Rbar' is
+    # defined: the fixed point's denominator guard is a rounding backstop
+    rescaled = RescaledLaw(law, beta)
+    edge = rescaled.edge_cauchy()
+    if np.isfinite(edge):  # the semicircle's, beta u < 1
+        grid = np.append(edge * (1.0 - np.geomspace(0.999, 1e-15, 300)), np.nextafter(edge, 0.0))
+    else:  # atomic laws: G(d_+) = inf
+        grid = np.geomspace(1e-6, 1e8, 300) / beta
+    assert all(u * u * rescaled.r_transform_derivative(u) < 1.0 for u in grid)
+
+
 # the field law at field scale c
 SCALED_FIELDS = {
     "constant": lambda c: constant_field(1.0 * c),

@@ -3,8 +3,8 @@ module-level definition under src/ is named somewhere under src/.
 
 Importing scipy.optimize or scipy.special costs more than importing numpy,
 in every process and CLI call; the one scipy use left under src/ is the lazy
-scipy.stats import for gaussian-field quantile grids.  A definition that only
-tests call belongs with the test oracles.
+scipy.stats import for gaussian-field quantile grids.  A definition or
+constant that only tests use belongs with the test oracles.
 """
 
 import ast
@@ -47,25 +47,40 @@ def test_scipy_is_imported_only_lazily_for_gaussian_field_quantiles():
 
 
 # module-level definitions nothing under src/ uses, each kept for a reason
-UNREFERENCED_DEFINITIONS = {("experiments.py", "default_config")}  # the config template
+UNREFERENCED_DEFINITIONS = {
+    ("experiments.py", "default_config"),  # the config template
+    ("__init__.py", "__all__"),  # read by `from tapglass import *`
+    ("__init__.py", "__version__"),  # read by packaging and users
+}
+
+
+def _module_level_names(tree):
+    """Names a module's top level defines: its defs and classes, and the
+    targets of its assignments (constants)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                yield from (name.id for name in ast.walk(target) if isinstance(name, ast.Name))
 
 
 def test_every_definition_has_a_caller_under_src():
-    # a def or class that no src/ module names is code only tests run
+    # a def, class or constant that no src/ module reads is code only tests run
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
     used = set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.add(node.name)
-    defined = {(name, node.name)
-               for name, tree in trees.items() for node in tree.body
-               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    defined = {(name, defined_name)
+               for name, tree in trees.items() for defined_name in _module_level_names(tree)}
     assert {d for d in defined if d[1] not in used} == UNREFERENCED_DEFINITIONS
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from tapglass import experiments as exp_mod
 from tapglass import gibbs as gibbs_mod
 from tapglass import tap as tap_mod
-from tapglass.ensemble import FIELD_MODES, _spectrum_and_field, load_instance, save_instance
+from tapglass.ensemble import load_instance, save_instance
 from tapglass.fixed_point import field_from_spec, solve_fixed_point
 from tapglass.spectral import law_from_spec
 
@@ -52,7 +52,6 @@ def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
                         help="spectral law: semicircle, two_point, JSON, or a JSON file")
     parser.add_argument("--field", default='{"kind": "constant", "value": 1.0}',
                         help="field law as JSON or a JSON file")
-    parser.add_argument("--field-mode", default=FIELD_MODES[0], choices=FIELD_MODES)
 
 
 def _add_instance_file_arguments(parser: argparse.ArgumentParser) -> None:
@@ -81,18 +80,17 @@ def _cell(args, kind: str, **settings) -> exp_mod.Cell:
     which checks the flags as it checks a config file's keys before any
     instance is drawn; --save-instance writes the instance to a file.
 
-    A saved instance holds no laws, so its spectrum is checked against --law
-    and its field against --field and --field-mode: iid draws are redrawn
-    from the instance's stored seed."""
+    A saved instance holds no laws, so its spectrum is checked against the
+    quantile grid of --law and its field against that of --field."""
     options = vars(args)
     inst = load_instance(args.load_instance) if options.get("load_instance") else None
     n, beta = (args.n, args.beta) if inst is None else (inst.n, inst.beta)
     cfg = exp_mod.ExperimentConfig(kind, (n,), (beta,), (args.seed,), args.law, args.field,
-                                   args.field_mode, **settings)
+                                   **settings)
     cell = exp_mod.Cell(cfg, n, beta, args.seed)
     if inst is not None:
-        d_bar, h = _spectrum_and_field(n, beta, args.law, args.field, inst.seed, args.field_mode)
-        for flag, saved, given in [("--law", inst.d_bar, d_bar), ("--field", inst.h, h)]:
+        for flag, saved, given in [("--law", inst.d_bar, beta * args.law.quantiles(n)),
+                                   ("--field", inst.h, args.field.quantiles(n))]:
             if np.abs(saved - given).max() > 1e-12:
                 raise ValueError(f"{flag} does not match the instance in {args.load_instance}")
         cell.instance = inst
@@ -201,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_amp.add_argument("--n", type=int, required=True)
     p_amp.add_argument("--beta", type=float, required=True)
     p_amp.add_argument("--seed", type=int, default=0)
-    p_amp.add_argument("--t-max", type=int, default=8)
+    p_amp.add_argument("--t-max", type=int, default=exp_mod.ExperimentConfig.t_max)
     _add_model_arguments(p_amp)
     p_amp.add_argument("--out")
     p_amp.set_defaults(fn=_cmd_amp_run)
@@ -220,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gm.add_argument("--beta", type=float, default=0.15)
     p_gm.add_argument("--seed", type=int, default=0)
     p_gm.add_argument("--chains", type=int, default=64)
-    p_gm.add_argument("--sweeps", type=int, default=200)
-    p_gm.add_argument("--burn-in", type=int, default=50)
+    p_gm.add_argument("--sweeps", type=int, default=exp_mod.ExperimentConfig.sweeps)
+    p_gm.add_argument("--burn-in", type=int, default=exp_mod.ExperimentConfig.burn_in)
     _add_model_arguments(p_gm)
     _add_instance_file_arguments(p_gm)
     p_gm.add_argument("--out")

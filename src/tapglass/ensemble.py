@@ -1,8 +1,8 @@
 """Orthogonally invariant coupling ensembles and model instances.
 
 An instance of size n consists of Jbar = O^T Dbar O with O uniform on SO(n),
-Dbar = beta * diag(quantiles of the spectral law), plus an external field h
-(deterministic quantiles of the field law by default, iid draws on request).
+Dbar = beta * diag(quantiles of the spectral law), plus the external field
+h = the quantile grid of the field law, so O is an instance's one random object.
 Jbar is never materialized at scale; `ModelInstance.apply_jbar` applies it in
 O(n^2) through the factors, and `ModelInstance.apply_rotated` applies any
 other diagonal in the same rotated basis, so no other module reads O.
@@ -28,10 +28,6 @@ from tapglass.spectral import SpectralLaw
 ORTHOGONALITY_TOL = 1e-10
 _DET_TOL = 1e-8
 MAX_DENSE_N = 2048  # a dense Jbar of this size is 32 MiB
-
-FIELD_MODE_QUANTILE = "quantile"
-FIELD_MODE_IID = "iid"
-FIELD_MODES = (FIELD_MODE_QUANTILE, FIELD_MODE_IID)  # the first is the default everywhere
 
 
 def haar_so(n: int, seed) -> np.ndarray:
@@ -136,14 +132,12 @@ def build_instance(
     law: SpectralLaw,
     field: FieldLaw,
     seed: int,
-    field_mode: str = FIELD_MODE_QUANTILE,
 ) -> ModelInstance:
     """Draw O ~ Haar(SO(n)) and assemble the instance.
 
-    The spectrum is the deterministic quantile grid of the law scaled by beta;
-    the field is the quantile grid of the field law, or iid draws from it when
-    field_mode = "iid".  The two consumers get independent child streams of
-    the seed, so the coupling draw is identical across field modes.
+    The spectrum is the deterministic quantile grid of the law scaled by beta
+    and the field the quantile grid of the field law.  O draws from the seed's
+    first child stream.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -151,25 +145,10 @@ def build_instance(
         raise ValueError(f"need beta > 0, got {beta}")
     if not law.is_standardized():
         raise ValueError("spectral law must be standardized (mean 0, variance 1)")
-    if field_mode not in FIELD_MODES:
-        raise ValueError(f"unknown field_mode {field_mode!r}")
 
-    o = haar_so(n, np.random.SeedSequence(seed).spawn(2)[0])
-    d_bar, h = _spectrum_and_field(n, beta, law, field, seed, field_mode)
-    return ModelInstance(n=n, beta=beta, d_bar=d_bar, O=o, h=h, seed=int(seed))
-
-
-def _spectrum_and_field(
-    n: int, beta: float, law: SpectralLaw, field: FieldLaw, seed: int, field_mode: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """(d_bar, h) of the instance of this seed.  O draws from the seed's first
-    child stream and iid field entries from its second, so a saved instance's
-    field can be redrawn from its stored seed."""
-    if field_mode == FIELD_MODE_QUANTILE:
-        h = field.quantiles(n)
-    else:
-        h = field.sample(np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1]), n)
-    return beta * law.quantiles(n), np.asarray(h, float)
+    o = haar_so(n, np.random.SeedSequence(seed).spawn(1)[0])
+    return ModelInstance(n=n, beta=beta, d_bar=beta * law.quantiles(n), O=o,
+                         h=field.quantiles(n), seed=int(seed))
 
 
 def save_instance(instance: ModelInstance, path) -> None:

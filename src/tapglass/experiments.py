@@ -8,7 +8,8 @@ across runs (wall-time column aside).
 Seed discipline: every random object in a cell draws from a stream keyed by
 the cell's coordinates, SeedSequence([master_seed, n, round(beta * 1e9),
 stream_tag]).  Keying by coordinates rather than grid position means adding
-a value to the grid never shifts the streams of existing cells.
+a value to the grid never shifts the streams of existing cells; a grid whose
+betas share a key is rejected.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from tapglass import amp as amp_mod
 from tapglass import gibbs as gibbs_mod
 from tapglass import tap as tap_mod
-from tapglass.ensemble import FIELD_MODES, build_instance
+from tapglass.ensemble import build_instance
 from tapglass.fixed_point import (
     FieldLaw,
     constant_field,
@@ -62,10 +63,13 @@ def stream_seed(master_seed: int, n: int, beta: float, tag: int) -> int:
     """Derived integer seed for one named stream of one grid cell."""
     if not math.isfinite(beta):
         raise ValueError(f"beta must be finite, got {beta}")
-    ss = np.random.SeedSequence(
-        [int(master_seed), int(n), int(round(beta * 1e9)), int(tag)]
-    )
+    ss = np.random.SeedSequence([int(master_seed), int(n), _beta_key(beta), int(tag)])
     return int(ss.generate_state(1)[0])
+
+
+def _beta_key(beta: float) -> int:
+    """beta in the units of 1e-9 that key its seed streams."""
+    return int(round(beta * 1e9))
 
 
 class ConfigError(ValueError):
@@ -95,7 +99,6 @@ class ExperimentConfig:
     seeds: tuple[int, ...]
     law: SpectralLaw = semicircle()
     field: FieldLaw = constant_field(1.0)
-    field_mode: str = FIELD_MODES[0]
     t_max: int = 8
     n_replicas: tuple[int, ...] = (8,)
     sweeps: int = 200
@@ -110,15 +113,20 @@ class ExperimentConfig:
         kind = self.kind
         if kind not in EXPERIMENT_KINDS:
             raise ConfigError(f"kind must be one of {', '.join(EXPERIMENT_KINDS)}; got {kind!r}")
-        if self.field_mode not in FIELD_MODES:
-            raise ConfigError(
-                f"field_mode must be {' or '.join(FIELD_MODES)}, got {self.field_mode!r}")
+        for name in ("n", "beta", "seeds", "n_replicas"):
+            grid = getattr(self, name)
+            if len(grid) == 0:
+                raise ConfigError(f"{name} must be nonempty")
+            if len(set(grid)) < len(grid):  # it would run and count one cell twice
+                raise ConfigError(f"{name} repeats a value: {list(grid)}")
         if self.t_max < 1:
             raise ConfigError("t_max must be >= 1")
         if any(n < 1 for n in self.n):
             raise ConfigError("all n must be >= 1")
         if not all(0 <= b < math.inf for b in self.beta):
             raise ConfigError("all beta must be finite and >= 0")
+        if len({_beta_key(b) for b in self.beta}) < len(self.beta):
+            raise ConfigError(f"beta values within 1e-9 share seed streams: {list(self.beta)}")
         if kind != KIND_FIXED_POINT and 0.0 in self.beta:
             raise ConfigError(f"{kind} builds instances, which need beta > 0")
         max_n = _MAX_N.get(kind)
@@ -167,12 +175,7 @@ def _typed(value, cast, name):
 def _as_tuple(value, cast, name):
     if not isinstance(value, (list, tuple)):
         value = [value]
-    if len(value) == 0:
-        raise ConfigError(f"{name} must be nonempty")
-    out = tuple(_typed(v, cast, name) for v in value)
-    if len(set(out)) < len(out):  # a repeated value would run and count one cell twice
-        raise ConfigError(f"{name} repeats a value: {list(out)}")
-    return out
+    return tuple(_typed(v, cast, name) for v in value)
 
 
 def _parsed(key: str, value):
@@ -258,7 +261,7 @@ class Cell:
     @functools.cached_property
     def instance(self):
         return build_instance(self.n, self.beta, self.cfg.law, self.cfg.field,
-                              self.stream(STREAM_INSTANCE), self.cfg.field_mode)
+                              self.stream(STREAM_INSTANCE))
 
     @functools.cached_property
     def exact(self):

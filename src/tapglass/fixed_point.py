@@ -93,13 +93,6 @@ class FieldLaw:
 
         return self.value + self.sd * norm.ppf(p)
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if self.kind == FIELD_CONSTANT:
-            return np.full(size, self.value)
-        if self.kind == FIELD_GAUSSIAN:
-            return self.value + self.sd * rng.standard_normal(size)
-        return rng.choice(self.atoms[:, 0], size=size, p=self.atoms[:, 1])
-
     def to_spec(self) -> dict:
         if self.kind == FIELD_CONSTANT:
             return {"kind": FIELD_CONSTANT, "value": self.value}

@@ -6,7 +6,8 @@ gives R'.  resolvent_gamma materializes the dense operator Gamma that AMP
 never forms, for the check y^t = Gamma x^t at small n.  damped_tap_solve is
 the plain damped iteration the Anderson-mixed solver accelerates.
 monte_carlo_delta estimates the state-evolution covariance by sampling the
-recursion that theoretical_delta integrates by quadrature.  masked_glauber is
+recursion that theoretical_delta integrates by quadrature, its field entries
+iid draws of sample_field.  masked_glauber is
 the chain-by-chain Glauber loop with a masked rank-1 field update, which the
 lockstep block sampler is checked against bit for bit.  haar_orthogonal
 is the unconstrained O(n) draw that haar_so's determinant fix is compared
@@ -30,7 +31,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from tapglass.ensemble import ModelInstance, haar_so
-from tapglass.fixed_point import FieldLaw, FixedPoint
+from tapglass.fixed_point import FIELD_CONSTANT, FIELD_GAUSSIAN, FieldLaw, FixedPoint
 from tapglass.gibbs import _SWEEP_BLOCK_ELEMENTS, BandSpec
 from tapglass.spectral import DomainError, SpectralLaw
 from tapglass.tap import (
@@ -166,6 +167,15 @@ def _semidefinite_cholesky(a: np.ndarray) -> np.ndarray:
     return low
 
 
+def sample_field(field: FieldLaw, rng: np.random.Generator, size: int) -> np.ndarray:
+    """size iid draws from the field law."""
+    if field.kind == FIELD_CONSTANT:
+        return np.full(size, field.value)
+    if field.kind == FIELD_GAUSSIAN:
+        return field.value + field.sd * rng.standard_normal(size)
+    return rng.choice(field.atoms[:, 0], size=size, p=field.atoms[:, 1])
+
+
 def monte_carlo_delta(
     fp: FixedPoint, field: FieldLaw, t_max: int, mc_samples: int, seed: int,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -186,7 +196,7 @@ def monte_carlo_delta(
         raise ValueError(f"mc_samples must be >= 2, got {mc_samples}")
 
     rng = np.random.default_rng(seed)
-    h = field.sample(rng, mc_samples)
+    h = sample_field(field, rng, mc_samples)
     y0 = np.sqrt(fp.sigma_star_sq) * rng.standard_normal(mc_samples)
     # one innovation row per time step, so the first s rows do not depend on t_max
     xi = rng.standard_normal((t_max, mc_samples))

@@ -4,12 +4,15 @@ would see them."""
 
 import dataclasses
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tapglass import experiments as exp
-from tapglass.cli import main, parse_field_argument, parse_law_argument
+from tapglass.cli import build_parser, main, parse_field_argument, parse_law_argument
 from tapglass.ensemble import load_instance, save_instance
 from tapglass.experiments import Cell, default_config, run_experiment
 from tapglass.fixed_point import constant_field, solve_fixed_point
@@ -23,6 +26,28 @@ def _run(capsys, argv):
 
 
 # ---------------------------------------------------------------- parsing
+
+
+def _readme_block(section: str, lang: str) -> str:
+    """The first ```lang block under the README heading ## section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    body = readme.split(f"\n## {section}\n", 1)[1]
+    return re.search(rf"```{lang}\n(.*?)```", body, re.S).group(1)
+
+
+def test_readme_example_config_parses():
+    cfg = exp.config_from_dict(json.loads(_readme_block("Experiment configs", "json")))
+    assert cfg.kind == "amp" and cfg.out == "rows.csv"
+
+
+def test_readme_command_lines_parse():
+    # every subcommand is shown, and a flag the parser no longer takes fails here
+    lines = _readme_block("Command line", "sh").replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True) for line in lines if line.startswith("tapglass ")]
+    assert {argv[1] for argv in commands} == {
+        "fixed-point", "amp-run", "gibbs-exact", "gibbs-mcmc", "tap-residual", "experiment"}
+    for argv in commands:
+        assert build_parser().parse_args(argv[1:]).command == argv[1]
 
 
 def test_parse_law_argument_forms(tmp_path):
@@ -186,21 +211,31 @@ def test_loaded_instance_must_match_law_and_field(capsys, tmp_path):
 
 
 def test_loaded_iid_field_must_match_field(capsys, tmp_path):
-    # an iid field is redrawn from the instance's stored seed and checked
+    # a field that is not --field's quantile grid, as an instance saved with
+    # iid field draws holds, does not match even with the law it was drawn from
     inst_path = tmp_path / "inst.npz"
-    saved_field = '{"kind": "gaussian", "mean": 0.2, "sd": 0.5}'
-    common = ["--field-mode", "iid", "--field"]
-    rc, saved = _run(capsys, ["gibbs-exact", "--n", "8", "--seed", "3", *common, saved_field,
-                              "--save-instance", str(inst_path)])
+    field = '{"kind": "gaussian", "mean": 0.2, "sd": 0.5}'
+    rc, _ = _run(capsys, ["gibbs-exact", "--n", "8", "--seed", "3", "--field", field,
+                          "--save-instance", str(inst_path)])
     assert rc == 0
-    rc, loaded = _run(capsys, ["gibbs-exact", "--load-instance", str(inst_path),
-                               *common, saved_field])
-    assert rc == 0
-    assert json.loads(loaded)["log_z_per_site"] == json.loads(saved)["log_z_per_site"]
-    other_field = '{"kind": "gaussian", "mean": 1.5, "sd": 0.1}'
-    for argv in ([*common, other_field], ["--field", saved_field]):
-        assert main(["gibbs-exact", "--load-instance", str(inst_path), *argv]) == 2
-        assert "--field does not match" in capsys.readouterr().err
+    inst = load_instance(inst_path)
+    assert main(["gibbs-exact", "--load-instance", str(inst_path), "--field", field]) == 0
+    capsys.readouterr()
+    shuffled = np.random.default_rng(3).permutation(inst.h)
+    save_instance(dataclasses.replace(inst, h=shuffled), inst_path)
+    assert main(["gibbs-exact", "--load-instance", str(inst_path), "--field", field]) == 2
+    assert "--field does not match" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fixed-point", "amp-run", "gibbs-exact", "gibbs-mcmc",
+                                     "tap-residual"])
+def test_field_mode_flag_is_gone(capsys, command):
+    # a model's field is always its law's quantile grid
+    sizes = [] if command == "fixed-point" else ["--n", "6"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *sizes, "--beta", "0.15", "--field-mode", "iid"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --field-mode" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("spoil, message", [

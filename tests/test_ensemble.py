@@ -296,15 +296,15 @@ def test_build_instance_spectrum_and_field():
 
 
 def test_build_instance_field_modes_share_couplings():
+    # O draws from the seed's first child stream, the one it drew from when a
+    # second child held iid field draws, so every seeded O is unchanged
     field = gaussian_field(0.0, 1.0)
-    law = semicircle()
-    quantile = build_instance(12, 0.2, law, field, seed=42, field_mode="quantile")
-    iid = build_instance(12, 0.2, law, field, seed=42, field_mode="iid")
-    assert np.array_equal(quantile.O, iid.O)
-    assert np.array_equal(quantile.d_bar, iid.d_bar)
-    assert not np.allclose(quantile.h, iid.h)
-    # quantile mode is sorted by construction, iid is not (almost surely)
-    assert np.all(np.diff(quantile.h) >= 0)
+    inst = build_instance(50, 0.2, semicircle(), field, seed=42)
+    assert np.array_equal(inst.O, haar_so(50, np.random.SeedSequence(42).spawn(2)[0]))
+    assert np.array_equal(inst.d_bar, 0.2 * semicircle().quantiles(50))
+    # the field is the quantile grid, sorted by construction
+    assert np.array_equal(inst.h, field.quantiles(50))
+    assert np.all(np.diff(inst.h) >= 0)
 
 
 def test_build_instance_deterministic():
@@ -376,12 +376,14 @@ def test_instance_construction_computes_no_determinant(monkeypatch):
     assert inst.O is o
 
 
-@pytest.mark.parametrize("field_mode", ["quantile", "iid"])
+# the ids name the field modes these cases ran under while iid fields existed
+@pytest.mark.parametrize("field", [gaussian_field(0.1, 0.5), constant_field(1.0)],
+                         ids=["quantile", "iid"])
 @pytest.mark.parametrize("law", [semicircle(), THREE_ATOM], ids=["semicircle", "three-atom"])
 @pytest.mark.parametrize("n", [1, 2, 7, 300])
-def test_build_instance_rotation_is_in_so_n(n, law, field_mode):
+def test_build_instance_rotation_is_in_so_n(n, law, field):
     # nothing re-checks a drawn O, so the draw must hold it by construction
-    o = build_instance(n, 0.2, law, gaussian_field(0.1, 0.5), seed=n, field_mode=field_mode).O
+    o = build_instance(n, 0.2, law, field, seed=n).O
     # the layout sets the rounding of O @ v, so it is part of the draw
     assert o.flags.c_contiguous
     assert np.abs(o.T @ o - np.eye(n)).max() < 1e-10

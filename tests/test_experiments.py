@@ -64,7 +64,8 @@ def test_config_rejects_bad_scalars():
         config_from_dict(_minimal(n=[0]))
     with pytest.raises(ConfigError):
         config_from_dict(_minimal(beta=[-0.1]))
-    with pytest.raises(ConfigError):
+    # the field is always its law's quantile grid: field_mode is no longer a key
+    with pytest.raises(ConfigError, match="unknown config keys: field_mode"):
         config_from_dict(_minimal(field_mode="diagonal"))
 
 
@@ -95,7 +96,7 @@ def test_config_defaults_and_echo_roundtrip():
     assert cfg2.echo() == echo
 
 
-CONFIG_KEYS = {"kind", "n", "beta", "seeds", "law", "field", "field_mode", "t_max",
+CONFIG_KEYS = {"kind", "n", "beta", "seeds", "law", "field", "t_max",
                "n_replicas", "sweeps", "burn_in", "delta", "eta", "out"}
 
 
@@ -132,6 +133,30 @@ def test_config_built_directly_is_checked():
         exp.ExperimentConfig("gibbs_mcmc", (12,), (0.15,), (0,), n_replicas=(0,))
     with pytest.raises(ConfigError, match="delta"):
         exp.ExperimentConfig("band", (12,), (0.15,), (0,), delta=-1.0)
+
+
+@pytest.mark.parametrize("key", ["n", "beta", "seeds", "n_replicas"])
+def test_config_built_directly_checks_its_grids(key):
+    # an empty grid would run no cell (or fail in max()), a repeated value run
+    # one cell twice; config_from_dict and a config built directly agree
+    grids = {"n": (12,), "beta": (0.15,), "seeds": (1,), "n_replicas": (8,)}
+    with pytest.raises(ConfigError, match=f"{key} must be nonempty"):
+        exp.ExperimentConfig("band", **{**grids, key: ()})
+    with pytest.raises(ConfigError, match=f"{key} repeats a value"):
+        exp.ExperimentConfig("band", **{**grids, key: grids[key] * 2})
+
+
+def test_config_rejects_betas_that_share_seed_streams():
+    # stream seeds key beta in units of 1e-9, so these two would draw one O
+    close = [0.15, 0.1500000001]
+    assert stream_seed(1, 12, close[0], 1) == stream_seed(1, 12, close[1], 1)
+    with pytest.raises(ConfigError, match="share seed streams"):
+        exp.ExperimentConfig("amp", (12,), tuple(close), (1,))
+    with pytest.raises(ConfigError, match="share seed streams"):
+        config_from_dict(_minimal(beta=close))
+    apart = (0.15, 0.150000001)
+    assert stream_seed(1, 12, apart[0], 1) != stream_seed(1, 12, apart[1], 1)
+    assert exp.ExperimentConfig("amp", (12,), apart, (1,)).beta == apart
 
 
 @pytest.mark.parametrize("key, value", [

@@ -1,6 +1,7 @@
 """Gibbs layer: enumeration against naive listings, band sums, Glauber sampling."""
 
 import ast
+import dataclasses
 import inspect
 import tracemalloc
 from pathlib import Path
@@ -93,11 +94,11 @@ def test_enumeration_matches_listing_across_segments():
 
 
 def test_band_enumeration_matches_listing_across_eight_blocks():
-    # spans eight blocks (each 2^12 low states x a run of high); an iid field
-    # and a band centred on the exact magnetization give the low and the high
-    # sites different centre entries
-    inst = build_instance(_n_for_blocks(8), 0.2, semicircle(), gaussian_field(0.2, 0.6),
-                          seed=5, field_mode="iid")
+    # spans eight blocks (each 2^12 low states x a run of high); an unsorted
+    # field and a band centred on the exact magnetization give the low and the
+    # high sites different centre entries
+    inst = build_instance(_n_for_blocks(8), 0.2, semicircle(), gaussian_field(0.2, 0.6), seed=5)
+    inst = dataclasses.replace(inst, h=np.random.default_rng(5).permutation(inst.h))
     states, energies, log_z, mag = _naive_listing(inst)
     band = BandSpec(mag, 0.1, 1.0)
     res = exact_gibbs(inst, band)
@@ -149,8 +150,8 @@ def test_exact_draws_are_reproducible_and_leave_the_sums_alone():
 
 def test_exact_draws_match_state_probabilities():
     # n = 4: the frequency of each of the 16 states, within 4 binomial SE
-    inst = build_instance(4, 0.6, semicircle(), gaussian_field(0.2, 0.6), seed=3,
-                          field_mode="iid")
+    inst = build_instance(4, 0.6, semicircle(), gaussian_field(0.2, 0.6), seed=3)
+    inst = dataclasses.replace(inst, h=np.random.default_rng(3).permutation(inst.h))
     states, energies, log_z, _ = _naive_listing(inst)
     probs = np.exp(energies - log_z)
     count = 40_000

@@ -31,6 +31,16 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 PINNED_CONFIGS = {
     "band_n16": {"kind": "band", "n": [16], "beta": [0.15], "seeds": [1, 2],
                  "n_replicas": [8, 64], "eta": 0.3},
+    # fixed points of an atomic law, whose R-transforms come from a root
+    # solve; at beta 7.0 the entropy guard gives an error row
+    "fixed_point_atomic": {"kind": "fixed_point", "n": [12], "beta": [0.3, 0.8, 5.0, 7.0],
+                           "seeds": [1],
+                           "law": {"kind": "empirical", "locations": [-1, 0, 2],
+                                   "weights": [0.3, 0.3, 0.4]},
+                           "field": {"kind": "gaussian", "mean": 0.3, "sd": 0.6}},
+    # zero field: at beta 2.3 the final 1 - q* leaves the transform domain
+    "fixed_point_zero_field": {"kind": "fixed_point", "n": [12], "beta": [0.6, 2.3],
+                               "seeds": [1], "field": {"kind": "constant", "value": 0}},
 }
 
 

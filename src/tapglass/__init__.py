@@ -9,7 +9,6 @@ band-restricted partition functions, and TAP residual diagnostics.
 """
 
 from tapglass.spectral import (
-    RescaledLaw,
     SpectralLaw,
     empirical_atoms,
     law_from_spec,
@@ -18,7 +17,6 @@ from tapglass.spectral import (
 )
 
 __all__ = [
-    "RescaledLaw",
     "SpectralLaw",
     "empirical_atoms",
     "law_from_spec",

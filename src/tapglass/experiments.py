@@ -108,11 +108,14 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
-        """Reject a value no cell could run with, and raise a band's t_max to
-        BAND_MIN_T_MAX, however the config was built."""
+        """Cast each value to its field's type, rejecting a value of another
+        type; then reject a value no cell could run with, and raise a band's
+        t_max to BAND_MIN_T_MAX, however the config was built."""
         kind = self.kind
         if kind not in EXPERIMENT_KINDS:
             raise ConfigError(f"kind must be one of {', '.join(EXPERIMENT_KINDS)}; got {kind!r}")
+        for f in dataclasses.fields(self):  # the dataclass is frozen
+            object.__setattr__(self, f.name, _typed(f.name, getattr(self, f.name)))
         for name in ("n", "beta", "seeds", "n_replicas"):
             grid = getattr(self, name)
             if len(grid) == 0:
@@ -141,7 +144,7 @@ class ExperimentConfig:
         if not (0 < self.delta < math.inf and 0 < self.eta < math.inf):
             raise ConfigError("delta and eta must be finite and > 0")
         if kind == KIND_BAND and self.t_max < BAND_MIN_T_MAX:
-            object.__setattr__(self, "t_max", BAND_MIN_T_MAX)  # the dataclass is frozen
+            object.__setattr__(self, "t_max", BAND_MIN_T_MAX)
 
     def echo(self) -> dict:
         """Every key but out, grids as lists and laws as their specs, so the
@@ -161,42 +164,45 @@ def _echoed(value):
 _KEY_TYPES = typing.get_type_hints(ExperimentConfig)
 
 
-def _typed(value, cast, name):
-    """value cast by int or float, if it is an integer or a finite real number,
-    never a bool."""
+def _number(value, cast, key):
+    """value cast by int or float, if it is an integer or a real number, never
+    a bool (`ExperimentConfig` checks that the reals are finite)."""
     kind, what = (numbers.Integral, "an integer") if cast is int else (numbers.Real, "a number")
     if isinstance(value, bool) or not isinstance(value, kind):
-        raise ConfigError(f"{name} must be {what}, got {value!r}")
-    if cast is float and not math.isfinite(value):
-        raise ConfigError(f"{name} must be finite, got {value!r}")
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
     return cast(value)
 
 
-def _as_tuple(value, cast, name):
-    if not isinstance(value, (list, tuple)):
-        value = [value]
-    return tuple(_typed(v, cast, name) for v in value)
+def _typed(key: str, value):
+    """The value of one config key cast to its field's type: numbers by
+    `_number`, a grid (a scalar or a list) to a tuple of them."""
+    hint = _KEY_TYPES[key]
+    if typing.get_origin(hint) is tuple:
+        values = value if isinstance(value, (list, tuple)) else [value]
+        return tuple(_number(v, typing.get_args(hint)[0], key) for v in values)
+    if hint in (int, float):
+        return _number(value, hint, key)
+    if key == "out" and not (value is None or isinstance(value, str)):
+        raise ConfigError(f"out must be a string or null, got {value!r}")
+    if key in ("law", "field") and not isinstance(value, hint):
+        raise ConfigError(f"{key} must be a {hint.__name__}, got {value!r}")
+    return value
 
 
 def _parsed(key: str, value):
-    """The value of one config key, checked and cast to its field's type."""
-    if key in ("law", "field"):
-        parse, what = (law_from_spec, "spectral") if key == "law" else (field_from_spec, "field")
-        try:
-            return parse(value)
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"bad {what} law: {exc}") from exc
-    if key == "out" and not (value is None or isinstance(value, str)):
-        raise ConfigError(f"out must be a string or null, got {value!r}")
-    cast = _KEY_TYPES[key]
-    if typing.get_origin(cast) is tuple:
-        return _as_tuple(value, typing.get_args(cast)[0], key)
-    return _typed(value, cast, key) if cast in (int, float) else value
+    """The value of one config key, a law or field spec parsed to its law."""
+    if key not in ("law", "field"):
+        return value
+    parse, what = (law_from_spec, "spectral") if key == "law" else (field_from_spec, "field")
+    try:
+        return parse(value)
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"bad {what} law: {exc}") from exc
 
 
 def config_from_dict(obj: dict) -> ExperimentConfig:
-    """The config of a parsed JSON object: its keys checked and each value cast
-    to its field's type; `ExperimentConfig` checks the values themselves."""
+    """The config of a parsed JSON object: its keys checked and its law and
+    field specs parsed; `ExperimentConfig` checks and casts the values."""
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
     unknown = sorted(str(key) for key in obj if key not in _KEY_TYPES)

@@ -1,7 +1,8 @@
 """Replica-symmetric fixed point and the constants derived from it.
 
 With the inverse temperature absorbed into the spectrum (Rbar, Gbar are the
-rescaled transforms from `spectral.RescaledLaw`), the scalar overlap solves
+transforms of beta times the law, Rbar(w) = beta R(beta w); see `spectral`),
+the scalar overlap solves
 
     q = E[ tanh(H + sigma(q) G)^2 ],    sigma(q)^2 = q * Rbar'(1 - q),
 
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from tapglass.spectral import DomainError, RescaledLaw, SpectralLaw
+from tapglass.spectral import DomainError, SpectralLaw
 from tapglass.spectral import _as_atoms, _quantile_grid, _spec_kind
 
 GH_NODES = 61
@@ -186,23 +187,23 @@ def solve_fixed_point(beta: float, law: SpectralLaw, field: FieldLaw) -> FixedPo
         return product_fixed_point(field)
     if not law.is_standardized():
         raise ValueError("spectral law must be standardized (mean 0, variance 1)")
-    rescaled = RescaledLaw(law, beta)
 
-    def sigma_sq_of(q: float) -> float:
-        if q == 0.0:
-            return 0.0
+    def rescaled_transforms(u: float) -> tuple[float, float, float]:
+        """(Rbar(u), Rbar'(u), int_0^u Rbar): beta R(beta u), beta^2 R'(beta u)
+        and int_0^{beta u} R, by the change of variables."""
         try:
-            return q * rescaled.r_transform_derivative(1.0 - q)
+            r_val, r_der, r_int = law.r_transforms(beta * u)
         except DomainError as exc:
             raise BetaTooLargeError(
-                f"1 - q = {1 - q} left the R-transform domain at beta={beta}"
+                f"1 - q = {u} is outside the rescaled transform domain at beta={beta}"
             ) from exc
+        return beta * r_val, beta * beta * r_der, r_int
 
     q = _tanh_sq_expectation(field, 0.0)
     converged = False
     iterations = 0
     for iterations in range(1, MAX_ITER + 1):
-        s2 = sigma_sq_of(q)
+        s2 = 0.0 if q == 0.0 else q * rescaled_transforms(1.0 - q)[1]
         q_map = _tanh_sq_expectation(field, np.sqrt(s2))
         q_new = (1.0 - DAMPING) * q + DAMPING * q_map
         if abs(q_new - q) < TOL:
@@ -210,16 +211,7 @@ def solve_fixed_point(beta: float, law: SpectralLaw, field: FieldLaw) -> FixedPo
             converged = True
             break
         q = q_new
-
-    u = 1.0 - q
-    try:
-        transforms = (rescaled.r_transform(u), rescaled.r_transform_derivative(u),
-                      rescaled.r_integral(u))
-    except DomainError as exc:
-        raise BetaTooLargeError(
-            f"1 - q* = {u} is outside the rescaled transform domain at beta={beta}"
-        ) from exc
-    return _derive_constants(beta, transforms, field, q, converged, iterations)
+    return _derive_constants(beta, rescaled_transforms(1.0 - q), field, q, converged, iterations)
 
 
 def _derive_constants(

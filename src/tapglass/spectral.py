@@ -2,14 +2,16 @@
 
 A coupling matrix is built as O^T D O with O uniform on SO(n) and D holding
 quantiles of a fixed spectral law mu.  Everything downstream (fixed points,
-Onsager corrections, AMP denoisers) consumes mu only through its Cauchy
-transform and R-transform:
+Onsager corrections, AMP denoisers) consumes mu only through its R-transform,
+defined by the Cauchy transform G:
 
-    G(z) = int (z - x)^{-1} mu(dx)            for z > d_plus = max support,
-    R(w) = G^{-1}(w) - 1/w                    for w in (0, G(d_plus+)).
+    G(z) = int (z - x)^{-1} mu(dx)            for z > d = max support,
+    R(w) = G^{-1}(w) - 1/w                    for w in (0, G(d+)).
 
-G is strictly decreasing on (d_plus, inf) with G(z) -> 0+, so the inverse is
-well defined.  For the semicircle law (support [-2, 2], unit variance)
+G is strictly decreasing on (d, inf) with G(z) -> 0+, so the inverse is
+well defined.  G is the mathematics here; as code it lives in tests/oracles.py,
+the reference R is checked against.  For the semicircle law (support [-2, 2],
+unit variance)
 
     G(z) = (z - sqrt(z^2 - 4)) / 2,   G^{-1}(w) = w + 1/w,   R(w) = w,
 
@@ -18,20 +20,21 @@ law at +-1 included, goes through one root solve.  For atoms x_i with
 weights p_i (top atom x_k) write D_i = 1 + w (R - x_i); G(R + 1/w) = w says
 sum_i p_i / D_i = 1, so R is the root of the increasing
 g(R) = sum_i p_i (R - x_i) / D_i, which changes sign on
-[max(x_1, x_k - (1 - p_k)/w), x_k], where every D_i >= p_k > 0.  That one root gives the exact R' = sum p (R-x)^2/D^2 / sum p/D^2 and
-int_0^a R = a R(a) - sum p log1p(a (R(a) - x)).
+[max(x_1, x_k - (1 - p_k)/w), x_k], where every D_i >= p_k > 0.  That one
+root gives R, the exact R' = sum p (R-x)^2/D^2 / sum p/D^2 and
+int_0^w R = w R(w) - sum p log1p(w (R(w) - x)).
 
 Root solves, these and the semicircle quantiles, go through `_brentq`, a
 step-for-step port of scipy.optimize.brentq that gives the same doubles, so
 importing the module loads numpy only, not scipy.optimize.  The semicircle
 quantile grid is solved once per size and shared read-only.
 
-Temperature enters by scaling the spectrum: if d has law mu then beta * d has
+Temperature enters by scaling the spectrum: if x has law mu then beta * x has
 the transforms
 
     Gbar(z) = G(z / beta) / beta,      Rbar(w) = beta * R(beta * w),
 
-which `RescaledLaw` implements directly.
+which `fixed_point.solve_fixed_point` applies to `SpectralLaw.r_transforms`.
 """
 
 from __future__ import annotations
@@ -78,84 +81,45 @@ class SpectralLaw:
     """A probability law on the real line used for coupling spectra.
 
     ``atoms`` is an (k, 2) array of (location, weight) rows for an atomic
-    law and None for the semicircle.  ``d_plus`` is the supremum of the
-    support, ``mean`` and ``variance`` the first two moments.
+    law and None for the semicircle; ``mean`` and ``variance`` are the first
+    two moments.
     """
 
     kind: str
     atoms: np.ndarray | None
-    d_plus: float
     mean: float
     variance: float
 
     # ----- transforms -------------------------------------------------
 
-    def cauchy_transform(self, z: float) -> float:
-        """G(z) = int (z - x)^{-1} dmu(x), defined for z > d_plus."""
-        if not z > self.d_plus:
-            raise DomainError(f"cauchy transform needs z > {self.d_plus}, got {z}")
-        if self.kind == SEMICIRCLE:
-            return (z - np.sqrt(z * z - 4.0)) / 2.0
-        x, w = self.atoms[:, 0], self.atoms[:, 1]
-        return float(np.sum(w / (z - x)))
-
     def edge_cauchy(self) -> float:
-        """G(d_plus+): finite for the semicircle, +inf when an atom sits at the edge."""
+        """G(d+): finite for the semicircle, +inf when an atom sits at the edge."""
         if self.kind == SEMICIRCLE:
             return 1.0
         return np.inf
 
-    def cauchy_inverse(self, w: float) -> float:
-        """G^{-1}(w) = R(w) + 1/w on (0, G(d_plus+))."""
-        return self.r_transform(w) + 1.0 / w
+    def r_transforms(self, w: float) -> tuple[float, float, float]:
+        """(R(w), R'(w), int_0^w R) for w in (0, G(d+)): w, 1 and w^2/2 for
+        the semicircle, and for an atomic law all three from one root of g
+        (module docstring).
 
-    def r_transform(self, w: float) -> float:
-        """R(w) = G^{-1}(w) - 1/w.  The semicircle gives R(w) = w exactly."""
-        self._check_inverse_domain(w)
-        if self.kind == SEMICIRCLE:
-            return w
-        return self._atomic_r(w)[0]
-
-    def r_transform_derivative(self, w: float) -> float:
-        """R'(w): 1 for the semicircle, an exact sum over the atoms otherwise."""
-        self._check_inverse_domain(w)
-        if self.kind == SEMICIRCLE:
-            return 1.0
-        y, p = self._atomic_r(w)[1], self.atoms[:, 1]
-        d2 = (1.0 + w * y) ** -2
-        return float(p @ (d2 * y * y) / (p @ d2))
-
-    def r_integral(self, a: float) -> float:
-        """int_0^a R(w) dw: closed form for every kind (R(0+) is the mean)."""
-        if a < 0:
-            raise DomainError(f"r_integral needs a >= 0, got {a}")
-        if a == 0.0:
-            return 0.0
-        if not a < self.edge_cauchy():
-            raise DomainError(f"r_integral needs a < {self.edge_cauchy()}, got {a}")
-        if self.kind == SEMICIRCLE:
-            return a * a / 2.0
-        r, y = self._atomic_r(a)
-        return float(a * r - self.atoms[:, 1] @ np.log1p(a * y))
-
-    def _atomic_r(self, w: float) -> tuple[float, np.ndarray]:
-        """R(w) and R - x_i for an atomic law: the root of g (module docstring).
-
-        Solved for s = R - x_k: the left end -(1 - p_k)/w then carries no
-        rounding of x_k, which flips the sign of g there at large w.  The
-        tolerance is relative only: R(w) ~ mean + variance w can be tiny.
+        The root is solved for s = R - x_k: the left end -(1 - p_k)/w then
+        carries no rounding of x_k, which flips the sign of g there at large
+        w.  The tolerance is relative only: R(w) ~ mean + variance w can be
+        tiny.
         """
+        if not (0.0 < w < self.edge_cauchy()):
+            raise DomainError(
+                f"R-transform argument must lie in (0, {self.edge_cauchy()}), got {w}")
+        if self.kind == SEMICIRCLE:
+            return w, 1.0, w * w / 2.0
         x, p = self.atoms[:, 0], self.atoms[:, 1]
         gap = x[-1] - x
         s = _brentq(lambda t: p @ ((t + gap) / (1.0 + w * (t + gap))),
                     max(-gap[0], -(1.0 - p[-1]) / w), 0.0, np.finfo(float).tiny)
-        return float(x[-1] + s), s + gap
-
-    def _check_inverse_domain(self, w: float) -> None:
-        if not (0.0 < w < self.edge_cauchy()):
-            raise DomainError(
-                f"inverse-domain argument must lie in (0, {self.edge_cauchy()}), got {w}"
-            )
+        r, y = float(x[-1] + s), s + gap
+        d2 = (1.0 + w * y) ** -2
+        return r, float(p @ (d2 * y * y) / (p @ d2)), float(w * r - p @ np.log1p(w * y))
 
     # ----- law manipulation -------------------------------------------
 
@@ -195,7 +159,7 @@ class SpectralLaw:
 
 def semicircle() -> SpectralLaw:
     """Standard semicircle law on [-2, 2] (mean 0, variance 1)."""
-    return SpectralLaw(SEMICIRCLE, None, 2.0, 0.0, 1.0)
+    return SpectralLaw(SEMICIRCLE, None, 0.0, 1.0)
 
 
 def two_point() -> SpectralLaw:
@@ -209,7 +173,7 @@ def empirical_atoms(values, weights) -> SpectralLaw:
     x, w = atoms[:, 0], atoms[:, 1]
     mean = float(w @ x)
     var = float(w @ (x - mean) ** 2)
-    return SpectralLaw(EMPIRICAL, atoms, float(x[-1]), mean, var)
+    return SpectralLaw(EMPIRICAL, atoms, mean, var)
 
 
 def law_from_spec(obj: dict) -> SpectralLaw:
@@ -322,45 +286,3 @@ def _brentq(f, xa: float, xb: float, xtol: float) -> float:
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = value(xcur)
     raise RuntimeError(f"Failed to converge after {_BRENTQ_MAXITER} iterations.")
-
-
-@dataclass(frozen=True, eq=False)
-class RescaledLaw:
-    """Transforms of the scaled spectrum beta * d for d ~ base law.
-
-    All methods reduce to the base law through the scaling identities
-    Gbar(z) = G(z/beta)/beta, Gbar^{-1}(w) = beta G^{-1}(beta w),
-    Rbar(w) = beta R(beta w), Rbar'(w) = beta^2 R'(beta w), and
-    int_0^a Rbar = int_0^{beta a} R (exact change of variables).
-    """
-
-    base: SpectralLaw
-    beta: float
-
-    def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError(f"RescaledLaw needs beta > 0, got {self.beta}")
-
-    @property
-    def d_plus_bar(self) -> float:
-        return self.beta * self.base.d_plus
-
-    def edge_cauchy(self) -> float:
-        return self.base.edge_cauchy() / self.beta
-
-    def cauchy_transform(self, z: float) -> float:
-        if not z > self.d_plus_bar:
-            raise DomainError(f"cauchy transform needs z > {self.d_plus_bar}, got {z}")
-        return self.base.cauchy_transform(z / self.beta) / self.beta
-
-    def cauchy_inverse(self, w: float) -> float:
-        return self.beta * self.base.cauchy_inverse(self.beta * w)
-
-    def r_transform(self, w: float) -> float:
-        return self.beta * self.base.r_transform(self.beta * w)
-
-    def r_transform_derivative(self, w: float) -> float:
-        return self.beta * self.beta * self.base.r_transform_derivative(self.beta * w)
-
-    def r_integral(self, a: float) -> float:
-        return self.base.r_integral(self.beta * a)

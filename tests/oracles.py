@@ -1,6 +1,7 @@
 """Independent reference routes the tests check the package against.
 
-Bisection on the Cauchy transform inverts G for every spectral law without
+cauchy_transform is G itself, the reference the package's R-transforms are
+checked against.  Bisection on it inverts G for every spectral law without
 the semicircle's closed forms or the atomic root solve; a central difference
 gives R'.  resolvent_gamma materializes the dense operator Gamma that AMP
 never forms, for the check y^t = Gamma x^t at small n.  damped_tap_solve is
@@ -33,7 +34,7 @@ from scipy.optimize import brentq
 from tapglass.ensemble import ModelInstance, haar_so
 from tapglass.fixed_point import FIELD_CONSTANT, FIELD_GAUSSIAN, FieldLaw, FixedPoint
 from tapglass.gibbs import _SWEEP_BLOCK_ELEMENTS, BandSpec
-from tapglass.spectral import DomainError, SpectralLaw
+from tapglass.spectral import SEMICIRCLE, DomainError, SpectralLaw
 from tapglass.tap import (
     DEFAULT_TAP_TOL,
     TAP_DAMPING,
@@ -58,34 +59,51 @@ _MAX_BRACKET_GROWTH = 200
 _MAX_BISECT = 500
 
 
+def support_top(law: SpectralLaw) -> float:
+    """d, the top of the law's support: 2 for the semicircle, else the top atom."""
+    return 2.0 if law.kind == SEMICIRCLE else float(law.atoms[-1, 0])
+
+
+def cauchy_transform(law: SpectralLaw, z: float) -> float:
+    """G(z) = int (z - x)^{-1} mu(dx) for z > d: the closed form for the
+    semicircle, the sum over the atoms otherwise.  The reference G that the
+    package's R-transforms are checked against."""
+    if not z > support_top(law):
+        raise DomainError(f"cauchy transform needs z > {support_top(law)}, got {z}")
+    if law.kind == SEMICIRCLE:
+        return (z - np.sqrt(z * z - 4.0)) / 2.0
+    x, w = law.atoms[:, 0], law.atoms[:, 1]
+    return float(np.sum(w / (z - x)))
+
+
 def numeric_cauchy_inverse(law: SpectralLaw, w: float, tol: float = INVERSE_TOL) -> float:
-    """Invert G by bisection on (d_plus, inf), to |G(z) - w| < tol.
+    """Invert G by bisection on (d, inf), to |G(z) - w| < tol.
 
     Valid for every law; this is the reference route the semicircle's closed
     forms and the atomic root solve are checked against.  The bracket starts
-    at (d_plus + 1e-12, d_plus + 1e3] and the upper end grows geometrically
+    at (d + 1e-12, d + 1e3] and the upper end grows geometrically
     until it straddles the root (small w puts the root near 1/w, far beyond
     any fixed cap).
     """
     if not (0.0 < w < law.edge_cauchy()):
         raise DomainError(f"numeric inverse needs w in (0, {law.edge_cauchy()}), got {w}")
-    d = law.d_plus
+    d = support_top(law)
     lo = d + _EDGE_OFFSET
-    if not law.cauchy_transform(lo) > w:
+    if not cauchy_transform(law, lo) > w:
         raise RuntimeError(
             "bisection bracket does not straddle the root: w is above G at the "
             "support edge offset (w too close to the edge value)"
         )
     hi = d + _BRACKET_START
     for _ in range(_MAX_BRACKET_GROWTH):
-        if law.cauchy_transform(hi) < w:
+        if cauchy_transform(law, hi) < w:
             break
         hi = d + 2.0 * (hi - d)
     else:
         raise RuntimeError("bisection upper bracket failed to straddle the root")
     for _ in range(_MAX_BISECT):
         mid = 0.5 * (lo + hi)
-        g = law.cauchy_transform(mid)
+        g = cauchy_transform(law, mid)
         if abs(g - w) < tol:
             return mid
         if g > w:
@@ -103,7 +121,7 @@ def numeric_r_transform(law: SpectralLaw, w: float) -> float:
 def numeric_r_derivative(law: SpectralLaw, w: float, rel_step: float = DERIVATIVE_REL_STEP) -> float:
     """Central difference for R'(w) with step 1e-6 * max(1, |w|)."""
     h = rel_step * max(1.0, abs(w))
-    return (law.r_transform(w + h) - law.r_transform(w - h)) / (2.0 * h)
+    return (law.r_transforms(w + h)[0] - law.r_transforms(w - h)[0]) / (2.0 * h)
 
 
 def resolvent_gamma(instance: ModelInstance, fp: FixedPoint) -> np.ndarray:

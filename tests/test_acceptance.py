@@ -36,7 +36,6 @@ from tapglass.gibbs import (
     glauber_sample,
 )
 from tapglass.spectral import (
-    RescaledLaw,
     empirical_atoms,
     semicircle,
     two_point,
@@ -44,10 +43,12 @@ from tapglass.spectral import (
 from tapglass.tap import tap_residual
 
 from oracles import (
+    cauchy_transform,
     conditional_haar_so,
     haar_orthogonal,
     has_pair_margin,
     numeric_r_transform,
+    support_top,
     zero_field_log_partition,
 )
 
@@ -67,16 +68,21 @@ def test_01_transform_round_trips_and_closed_forms():
         two_point(),
         empirical_atoms([-1.0, -0.2, 1.4], [0.4, 0.3, 0.3]),
     ]
+
+    def g_inverse(law, w):  # G^{-1}(w) = R(w) + 1/w
+        return law.r_transforms(w)[0] + 1.0 / w
+
     for law in laws:
-        z_grid = law.d_plus + np.linspace(0.05, 4.0, 50)
+        top = support_top(law)
+        z_grid = top + np.linspace(0.05, 4.0, 50)
         for z in z_grid:
-            w = law.cauchy_transform(z)
-            assert abs(law.cauchy_inverse(w) - z) < 1e-10
-        w_lo = law.cauchy_transform(law.d_plus + 4.0)
-        w_hi = law.cauchy_transform(law.d_plus + 0.05)
+            w = cauchy_transform(law, z)
+            assert abs(g_inverse(law, w) - z) < 1e-10
+        w_lo = cauchy_transform(law, top + 4.0)
+        w_hi = cauchy_transform(law, top + 0.05)
         for w in np.linspace(w_lo, w_hi, 50):
-            z = law.cauchy_inverse(w)
-            assert abs(law.cauchy_transform(z) - w) < 1e-10
+            z = g_inverse(law, w)
+            assert abs(cauchy_transform(law, z) - w) < 1e-10
 
     # the semicircle R-transform is the identity; force the generic
     # inversion route so this is not just the closed form checking itself
@@ -86,21 +92,20 @@ def test_01_transform_round_trips_and_closed_forms():
     # two-point R-transform against its closed form, analytic and numeric
     for w in np.linspace(0.1, 3.0, 50):
         closed = (np.sqrt(1.0 + 4.0 * w * w) - 1.0) / (2.0 * w)
-        assert abs(two_point().r_transform(w) - closed) < 1e-10
+        assert abs(two_point().r_transforms(w)[0] - closed) < 1e-10
         assert abs(numeric_r_transform(two_point(), w) - closed) < 1e-10
 
-    # rescaled transforms against independently written closed forms
+    # rescaled transforms, Gbar(z) = G(z/beta)/beta and Rbar(w) = beta R(beta w),
+    # against independently written closed forms
     beta = 0.3
-    bar = RescaledLaw(semicircle(), beta)
     for z in np.linspace(2.0 * beta + 0.1, 4.0, 50):
         closed = (z - np.sqrt(z * z - 4.0 * beta * beta)) / (2.0 * beta * beta)
-        assert abs(bar.cauchy_transform(z) - closed) < 1e-10
+        assert abs(cauchy_transform(semicircle(), z / beta) / beta - closed) < 1e-10
     for w in np.linspace(0.05, 2.0, 50):
-        assert abs(bar.r_transform(w) - beta * beta * w) < 1e-10
-    bar2 = RescaledLaw(two_point(), beta)
+        assert abs(beta * semicircle().r_transforms(beta * w)[0] - beta * beta * w) < 1e-10
     for w in np.linspace(0.05, 2.0, 50):
         closed = (np.sqrt(1.0 + 4.0 * beta * beta * w * w) - 1.0) / (2.0 * w)
-        assert abs(bar2.r_transform(w) - closed) < 1e-10
+        assert abs(beta * two_point().r_transforms(beta * w)[0] - closed) < 1e-10
 
 
 def test_02_fixed_point_identities_and_scan_oracle():
@@ -112,8 +117,8 @@ def test_02_fixed_point_identities_and_scan_oracle():
     assert abs(fp.kappa_star * fp.delta_star - sig_sq) < 1e-12
     assert abs(fp.delta_star - (q / (1.0 - q) ** 2 - sig_sq)) < 1e-8
 
-    bar = RescaledLaw(semicircle(), beta)
-    assert abs(bar.cauchy_transform(fp.lambda_star) - (1.0 - q)) < 1e-8
+    # Gbar(lambda*) = G(lambda*/beta)/beta = 1 - q*
+    assert abs(cauchy_transform(semicircle(), fp.lambda_star / beta) / beta - (1.0 - q)) < 1e-8
 
     # brute-force scan of the scalar self-consistency map on a 1e-5 grid,
     # with quadrature nodes and the effective variance written out locally
@@ -312,7 +317,7 @@ def test_10_sampler_matches_exact_distribution():
 def test_11_zero_field_free_energy_tells_laws_apart():
     # At zero field q* = 0, the spread of log Z / n falls like 1/n, and the
     # finite-size gap is c/n: a weighted fit of the size means on (1, 1/n)
-    # pins psi_rs, which this checks through r_integral and enumeration.
+    # pins psi_rs, which this checks through int_0 R and enumeration.
     # The semicircle's log Z / n spreads wider, so it takes more instances:
     # over four disjoint seed sets its intercept lay 4.2-7.6 SE from the
     # two-point psi_rs with 40 instances per size, 2.2-7.3 SE with 20.

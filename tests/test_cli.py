@@ -569,7 +569,7 @@ def test_non_finite_beta_is_an_invalid_input(capsys, command, argv, beta):
     assert main([command, *argv, "--beta", beta]) == 2
     err = capsys.readouterr().err
     assert "beta must be finite and >= 0" in err
-    assert "R-transform domain" not in err
+    assert "transform domain" not in err
 
 
 def test_non_finite_field_exits_2(capsys):
@@ -577,7 +577,7 @@ def test_non_finite_field_exits_2(capsys):
     assert main(["amp-run", "--n", "8", "--beta", "0.15", "--field", field]) == 2
     err = capsys.readouterr().err
     assert "finite" in err
-    assert "R-transform domain" not in err
+    assert "transform domain" not in err
 
 
 def test_non_finite_config_value_exits_2(capsys, tmp_path):

@@ -174,6 +174,32 @@ def test_config_built_directly_rejects_non_finite_values(key, value):
         exp.ExperimentConfig("amp", (12,), seeds=(1,), **fields)
 
 
+BUILT_WRONGLY_TYPED = {
+    "n-float": (("amp", (12.5,), (0.15,), (1,)), {}),
+    "beta-bool-seed-float": (("amp", (12,), (True,), (1.5,)), {}),
+    "beta-bool": (("amp", (12,), (True,), (1,)), {}),
+    "seeds-float": (("amp", (12,), (0.15,), (1.5,)), {}),
+    "t_max-float": (("amp", (12,), (0.15,), (1,)), {"t_max": 8.5}),
+    "law-spec": (("amp", (12,), (0.15,), (1,)), {"law": {"kind": "semicircle"}}),
+    "field-spec": (("amp", (12,), (0.15,), (1,)), {"field": {"kind": "constant", "value": 1.0}}),
+    "out-int": (("amp", (12,), (0.15,), (1,)), {"out": 5}),
+}
+
+
+@pytest.mark.parametrize("args, kwargs", BUILT_WRONGLY_TYPED.values(), ids=BUILT_WRONGLY_TYPED)
+def test_config_built_directly_rejects_wrongly_typed_values(args, kwargs):
+    # config_from_dict's type checks hold for a config built in Python too:
+    # n = 12.5 gave a TypeError row, beta True and seed 1.5 ran as given
+    with pytest.raises(ConfigError, match="must be"):
+        exp.ExperimentConfig(*args, **kwargs)
+
+
+def test_config_built_directly_casts_to_its_field_types():
+    cfg = exp.ExperimentConfig("amp", [12], 1, (1,), delta=1)
+    assert (cfg.n, cfg.beta, cfg.delta) == ((12,), (1.0,), 1.0)
+    assert type(cfg.beta[0]) is float and type(cfg.delta) is float
+
+
 def test_gibbs_mcmc_grid_runs_above_the_old_cap():
     # n = 1024 was rejected while Glauber's dense couplings stopped at 512
     rows = run_experiment(config_from_dict(

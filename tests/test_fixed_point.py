@@ -21,9 +21,9 @@ from tapglass.fixed_point import (
     solve_fixed_point,
     theoretical_delta,
 )
-from tapglass.spectral import RescaledLaw, empirical_atoms, semicircle, two_point
+from tapglass.spectral import empirical_atoms, semicircle, two_point
 
-from oracles import monte_carlo_delta, sample_field, zero_field_log_partition
+from oracles import cauchy_transform, monte_carlo_delta, sample_field, zero_field_log_partition
 
 # Regression values for (semicircle, beta = 0.15, constant field 1), frozen
 # from a converged run; they pin the solver against accidental drift.
@@ -60,8 +60,8 @@ def test_exact_identities():
     q, u = fp.q_star, 1.0 - fp.q_star
     assert abs(fp.kappa_star * fp.delta_star - fp.sigma_star_sq) < 1e-12
     assert abs(fp.delta_star - (q / u**2 - fp.sigma_star_sq)) < 1e-8
-    rescaled = RescaledLaw(semicircle(), 0.2)
-    assert abs(rescaled.cauchy_transform(fp.lambda_star) - u) < 1e-8
+    # Gbar(lambda*) = G(lambda*/beta)/beta = 1 - q*
+    assert abs(cauchy_transform(semicircle(), fp.lambda_star / 0.2) / 0.2 - u) < 1e-8
     assert fp.lambda_star == pytest.approx(fp.a_star + 1.0 / u, abs=1e-14)
 
 
@@ -84,10 +84,11 @@ def test_semicircle_closed_form_constants():
 @pytest.mark.parametrize("law, beta, h", [(semicircle(), 0.05, 1.0), (two_point(), 0.05, 0.7)])
 def test_kappa_star_matches_exact_rational(law, beta, h):
     # kappa* = u^2 D / (1 - u^2 D) in exact arithmetic on the same float u and
-    # D = Rbar'(u); the form 1/(1 - u^2 D) - 1 loses ~1e-13 to cancellation here
+    # D = Rbar'(u) = beta^2 R'(beta u); the form 1/(1 - u^2 D) - 1 loses ~1e-13
+    # to cancellation here
     fp = solve_fixed_point(beta, law, constant_field(h))
     u = 1.0 - fp.q_star
-    x = Fraction(u) ** 2 * Fraction(RescaledLaw(law, beta).r_transform_derivative(u))
+    x = Fraction(u) ** 2 * Fraction(beta * beta * law.r_transforms(beta * u)[1])
     exact = x / (1 - x)
     assert abs(Fraction(fp.kappa_star) - exact) / exact < Fraction(1, 10**15)
 
@@ -98,7 +99,7 @@ def test_two_point_solves_and_identities():
     assert 0 < fp.q_star < 1
     assert abs(fp.kappa_star * fp.delta_star - fp.sigma_star_sq) < 1e-12
     u = 1.0 - fp.q_star
-    assert abs(RescaledLaw(two_point(), 0.25).cauchy_transform(fp.lambda_star) - u) < 1e-10
+    assert abs(cauchy_transform(two_point(), fp.lambda_star / 0.25) / 0.25 - u) < 1e-10
 
 
 def test_product_case():
@@ -141,10 +142,11 @@ def test_psi_rs_of_a_wide_gaussian_field_is_finite():
         expectation = mpmath.fsum(
             mpf(p) * mpf(w) * mpmath.log(2 * mpmath.cosh(mpf(a) + mpf(b)))
             for a, p in zip(h, ph) for b, w in zip(y, GAUSS_WEIGHTS))
-    rescaled, q = RescaledLaw(semicircle(), beta), fp.q_star
+    q = fp.q_star
     u = 1.0 - q
-    expected = (float(expectation) + 0.5 * q * rescaled.r_transform(u)
-                - 0.5 * q * u * rescaled.r_transform_derivative(u) + 0.5 * rescaled.r_integral(u))
+    r, r_der, r_int = semicircle().r_transforms(beta * u)  # Rbar(u) = beta R(beta u)
+    expected = (float(expectation) + 0.5 * q * (beta * r)
+                - 0.5 * q * u * (beta * beta * r_der) + 0.5 * r_int)
     assert fp.psi_rs == pytest.approx(expected, rel=1e-12)
 
 
@@ -182,13 +184,12 @@ def test_covariance_denominator_is_positive_up_to_the_domain_edge(law, beta):
     # K(w) = R(w) + 1/w inverts the decreasing G, so K' = R' - 1/w^2 < 0 and
     # 1 - u^2 Rbar'(u) = 1 - (beta u)^2 R'(beta u) > 0 wherever Rbar' is
     # defined: the fixed point's denominator guard is a rounding backstop
-    rescaled = RescaledLaw(law, beta)
-    edge = rescaled.edge_cauchy()
+    edge = law.edge_cauchy() / beta
     if np.isfinite(edge):  # the semicircle's, beta u < 1
         grid = np.append(edge * (1.0 - np.geomspace(0.999, 1e-15, 300)), np.nextafter(edge, 0.0))
     else:  # atomic laws: G(d_+) = inf
         grid = np.geomspace(1e-6, 1e8, 300) / beta
-    assert all(u * u * rescaled.r_transform_derivative(u) < 1.0 for u in grid)
+    assert all(u * u * (beta * beta * law.r_transforms(beta * u)[1]) < 1.0 for u in grid)
 
 
 # the field law at field scale c
@@ -218,9 +219,9 @@ def test_entropy_is_psi_minus_its_temperature_and_field_derivatives(law, field_a
 
 @pytest.mark.parametrize("beta", [0.5, 3.0, 15.4])
 def test_zero_field_entropy_is_the_integral_form(beta):
-    # log 2 + (1/2) int_0^beta R - (beta/2) R(beta), from the rescaled transforms at 1
-    rescaled = RescaledLaw(two_point(), beta)
-    expected = np.log(2.0) + 0.5 * rescaled.r_integral(1.0) - 0.5 * rescaled.r_transform(1.0)
+    # log 2 + (1/2) int_0^beta R - (beta/2) R(beta), from the law's transforms at beta
+    r, _, r_int = two_point().r_transforms(beta)
+    expected = np.log(2.0) + 0.5 * r_int - 0.5 * (beta * r)
     field = constant_field(0.0)
     assert _rs_entropy(solve_fixed_point(beta, two_point(), field), field) == pytest.approx(
         expected, abs=1e-12)
@@ -268,6 +269,14 @@ def test_field_parameters_must_be_finite(make, bad):
 
 @pytest.mark.parametrize("beta", [np.inf, np.nan])
 def test_non_finite_beta_is_an_invalid_input_not_a_regime(beta):
+    with pytest.raises(ValueError, match="beta must be finite and >= 0") as exc:
+        solve_fixed_point(beta, semicircle(), constant_field(1.0))
+    assert not isinstance(exc.value, BetaTooLargeError)
+
+
+@pytest.mark.parametrize("beta", [-0.2, -1e-300])
+def test_negative_beta_is_an_invalid_input_not_a_regime(beta):
+    # the rescaled transforms Rbar(w) = beta R(beta w) are used for beta > 0 only
     with pytest.raises(ValueError, match="beta must be finite and >= 0") as exc:
         solve_fixed_point(beta, semicircle(), constant_field(1.0))
     assert not isinstance(exc.value, BetaTooLargeError)

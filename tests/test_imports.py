@@ -1,10 +1,13 @@
 """Import path: no tapglass module loads scipy when imported, and every
-module-level definition under src/ is named somewhere under src/.
+module-level definition, method and property under src/ is named somewhere
+under src/.
 
 Importing scipy.optimize or scipy.special costs more than importing numpy,
 in every process and CLI call; the one scipy use left under src/ is the lazy
-scipy.stats import for gaussian-field quantile grids.  A definition or
-constant that only tests use belongs with the test oracles.
+scipy.stats import for gaussian-field quantile grids.  A definition, constant
+or class member that only tests use belongs with the test oracles.  A name
+counts as used only outside the functions of that name, so neither recursion
+nor a method that forwards to its namesake on another object keeps it alive.
 """
 
 import ast
@@ -66,22 +69,66 @@ def _module_level_names(tree):
                 yield from (name.id for name in ast.walk(target) if isinstance(name, ast.Name))
 
 
+def _member_names(tree):
+    """(class, name) of every method and property of the module's classes,
+    dunders aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if (isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (member.name.startswith("__") and member.name.endswith("__"))):
+                    yield node.name, member.name
+
+
+def _reads(tree, scope=()):
+    """(name, names of the enclosing functions) of every name, attribute and
+    imported name the tree reads."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id, scope
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, scope
+        elif isinstance(node, ast.alias):
+            yield node.name, scope
+        inner = (scope + (node.name,)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope)
+        yield from _reads(node, inner)
+
+
+def _src_trees():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def _used_names(trees):
+    return {name for tree in trees.values() for name, scope in _reads(tree) if name not in scope}
+
+
 def test_every_definition_has_a_caller_under_src():
     # a def, class or constant that no src/ module reads is code only tests run
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(SRC.glob("*.py"))}
-    used = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.alias):
-                used.add(node.name)
+    trees = _src_trees()
+    used = _used_names(trees)
     defined = {(name, defined_name)
                for name, tree in trees.items() for defined_name in _module_level_names(tree)}
     assert {d for d in defined if d[1] not in used} == UNREFERENCED_DEFINITIONS
+
+
+def test_every_class_member_has_a_caller_under_src():
+    # a method or property that no src/ module names is code only tests run
+    trees = _src_trees()
+    used = _used_names(trees)
+    unused = {(name, cls, member) for name, tree in trees.items()
+              for cls, member in _member_names(tree) if member not in used}
+    assert unused == set()
+
+
+def test_a_name_read_only_inside_its_namesake_is_unused():
+    tree = ast.parse("class A:\n"
+                     "    def f(self):\n        return self.base.f() + self.g()\n"
+                     "    def g(self):\n        return 1\n")
+    assert set(_member_names(tree)) == {("A", "f"), ("A", "g")}
+    assert _used_names({"a.py": tree}) >= {"g", "base"}
+    assert "f" not in _used_names({"a.py": tree})
 
 
 def test_importing_every_module_loads_no_scipy():
